@@ -5,8 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <string>
+#include <vector>
 
 #include "core/conservation.hpp"
+#include "des/event_queue.hpp"
+#include "obs/metrics.hpp"
 #include "queueing/mg1.hpp"
 #include "queueing/mg1_analytic.hpp"
 #include "util/rng.hpp"
@@ -222,6 +228,104 @@ TEST(Mg1Analytic, UnstableInputsRejected) {
   std::vector<ClassSpec> classes{{1.5, exponential_dist(1.0), 1.0}};
   EXPECT_THROW(pk_fcfs_wait(classes), std::invalid_argument);
   EXPECT_THROW(kleinrock_invariant(classes), std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// Golden outputs: every result field of fixed-seed runs, pinned bit-exactly,
+// plus the events popped and waits recorded. Any change to the draw order,
+// the FES push order or the warm-up rule shows up here. On a mismatch the
+// message lists the new values as hexfloat literals.
+// ---------------------------------------------------------------------------
+
+std::string hexfloats(const std::vector<double>& v) {
+  std::string s;
+  char buf[40];
+  for (const double x : v) {
+    std::snprintf(buf, sizeof buf, "%a, ", x);
+    s += buf;
+  }
+  return s;
+}
+
+// Poisson, geometric-batch and bursty MMPP classes; flat and virtual
+// service laws.
+std::vector<ClassSpec> golden_classes() {
+  return {{0.25, exponential_dist(1.0), 3.0},
+          {0.0, uniform_dist(0.2, 0.6), 1.0,
+           batch_arrivals_geometric(exponential_dist(0.15), 2.0)},
+          {0.0, lognormal_dist(-0.2, 0.8), 2.0, bursty_arrivals(0.2, 5.0)}};
+}
+
+void expect_golden(const SimOptions& opt, const std::vector<double>& want,
+                   std::uint64_t events, std::uint64_t waits) {
+  Rng rng(2024);
+  const std::uint64_t events0 = process_event_count();
+  const std::uint64_t waits0 = obs::wait_time_histogram().snapshot().total;
+  const SimResult r = simulate_mg1(golden_classes(), opt, rng);
+  std::vector<double> got{r.cost_rate, r.utilization, r.time_simulated};
+  for (const auto& c : r.per_class)
+    got.insert(got.end(), {c.mean_in_system, c.mean_wait, c.mean_sojourn,
+                           static_cast<double>(c.completions), c.throughput});
+  EXPECT_EQ(got, want) << hexfloats(got);
+  EXPECT_EQ(process_event_count() - events0, events);
+  EXPECT_EQ(obs::wait_time_histogram().snapshot().total - waits0, waits);
+}
+
+SimOptions golden_options(Discipline d) {
+  SimOptions opt;
+  opt.discipline = d;
+  opt.priority = {2, 0, 1};
+  opt.horizon = 3000.0;
+  opt.warmup = 300.0;
+  return opt;
+}
+
+TEST(Mg1Golden, FcfsBatchAndMmppArrivals) {
+  const std::vector<double> want{
+      0x1.87526f042e9bap+2, 0x1.47cfe480e3cf6p-1, 0x1.77p+11,
+      0x1.fbcdfc4ee532ap-1, 0x1.50aa81563cb78p+1, 0x1.d71e433c29b71p+1,
+      0x1.94p+9, 0x1.13cc1e098ead6p-2, 0x1.32b847f59f4fdp+0,
+      0x1.bc2b93afc061ap+1, 0x1.efb0d8b60c168p+1, 0x1.dp+9,
+      0x1.3cc1e098ead66p-2, 0x1.f0dc79a4c352cp-1, 0x1.cdab7668373a8p+1,
+      0x1.2f8905a0bfd55p+2, 0x1.33p+9, 0x1.a32846ff513ccp-3};
+  expect_golden(golden_options(Discipline::kFcfs), want, 4662, 2350);
+}
+
+TEST(Mg1Golden, NonpreemptivePriority) {
+  const std::vector<double> want{
+      0x1.9d6f4c7382524p+2, 0x1.47cfe480e3cf6p-1, 0x1.77p+11,
+      0x1.fc35dbb01fe86p-1, 0x1.510acbc330b76p+1, 0x1.d77eac2b26e38p+1,
+      0x1.94p+9, 0x1.13cc1e098ead6p-2, 0x1.3d88df56f55d1p+1,
+      0x1.e76f9841d4026p+2, 0x1.00991d627ceeep+3, 0x1.dp+9,
+      0x1.3cc1e098ead66p-2, 0x1.005aa997eeb26p-1, 0x1.4edcd33cadbf3p+0,
+      0x1.394fac59ee7a9p+1, 0x1.33p+9, 0x1.a32846ff513ccp-3};
+  expect_golden(golden_options(Discipline::kPriorityNonPreemptive), want,
+                4662, 2350);
+}
+
+TEST(Mg1Golden, PreemptiveResume) {
+  const std::vector<double> want{
+      0x1.a89042ac61c87p+2, 0x1.47cfe480e3cf6p-1, 0x1.77p+11,
+      0x1.104639e3bf5d8p+0, 0x1.450c6eec577dcp+1, 0x1.f938ecfef2e67p+1,
+      0x1.94p+9, 0x1.13cc1e098ead6p-2, 0x1.4eca480e63877p+1,
+      0x1.e76f9841d4026p+2, 0x1.0e8afaa6de33cp+3, 0x1.dp+9,
+      0x1.3cc1e098ead66p-2, 0x1.a7b399d303f46p-2, 0x1.c3f123df39ac2p-1,
+      0x1.02f43f098f1b1p+1, 0x1.33p+9, 0x1.a32846ff513ccp-3};
+  expect_golden(golden_options(Discipline::kPriorityPreemptiveResume), want,
+                5000, 2350);
+}
+
+TEST(Mg1Golden, KlimovFeedback) {
+  const std::vector<double> want{
+      0x1.7a64378803b1ap+3, 0x1.9cf6e51bc0d2ep-1, 0x1.77p+11,
+      0x1.3ce5b1c884bb9p+0, 0x1.863e2f690425fp+1, 0x1.0684f368167b2p+2,
+      0x1.c5p+9, 0x1.353f7ced91687p-2, 0x1.b2b2cb3e70bd4p+2,
+      0x1.09dbd2c0e75f2p+4, 0x1.105818e8ff15ap+4, 0x1.2b4p+10,
+      0x1.989374bc6a7fp-2, 0x1.51a579eccc651p-1, 0x1.2bc1fa53395eap+0,
+      0x1.29a426958d72fp+1, 0x1.aap+9, 0x1.22d0e56041893p-2};
+  SimOptions opt = golden_options(Discipline::kPriorityNonPreemptive);
+  opt.feedback = {{0.0, 0.3, 0.0}, {0.0, 0.0, 0.2}, {0.1, 0.0, 0.0}};
+  expect_golden(opt, want, 5321, 2955);
 }
 
 }  // namespace

@@ -4,7 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <string>
+#include <vector>
 
+#include "des/event_queue.hpp"
+#include "obs/metrics.hpp"
 #include "queueing/fluid.hpp"
 #include "queueing/network.hpp"
 #include "queueing/parallel_servers.hpp"
@@ -414,6 +420,158 @@ TEST(Fluid, TrajectoryInterpolation) {
   const auto traj = fluid_drain(classes, {4.0}, {0});
   EXPECT_NEAR(traj.at(2.0)[0], 2.0, 1e-9);
   EXPECT_NEAR(traj.at(100.0)[0], 0.0, 1e-9);
+}
+
+// ---------------------------------------------------------------------------
+// Golden outputs: every result field of fixed-seed runs, pinned bit-exactly,
+// plus the events popped and waits recorded. Any change to the draw order,
+// the FES push order or the warm-up rule shows up here. On a mismatch the
+// message lists the new values as hexfloat literals.
+// ---------------------------------------------------------------------------
+
+std::string hexfloats(const std::vector<double>& v) {
+  std::string s;
+  char buf[40];
+  for (const double x : v) {
+    std::snprintf(buf, sizeof buf, "%a, ", x);
+    s += buf;
+  }
+  return s;
+}
+
+/// Runs `sim` on a fixed seed; checks its fingerprint and the events and
+/// waits it adds to the process-wide counters.
+template <class Sim>
+void expect_golden(Sim&& sim, const std::vector<double>& want,
+                   std::uint64_t events, std::uint64_t waits) {
+  Rng rng(2024);
+  const std::uint64_t events0 = process_event_count();
+  const std::uint64_t waits0 = obs::wait_time_histogram().snapshot().total;
+  const std::vector<double> got = sim(rng);
+  EXPECT_EQ(got, want) << hexfloats(got);
+  EXPECT_EQ(process_event_count() - events0, events);
+  EXPECT_EQ(obs::wait_time_histogram().snapshot().total - waits0, waits);
+}
+
+// Poisson, fixed-batch and bursty MMPP classes; flat and virtual laws.
+std::vector<ClassSpec> golden_classes() {
+  return {{0.15, exponential_dist(1.0), 2.0},
+          {0.0, erlang_dist(2, 5.0), 1.0,
+           batch_arrivals(exponential_dist(0.1), 2)},
+          {0.0, lognormal_dist(-0.5, 0.7), 3.0, bursty_arrivals(0.2, 4.0)}};
+}
+
+// Class 0 has only a `service_mean` and batch arrivals, class 1 an Erlang
+// law, class 2 MMPP arrivals, class 3 only a `service_mean`.
+NetworkConfig golden_network(bool priority) {
+  NetworkConfig cfg;
+  cfg.num_stations = 2;
+  cfg.classes = {{0, 0.3, 1, 0.0, batch_arrivals(exponential_dist(0.2), 2)},
+                 {1, 0.5, NetworkClass::kExit, 0.0},
+                 {1, 0.4, 3, 0.0, bursty_arrivals(0.3, 3.0)},
+                 {0, 0.6, NetworkClass::kExit, 0.0}};
+  cfg.classes[1].service = erlang_dist(2, 4.0);
+  if (priority) cfg.station_priority = {{3, 0}, {1, 2}};
+  return cfg;
+}
+
+std::vector<double> network_fingerprint(bool priority, Rng& rng) {
+  const NetworkTrace t =
+      simulate_network(golden_network(priority), 2000.0, 10, rng);
+  std::vector<double> v{t.mean_total, t.final_total, t.growth_rate};
+  v.insert(v.end(), t.times.begin(), t.times.end());
+  v.insert(v.end(), t.total_jobs.begin(), t.total_jobs.end());
+  return v;
+}
+
+TEST(NetworkGolden, Fcfs) {
+  const std::vector<double> want{
+      0x1.1fc3bf077d0bcp+0, 0x1.8p+1, 0x1.45b1adf4b478ep-9, 0x1.9p+7, 0x1.9p+8,
+      0x1.2cp+9, 0x1.9p+9, 0x1.f4p+9, 0x1.2cp+10, 0x1.5ep+10, 0x1.9p+10,
+      0x1.c2p+10, 0x1.f4p+10, 0x0p+0, 0x1p+0, 0x0p+0, 0x0p+0, 0x0p+0, 0x0p+0,
+      0x1p+0, 0x1p+1, 0x1.cp+2, 0x1.8p+1};
+  expect_golden([](Rng& r) { return network_fingerprint(false, r); },
+                want, 3869, 2840);
+}
+
+TEST(NetworkGolden, StationPriority) {
+  const std::vector<double> want{
+      0x1.28feae602b006p+0, 0x1.8p+1, 0x1.617f494b27c7ep-9, 0x1.9p+7, 0x1.9p+8,
+      0x1.2cp+9, 0x1.9p+9, 0x1.f4p+9, 0x1.2cp+10, 0x1.5ep+10, 0x1.9p+10,
+      0x1.c2p+10, 0x1.f4p+10, 0x0p+0, 0x1p+0, 0x0p+0, 0x0p+0, 0x0p+0, 0x0p+0,
+      0x1p+0, 0x1p+1, 0x1p+3, 0x1.8p+1};
+  expect_golden([](Rng& r) { return network_fingerprint(true, r); },
+                want, 3869, 2840);
+}
+
+TEST(MmmGolden, PriorityWithWarmup) {
+  const std::vector<double> want{
+      0x1.f9e0f2fbb5268p-1, 0x1.a5a1a9bebb889p-3, 0x1.580a941959c17p-3,
+      0x1.61323186db708p-4, 0x1.82472e52e675p-3};
+  expect_golden(
+      [](Rng& r) {
+        const MmmResult m =
+            simulate_mmm(golden_classes(), 2, {1, 0, 2}, 2000.0, 250.0, r);
+        std::vector<double> v{m.cost_rate, m.utilization};
+        v.insert(v.end(), m.mean_in_system.begin(), m.mean_in_system.end());
+        return v;
+      },
+      want, 2331, 1132);
+}
+
+std::vector<double> polling_fingerprint(PollingDiscipline d, Rng& rng) {
+  PollingOptions opt;
+  opt.discipline = d;
+  opt.limit = 2;
+  opt.switchover = uniform_dist(0.05, 0.25);
+  opt.horizon = 2000.0;
+  opt.warmup = 200.0;
+  const PollingResult p = simulate_polling(golden_classes(), opt, rng);
+  std::vector<double> v{p.cost_rate, p.switching_fraction, p.serving_fraction};
+  v.insert(v.end(), p.mean_in_system.begin(), p.mean_in_system.end());
+  return v;
+}
+
+TEST(PollingGolden, Exhaustive) {
+  const std::vector<double> want{
+      0x1.d98e93a957fe4p+0, 0x1.0e6f4ed89a9bcp-5, 0x1.97b9633d9b02ep-2,
+      0x1.12d01c47478f1p-2, 0x1.0a87f9c313a2p-2, 0x1.675b5ec694684p-2};
+  expect_golden(
+      [](Rng& r) {
+        return polling_fingerprint(PollingDiscipline::kExhaustive, r);
+      },
+      want, 2753, 1108);
+}
+
+TEST(PollingGolden, Gated) {
+  const std::vector<double> want{
+      0x1.f3904b5b01d36p+0, 0x1.5e514d32fb0cap-5, 0x1.97d019f03185p-2,
+      0x1.1578b0987e666p-2, 0x1.f81e3145dd58cp-3, 0x1.8d159132b3f18p-2};
+  expect_golden(
+      [](Rng& r) { return polling_fingerprint(PollingDiscipline::kGated, r); },
+      want, 2900, 1108);
+}
+
+TEST(PollingGolden, Limited) {
+  const std::vector<double> want{
+      0x1.fd3e2cc913441p+0, 0x1.493c686399e03p-5, 0x1.97c7aa0d48a1p-2,
+      0x1.11384617f370cp-2, 0x1.0978880df88f1p-2, 0x1.985a8a4ccf354p-2};
+  expect_golden(
+      [](Rng& r) {
+        return polling_fingerprint(PollingDiscipline::kLimited, r);
+      },
+      want, 2863, 1108);
+}
+
+TEST(PollingGolden, GreedyCmu) {
+  const std::vector<double> want{
+      0x1.cda34fc3c1a98p+0, 0x1.348ba4fe7a244p-5, 0x1.97ed472a875cep-2,
+      0x1.4b4f4d0f06d5fp-2, 0x1.03c332b38f998p-2, 0x1.340e7b69cdcaep-2};
+  expect_golden(
+      [](Rng& r) {
+        return polling_fingerprint(PollingDiscipline::kGreedyCmu, r);
+      },
+      want, 2826, 1108);
 }
 
 }  // namespace

@@ -184,7 +184,6 @@ inline void write_provenance(std::ostream& os, const Table& table,
      << "\", \"sanitizers\": \"" << json_escape(b.sanitizers)
      << "\", \"contracts\": " << (b.contracts ? "true" : "false")
      << ", \"trace\": " << (b.trace ? "true" : "false")
-     << ", \"time_stats\": " << (b.time_stats ? "true" : "false")
      << ", \"omp_max_threads\": " << b.omp_max_threads;
   if (g_seed_set) os << ", \"seed\": " << g_seed;
   os << ", \"scenario_hash\": \"" << scenario_hash(table, arrival)

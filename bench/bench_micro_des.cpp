@@ -1,7 +1,6 @@
 // Micro: discrete-event core — hold-model throughput of the future-event
-// set across structures (d-ary heaps at three arities vs the calendar
-// queue: the FES shootout DESIGN.md calls out) and sizes up to 10^6, a
-// ramp-up/drain profile matching multi-replication engine runs, and the
+// set across d-ary heap arities and sizes up to 10^6, a ramp-up/drain
+// profile matching multi-replication engine runs, and the
 // random-variate dispatch ablation (virtual Distribution::sample vs the
 // devirtualized FlatSampler switch) over a mixed pool of laws. The hold
 // model (pop one, push one) is the classical FES benchmark.
@@ -10,7 +9,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "des/calendar_queue.hpp"
 #include "des/event_queue.hpp"
 #include "dist/arrival.hpp"
 #include "util/rng.hpp"
@@ -41,22 +39,17 @@ void bm_hold_quad(benchmark::State& s) {
 void bm_hold_octal(benchmark::State& s) {
   bm_hold_model<stosched::DaryEventHeap<8>>(s);
 }
-void bm_hold_calendar(benchmark::State& s) {
-  bm_hold_model<stosched::CalendarEventQueue>(s);
-}
 
 BENCHMARK(bm_hold_binary)->Arg(64)->Arg(1024)->Arg(16384)->Arg(1000000);
 BENCHMARK(bm_hold_quad)->Arg(64)->Arg(1024)->Arg(16384)->Arg(1000000);
 BENCHMARK(bm_hold_octal)->Arg(64)->Arg(1024)->Arg(16384)->Arg(1000000);
-BENCHMARK(bm_hold_calendar)->Arg(64)->Arg(1024)->Arg(16384)->Arg(1000000);
 
 // Ramp-up/drain: push N events, then pop all N — the transient profile of
 // a replication's start and finish, where the hold model's steady size
 // never goes. Items processed = one push + one pop.
-template <class Queue>
-void bm_ramp_drain(benchmark::State& state) {
+void bm_ramp_drain_quad(benchmark::State& state) {
   const auto size = static_cast<std::size_t>(state.range(0));
-  Queue heap;
+  stosched::EventQueue heap;
   stosched::Rng rng(42);
   for (auto _ : state) {
     for (std::size_t i = 0; i < size; ++i)
@@ -67,15 +60,7 @@ void bm_ramp_drain(benchmark::State& state) {
       static_cast<std::int64_t>(state.iterations() * size));
 }
 
-void bm_ramp_drain_quad(benchmark::State& s) {
-  bm_ramp_drain<stosched::EventQueue>(s);
-}
-void bm_ramp_drain_calendar(benchmark::State& s) {
-  bm_ramp_drain<stosched::CalendarEventQueue>(s);
-}
-
 BENCHMARK(bm_ramp_drain_quad)->Arg(1024)->Arg(16384);
-BENCHMARK(bm_ramp_drain_calendar)->Arg(1024)->Arg(16384);
 
 // Random-variate dispatch ablation over a mixed pool of arrival laws,
 // drawn in per-law bursts (a simulator draining one class's epochs). The

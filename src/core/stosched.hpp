@@ -16,7 +16,7 @@
 //     greedy indices, priority-rule catalog;
 //   * observability: metrics registry (counters/gauges/deterministic
 //     latency histograms), compiled-out Chrome-trace spans, run
-//     provenance, structured progress sink, phase timers;
+//     provenance, structured progress sink;
 //   * the experiment engine: replication driver, CRN paired comparisons,
 //     sequential-precision stopping, scenario registry and adapters;
 //   * substrates: distributions, RNG, statistics, discrete-event kernel,
@@ -28,17 +28,14 @@
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
-#include "util/timestat.hpp"
 
 #include "obs/obs.hpp"
 
 #include "dist/arrival.hpp"
 #include "dist/distribution.hpp"
 
-#include "des/calendar_queue.hpp"
 #include "des/event_queue.hpp"
 #include "des/fifo_arena.hpp"
-#include "des/simulator.hpp"
 
 #include "lp/adaptive_greedy.hpp"
 #include "lp/revised_simplex.hpp"
@@ -72,6 +69,7 @@
 
 #include "queueing/mg1.hpp"
 #include "queueing/mg1_analytic.hpp"
+#include "queueing/kernel.hpp"
 #include "queueing/klimov.hpp"
 #include "queueing/parallel_servers.hpp"
 #include "queueing/polling.hpp"

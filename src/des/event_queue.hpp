@@ -164,14 +164,13 @@ class DaryEventHeap {
   STOSCHED_CONTRACT_STATE(std::uint64_t last_pop_seq_ = 0;)
 };
 
-/// The default future-event set used by all simulators in the library.
+/// The future-event set used by all simulators in the library.
 ///
 /// Shootout outcome (bench_micro_des, hold model + ramp/drain, sizes 64 to
 /// 10^6): the 4-ary heap wins at the small resident sizes the library's
-/// simulators actually run (~2 events per class), and on ramp/drain; the
-/// calendar queue (calendar_queue.hpp) overtakes it from ~16k resident
-/// events and is ~1.7x faster at 10^6, so big-FES models should swap it in
-/// — the two are order-equivalent by contract (same (time, seq) ordering).
+/// simulators actually run (~2 events per class), and on ramp/drain. A
+/// calendar queue overtook it only from ~16k resident events; it was
+/// removed for want of a caller and lives in git history.
 using EventQueue = DaryEventHeap<4>;
 
 }  // namespace stosched

@@ -8,11 +8,11 @@
 namespace stosched::obs {
 namespace {
 
-// Leaked on purpose (the timestat::Registry pattern): instruments must
-// outlive every static destructor that might still bump a counter, and
-// atexit-ordered teardown across TUs is not worth reasoning about for a
-// telemetry registry. std::map keys the instruments by name so every
-// iteration (snapshot, report) is alphabetical and deterministic.
+// Leaked on purpose: instruments must outlive every static destructor that
+// might still bump a counter, and atexit-ordered teardown across TUs is not
+// worth reasoning about for a telemetry registry. std::map keys the
+// instruments by name so every iteration (snapshot, report) is alphabetical
+// and deterministic.
 struct Registry {
   std::mutex mu;
   std::map<std::string, std::unique_ptr<Counter>> counters;

@@ -49,9 +49,6 @@ BuildInfo build_info() {
 #ifdef STOSCHED_TRACE
   b.trace = true;
 #endif
-#ifdef STOSCHED_TIME_STATS
-  b.time_stats = true;
-#endif
 #ifdef _OPENMP
   b.omp_max_threads = omp_get_max_threads();
 #else

@@ -31,7 +31,6 @@ struct BuildInfo {
   std::string sanitizers;  ///< STOSCHED_SANITIZE value; "none" when off
   bool contracts = false;  ///< STOSCHED_CONTRACTS armed in this build
   bool trace = false;      ///< STOSCHED_TRACE macros compiled in
-  bool time_stats = false; ///< STOSCHED_TIME_STATS phase timers compiled in
   int omp_max_threads = 1; ///< omp_get_max_threads() now (1 without OpenMP)
 };
 

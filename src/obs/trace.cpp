@@ -1,6 +1,7 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdlib>
 #include <fstream>
 #include <mutex>
@@ -25,7 +26,7 @@ struct Buffer {
   std::uint32_t tid = 0;
 };
 
-// Same leaked-registry shape as timestat.cpp: live per-thread buffers plus
+// Leaked registry (it must outlive every thread): live per-thread buffers plus
 // a retired pile that thread-exit flushes into, so no event is lost when an
 // OpenMP worker dies before the trace is written.
 struct Registry {
@@ -129,6 +130,13 @@ std::vector<TraceEvent> gather() {
 
 }  // namespace
 
+std::uint64_t now_ns() noexcept {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
+
 void record_complete(const char* cat, const char* name, std::uint64_t start_ns,
                      std::uint64_t dur_ns) noexcept {
   Buffer& b = local_buffer();
@@ -137,12 +145,12 @@ void record_complete(const char* cat, const char* name, std::uint64_t start_ns,
 
 void record_instant(const char* cat, const char* name) noexcept {
   Buffer& b = local_buffer();
-  b.events.push_back({cat, name, timestat::now_ns(), 0, 0.0, b.tid, 'i'});
+  b.events.push_back({cat, name, now_ns(), 0, 0.0, b.tid, 'i'});
 }
 
 void record_counter(const char* cat, const char* name, double value) noexcept {
   Buffer& b = local_buffer();
-  b.events.push_back({cat, name, timestat::now_ns(), 0, value, b.tid, 'C'});
+  b.events.push_back({cat, name, now_ns(), 0, value, b.tid, 'C'});
 }
 
 std::size_t event_count() {

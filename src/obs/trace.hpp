@@ -2,9 +2,9 @@
 //
 // Answers the question the scalar metrics cannot: not "how many events"
 // but "where did the wall time go, on which OpenMP lane, in which
-// replication". Instrumentation macros in the contract.hpp/timestat.hpp
-// style — compiled to nothing unless the CMake option STOSCHED_TRACE=ON
-// defines STOSCHED_TRACE, so the Release hot path carries zero cost:
+// replication". Instrumentation macros in the contract.hpp style —
+// compiled to nothing unless the CMake option STOSCHED_TRACE=ON defines
+// STOSCHED_TRACE, so the Release hot path carries zero cost:
 //
 //   STOSCHED_TRACE_SPAN("engine", "replication");   // scoped duration
 //   STOSCHED_TRACE_INSTANT("engine", "stop-rule");  // point marker
@@ -31,9 +31,9 @@
 // The repo's instrumentation points: experiment/engine.hpp marks every
 // sweep cell, replication, and CRN arm; lp/ marks every simplex solve;
 // each of the four event-driven simulators and the online simulator marks
-// its whole-run span. Clock reads go through timestat::now_ns(), the same
-// steady clock as the phase timers — and the only clock the hot-loop-clock
-// lint rule admits near the hot path.
+// its whole-run span. Clock reads go through now_ns() below, the library's
+// one wall clock; the hot-loop-clock lint rule keeps every clock, this one
+// included, out of the event and pivot loops.
 #pragma once
 
 #include <cstddef>
@@ -41,12 +41,13 @@
 #include <iosfwd>
 #include <string>
 
-#include "util/timestat.hpp"
-
 namespace stosched::obs::trace {
 
+/// Monotonic wall clock in nanoseconds (steady_clock; origin arbitrary).
+std::uint64_t now_ns() noexcept;
+
 /// Append one complete ("ph":"X") event: a named region of `dur_ns`
-/// nanoseconds that began at `start_ns` (timestat::now_ns clock).
+/// nanoseconds that began at `start_ns` (now_ns clock).
 void record_complete(const char* cat, const char* name, std::uint64_t start_ns,
                      std::uint64_t dur_ns) noexcept;
 
@@ -76,9 +77,9 @@ bool write_file(const std::string& path);
 class Span {
  public:
   Span(const char* cat, const char* name) noexcept
-      : cat_(cat), name_(name), start_ns_(timestat::now_ns()) {}
+      : cat_(cat), name_(name), start_ns_(now_ns()) {}
   ~Span() {
-    record_complete(cat_, name_, start_ns_, timestat::now_ns() - start_ns_);
+    record_complete(cat_, name_, start_ns_, now_ns() - start_ns_);
   }
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;

@@ -1,18 +1,16 @@
 #include "queueing/mg1.hpp"
 
-#include <algorithm>
 #include <cstdint>
-#include <limits>
 #include <utility>
 
 #include "des/event_queue.hpp"
 #include "des/fifo_arena.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "queueing/kernel.hpp"
 #include "util/check.hpp"
 #include "util/contract.hpp"
 #include "util/stats.hpp"
-#include "util/timestat.hpp"
 
 namespace stosched::queueing {
 
@@ -31,15 +29,8 @@ double traffic_intensity(const std::vector<ClassSpec>& classes) {
   return rho;
 }
 
-// Hot-path phase accounting (zero-cost unless -DSTOSCHED_TIME_STATS):
-// FES pops vs random-variate draws vs statistics bookkeeping.
-STOSCHED_TIME_DECLARE(mg1_fes);
-STOSCHED_TIME_DECLARE(mg1_sampling);
-STOSCHED_TIME_DECLARE(mg1_bookkeeping);
-
 namespace {
 
-constexpr std::uint32_t kArrival = 0;
 constexpr std::uint32_t kDeparture = 1;
 
 /// A waiting or preempted job: when it joined its current class queue and
@@ -50,77 +41,38 @@ struct WaitingJob {
   bool started = false;      ///< wait already credited
 };
 
-struct Sim {
+// The kernel's streams: class j's arrivals and services each draw from their
+// own substream, feedback routing from the extra one.
+struct Sim : Kernel {
   const std::vector<ClassSpec>& classes;
   const SimOptions& opt;
   std::size_t n;
 
-  // Per-purpose substreams (see simulate_mg1's header comment): class j's
-  // arrivals and services each draw from their own stream, so the k-th
-  // class-j service requirement is the same number under every discipline —
-  // the synchronization common-random-number comparisons rely on.
-  std::vector<Rng> arrival_rng;
-  std::vector<Rng> service_rng;
-  Rng feedback_rng;
-
-  // Effective per-class arrival processes (Poisson default when the spec
-  // has no explicit process; null = no external arrivals) plus their
-  // per-replication sampler state (MMPP phase).
-  std::vector<ArrivalPtr> arrival;
-  std::vector<ArrivalState> arrival_state;
-
-  // Per-class sampling procedures resolved once at setup (tagged-POD switch
-  // for the common laws, virtual fallback otherwise — bit-identical draws
-  // either way; see FlatSampler).
-  std::vector<CachedGapSampler> gap;
-  std::vector<FlatSampler> service_flat;
-
-  EventQueue events;
   std::vector<FifoArena<WaitingJob>> queue;  // per class; FCFS within class
   FifoArena<std::pair<std::size_t, WaitingJob>> fcfs;  // global FCFS queue
 
   bool busy = false;
   std::size_t cur_class = 0;
   WaitingJob cur_job;
-  double service_started = 0.0;
   double departure_time = 0.0;
   std::uint64_t departure_gen = 0;  // lazy cancellation for preemption
 
   std::vector<std::size_t> rank;    // rank[class] = priority position
-  std::vector<long> in_system;      // current count per class
-  std::vector<TimeAverage> count_ta;
+  Population pop;
   TimeAverage busy_ta;
   std::vector<RunningStat> wait_stat, sojourn_stat;
-  // Post-warmup tail samples, flushed into the obs registry once per run()
-  // (plain increments here, one atomic merge at the end — never per event).
-  obs::LocalHistogram wait_hist, sojourn_hist;
+  // Post-warmup sojourn samples, flushed into the obs registry once per
+  // run() (plain increments here, one atomic merge at the end).
+  obs::LocalHistogram sojourn_hist;
   std::vector<std::size_t> completions;
-  bool warm = false;
-  double now = 0.0;
 
   Sim(const std::vector<ClassSpec>& c, const SimOptions& o, Rng& r)
-      : classes(c), opt(o), n(c.size()) {
+      : Kernel(c, r), classes(c), opt(o), n(c.size()), pop(n) {
     STOSCHED_REQUIRE(n >= 1, "need at least one class");
     STOSCHED_REQUIRE(opt.horizon > 0.0, "horizon must be > 0");
     STOSCHED_REQUIRE(opt.warmup >= 0.0, "warmup must be >= 0");
-    for (const auto& spec : classes) {
-      STOSCHED_REQUIRE(spec.arrival_rate >= 0.0, "arrival rate must be >= 0");
-      STOSCHED_REQUIRE(spec.service != nullptr, "every class needs a service law");
-    }
-    const bool priority_based = opt.discipline != Discipline::kFcfs;
-    if (priority_based) {
-      STOSCHED_REQUIRE(opt.priority.size() == n,
-                       "priority list must cover all classes");
-      rank.assign(n, 0);
-      std::vector<char> seen(n, 0);
-      for (std::size_t pos = 0; pos < n; ++pos) {
-        const std::size_t cls = opt.priority[pos];
-        STOSCHED_REQUIRE(cls < n && !seen[cls],
-                         "priority list must be a permutation");
-        seen[cls] = 1;
-        rank[cls] = pos;
-      }
-    }
+    if (opt.discipline != Discipline::kFcfs)
+      rank = priority_rank(opt.priority, n);
     if (!opt.feedback.empty()) {
       STOSCHED_REQUIRE(opt.discipline == Discipline::kPriorityNonPreemptive,
                        "feedback requires the nonpreemptive discipline");
@@ -135,59 +87,16 @@ struct Sim {
         STOSCHED_REQUIRE(total <= 1.0 + 1e-9, "feedback row sums must be <= 1");
       }
     }
-    // One draw decouples back-to-back simulations sharing a caller Rng;
-    // everything below derives from it, so copies of the same caller state
-    // replay identical substreams.
-    const Rng root(r());
-    arrival_rng.reserve(n);
-    service_rng.reserve(n);
-    for (std::size_t j = 0; j < n; ++j) {
-      arrival_rng.push_back(root.stream(2 * j));
-      service_rng.push_back(root.stream(2 * j + 1));
-    }
-    feedback_rng = root.stream(2 * n);
-    arrival.reserve(n);
-    for (const auto& spec : classes) arrival.push_back(effective_arrival(spec));
-    arrival_state.resize(n);
-    gap.reserve(n);
-    service_flat.reserve(n);
-    for (std::size_t j = 0; j < n; ++j) {
-      gap.emplace_back(arrival[j].get());
-      service_flat.push_back(classes[j].service->flat());
-    }
-    // Steady state holds ~2 events per class (next arrival + departure);
-    // reserving up front keeps multi-replication engine runs allocation-free
-    // after the first few events.
-    events.reserve(4 * n + 16);
     queue.resize(n);
-    in_system.assign(n, 0);
-    count_ta.resize(n);
     wait_stat.resize(n);
     sojourn_stat.resize(n);
     completions.assign(n, 0);
-    for (std::size_t j = 0; j < n; ++j) count_ta[j].observe(0.0, 0.0);
     busy_ta.observe(0.0, 0.0);
-  }
-
-  void set_count(std::size_t cls, long delta) {
-    in_system[cls] += delta;
-    STOSCHED_ASSERT(in_system[cls] >= 0, "negative class population");
-    STOSCHED_TIME_START(mg1_bookkeeping);
-    count_ta[cls].observe(now, static_cast<double>(in_system[cls]));
-    STOSCHED_TIME_STOP(mg1_bookkeeping);
   }
 
   void set_busy(bool b) {
     busy = b;
     busy_ta.observe(now, b ? 1.0 : 0.0);
-  }
-
-  void schedule_arrival(std::size_t cls) {
-    if (!arrival[cls]) return;
-    STOSCHED_TIME_START(mg1_sampling);
-    const double g = gap[cls].next_gap(arrival_state[cls], arrival_rng[cls]);
-    STOSCHED_TIME_STOP(mg1_sampling);
-    events.push(now + g, kArrival, static_cast<std::uint32_t>(cls));
   }
 
   /// Pick the next class to serve; SIZE_MAX if all queues empty.
@@ -224,14 +133,10 @@ struct Sim {
       }
       job.started = true;
     }
-    STOSCHED_TIME_START(mg1_sampling);
-    const double service = job.remaining >= 0.0
-                               ? job.remaining
-                               : service_flat[cls].sample(service_rng[cls]);
-    STOSCHED_TIME_STOP(mg1_sampling);
+    const double service =
+        job.remaining >= 0.0 ? job.remaining : service_time(cls);
     cur_class = cls;
     cur_job = job;
-    service_started = now;
     departure_time = now + service;
     ++departure_gen;
     events.push(departure_time, kDeparture, static_cast<std::uint32_t>(cls),
@@ -246,18 +151,8 @@ struct Sim {
       queue[cls].push_back(job);
   }
 
-  void on_arrival(std::size_t cls) {
-    schedule_arrival(cls);
-    // Batch processes deliver several simultaneous jobs per epoch; the
-    // default batch_size() is 1 and consumes no randomness, so non-batch
-    // configurations keep the historical draw sequence exactly.
-    const std::size_t jobs =
-        arrival[cls]->batch_size(arrival_state[cls], arrival_rng[cls]);
-    for (std::size_t i = 0; i < jobs; ++i) admit(cls);
-  }
-
   void admit(std::size_t cls) {
-    set_count(cls, +1);
+    pop.add(cls, +1, now);
     WaitingJob job;
     job.class_arrival = now;
 
@@ -291,16 +186,16 @@ struct Sim {
       sojourn_stat[cls].push(now - cur_job.class_arrival);
       sojourn_hist.record(now - cur_job.class_arrival);
     }
-    set_count(cls, -1);
+    pop.add(cls, -1, now);
 
     // Feedback routing: job may re-enter as another class.
     if (!opt.feedback.empty()) {
       const auto& row = opt.feedback[cls];
-      double u = feedback_rng.uniform();
+      double u = extra_rng.uniform();
       for (std::size_t k = 0; k < n; ++k) {
         u -= row[k];
         if (u < 0.0) {
-          set_count(k, +1);
+          pop.add(k, +1, now);
           WaitingJob back;
           back.class_arrival = now;
           enqueue(k, back);
@@ -312,44 +207,35 @@ struct Sim {
   }
 
   SimResult run() {
-    for (std::size_t j = 0; j < n; ++j) schedule_arrival(j);
     const double t_end = opt.warmup + opt.horizon;
-
-    while (!events.empty() && events.top().time <= t_end) {
-      STOSCHED_TIME_START(mg1_fes);
-      const Event e = events.pop();
-      STOSCHED_TIME_STOP(mg1_fes);
-      now = e.time;
-      if (!warm && now >= opt.warmup) reset_statistics();
-      if (e.type == kArrival)
-        on_arrival(e.a);
-      else
-        on_departure(e);
-    }
-    now = t_end;
+    start_arrivals();
+    // Time averages restart at the first event at or after the warmup.
+    const auto warm_up = [this] {
+      pop.reset(now);
+      busy_ta.reset(now);
+    };
+    Kernel::run(t_end, opt.warmup, warm_up, [this](const Event& e) {
+      if (e.type != kArrival) return on_departure(e);
+      const std::size_t jobs = arrival_epoch(e.a);
+      for (std::size_t i = 0; i < jobs; ++i) admit(e.a);
+    });
 
     SimResult out;
     out.per_class.resize(n);
     out.time_simulated = opt.horizon;
+    const std::vector<double> mean_in_system = pop.finish(t_end);
     for (std::size_t j = 0; j < n; ++j) {
       auto& s = out.per_class[j];
-      s.mean_in_system = count_ta[j].finish(t_end);
+      s.mean_in_system = mean_in_system[j];
       s.mean_wait = wait_stat[j].mean();
       s.mean_sojourn = sojourn_stat[j].mean();
       s.completions = completions[j];
       s.throughput = static_cast<double>(completions[j]) / opt.horizon;
-      out.cost_rate += classes[j].holding_cost * s.mean_in_system;
     }
+    out.cost_rate = holding_cost_rate(classes, mean_in_system);
     out.utilization = busy_ta.finish(t_end);
-    obs::wait_time_histogram().merge(wait_hist);
     obs::sojourn_time_histogram().merge(sojourn_hist);
     return out;
-  }
-
-  void reset_statistics() {
-    warm = true;
-    for (std::size_t j = 0; j < n; ++j) count_ta[j].reset(now);
-    busy_ta.reset(now);
   }
 };
 

@@ -4,11 +4,10 @@
 
 #include "des/event_queue.hpp"
 #include "des/fifo_arena.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "queueing/kernel.hpp"
 #include "util/check.hpp"
 #include "util/stats.hpp"
-#include "util/timestat.hpp"
 
 namespace stosched::queueing {
 
@@ -84,14 +83,8 @@ std::vector<double> station_intensities(const NetworkConfig& config) {
   return rho;
 }
 
-// Hot-path phase accounting (zero-cost unless -DSTOSCHED_TIME_STATS).
-STOSCHED_TIME_DECLARE(network_fes);
-STOSCHED_TIME_DECLARE(network_sampling);
-STOSCHED_TIME_DECLARE(network_bookkeeping);
-
 namespace {
 
-constexpr std::uint32_t kArrival = 0;
 constexpr std::uint32_t kServiceDone = 1;
 constexpr std::uint32_t kSample = 2;
 
@@ -106,58 +99,19 @@ NetworkTrace simulate_network(const NetworkConfig& config, double horizon,
   const std::size_t ns = config.num_stations;
   const bool fcfs = config.station_priority.empty();
 
-  // Per-purpose substreams (see the header comment): class c's external
-  // arrivals and its service requirements each draw from their own stream,
-  // so the workload is identical under every priority assignment — the
-  // common-random-number synchronization for policy comparisons.
-  const Rng root(rng());
-  std::vector<Rng> arrival_rng, service_rng;
-  arrival_rng.reserve(nc);
-  service_rng.reserve(nc);
-  for (std::size_t c = 0; c < nc; ++c) {
-    arrival_rng.push_back(root.stream(2 * c));
-    service_rng.push_back(root.stream(2 * c + 1));
-  }
-
-  // Effective per-class external arrival processes (Poisson default; null
-  // for internal classes) + per-replication state; see dist/arrival.hpp.
-  std::vector<ArrivalPtr> arrival(nc);
-  std::vector<ArrivalState> arrival_state(nc);
-  for (std::size_t c = 0; c < nc; ++c)
-    arrival[c] = effective_arrival(config.classes[c]);
-
-  // Per-class sampling procedures resolved once (tagged-POD switch for the
-  // common laws, virtual fallback otherwise; draws are bit-identical). The
-  // legacy `service_mean`-only classes get the historical exponential draw
-  // as a flat exponential — the same `rng.exponential(1/mean)` either way.
-  std::vector<CachedGapSampler> gap(nc);
-  std::vector<FlatSampler> service_flat(nc);
-  for (std::size_t c = 0; c < nc; ++c) {
-    gap[c] = CachedGapSampler(arrival[c].get());
-    const auto& cls = config.classes[c];
-    service_flat[c] = cls.service
-                          ? cls.service->flat()
-                          : FlatSampler::exponential(1.0 / cls.service_mean);
-  }
-
-  EventQueue events;
+  // The kernel's streams: class c's external arrivals and its service
+  // requirements each draw from their own substream, so the workload is
+  // identical under every priority assignment.
+  Kernel k(config.classes, rng);
   // Per class FIFO (arrival times); per station FCFS order (class ids).
   std::vector<FifoArena<double>> queue(nc);
   std::vector<FifoArena<std::size_t>> station_fifo(ns);
   std::vector<char> busy(ns, 0);
   std::vector<std::size_t> serving(ns, 0);  // class being served
-  std::vector<std::size_t> rank(nc, 0);
-  if (!fcfs) {
-    for (std::size_t st = 0; st < ns; ++st)
-      for (std::size_t pos = 0; pos < config.station_priority[st].size(); ++pos)
-        rank[config.station_priority[st][pos]] = pos;
-  }
 
   long total_jobs = 0;
   TimeAverage total_ta;
   total_ta.observe(0.0, 0.0);
-  double now = 0.0;
-  obs::LocalHistogram wait_hist;  // queueing delays, merged once at the end
 
   auto start_if_idle = [&](std::size_t st) {
     if (busy[st]) return;
@@ -177,55 +131,38 @@ NetworkTrace simulate_network(const NetworkConfig& config, double horizon,
     }
     if (pick == SIZE_MAX) return;
     STOSCHED_ASSERT(!queue[pick].empty(), "station FIFO out of sync");
-    wait_hist.record(now - queue[pick].front());  // queued-at timestamp
+    k.wait_hist.record(k.now - queue[pick].front());  // queued-at timestamp
     queue[pick].pop_front();
     busy[st] = 1;
     serving[st] = pick;
-    STOSCHED_TIME_START(network_sampling);
-    const double duration = service_flat[pick].sample(service_rng[pick]);
-    STOSCHED_TIME_STOP(network_sampling);
-    events.push(now + duration, kServiceDone, static_cast<std::uint32_t>(st));
+    k.events.push(k.now + k.service_time(pick), kServiceDone,
+                  static_cast<std::uint32_t>(st));
   };
 
   auto enqueue_job = [&](std::size_t cls) {
-    queue[cls].push_back(now);
+    queue[cls].push_back(k.now);
     if (fcfs) station_fifo[config.classes[cls].station].push_back(cls);
     start_if_idle(config.classes[cls].station);
   };
 
-  for (std::size_t c = 0; c < nc; ++c)
-    if (arrival[c])
-      events.push(gap[c].next_gap(arrival_state[c], arrival_rng[c]), kArrival,
-                  static_cast<std::uint32_t>(c));
+  k.start_arrivals();
   for (std::size_t s = 1; s <= samples; ++s)
-    events.push(horizon * static_cast<double>(s) / static_cast<double>(samples),
-                kSample, 0);
+    k.events.push(
+        horizon * static_cast<double>(s) / static_cast<double>(samples),
+        kSample, 0);
 
   NetworkTrace trace;
   trace.times.reserve(samples);
   trace.total_jobs.reserve(samples);
 
-  while (!events.empty() && events.top().time <= horizon) {
-    STOSCHED_TIME_START(network_fes);
-    const Event e = events.pop();
-    STOSCHED_TIME_STOP(network_fes);
-    now = e.time;
+  // No warm-up: the trace covers the whole run from an empty network.
+  k.run(horizon, 0.0, [] {}, [&](const Event& e) {
     switch (e.type) {
       case kArrival: {
         const auto cls = static_cast<std::size_t>(e.a);
-        STOSCHED_TIME_START(network_sampling);
-        const double g =
-            gap[cls].next_gap(arrival_state[cls], arrival_rng[cls]);
-        STOSCHED_TIME_STOP(network_sampling);
-        events.push(now + g, kArrival, e.a);
-        // Batch processes deliver several simultaneous jobs per epoch (the
-        // default batch_size() is 1 and draws nothing).
-        const std::size_t jobs =
-            arrival[cls]->batch_size(arrival_state[cls], arrival_rng[cls]);
+        const std::size_t jobs = k.arrival_epoch(cls);
         total_jobs += static_cast<long>(jobs);
-        STOSCHED_TIME_START(network_bookkeeping);
-        total_ta.observe(now, static_cast<double>(total_jobs));
-        STOSCHED_TIME_STOP(network_bookkeeping);
+        total_ta.observe(k.now, static_cast<double>(total_jobs));
         for (std::size_t i = 0; i < jobs; ++i) enqueue_job(cls);
         break;
       }
@@ -236,7 +173,7 @@ NetworkTrace simulate_network(const NetworkConfig& config, double horizon,
         const std::size_t next = config.classes[cls].next;
         if (next == NetworkClass::kExit) {
           --total_jobs;
-          total_ta.observe(now, static_cast<double>(total_jobs));
+          total_ta.observe(k.now, static_cast<double>(total_jobs));
         } else {
           enqueue_job(next);
         }
@@ -244,15 +181,14 @@ NetworkTrace simulate_network(const NetworkConfig& config, double horizon,
         break;
       }
       case kSample:
-        trace.times.push_back(now);
+        trace.times.push_back(k.now);
         trace.total_jobs.push_back(static_cast<double>(total_jobs));
         break;
     }
-  }
+  });
 
   trace.mean_total = total_ta.finish(horizon);
   trace.final_total = trace.total_jobs.empty() ? 0.0 : trace.total_jobs.back();
-  obs::wait_time_histogram().merge(wait_hist);
 
   // Least-squares slope of the sampled totals.
   const std::size_t m = trace.times.size();

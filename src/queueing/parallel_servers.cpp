@@ -1,27 +1,18 @@
 #include "queueing/parallel_servers.hpp"
 
-#include <algorithm>
 #include <cstdint>
 
 #include "des/event_queue.hpp"
 #include "des/fifo_arena.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "queueing/kernel.hpp"
 #include "queueing/mg1_analytic.hpp"
 #include "util/check.hpp"
 #include "util/stats.hpp"
-#include "util/timestat.hpp"
 
 namespace stosched::queueing {
-
-// Hot-path phase accounting (zero-cost unless -DSTOSCHED_TIME_STATS).
-STOSCHED_TIME_DECLARE(mmm_fes);
-STOSCHED_TIME_DECLARE(mmm_sampling);
-STOSCHED_TIME_DECLARE(mmm_bookkeeping);
-
 namespace {
 
-constexpr std::uint32_t kArrival = 0;
 constexpr std::uint32_t kDeparture = 1;
 
 }  // namespace
@@ -33,75 +24,20 @@ MmmResult simulate_mmm(const std::vector<ClassSpec>& classes,
   const std::size_t n = classes.size();
   STOSCHED_REQUIRE(n >= 1, "need at least one class");
   STOSCHED_REQUIRE(servers >= 1, "need at least one server");
-  STOSCHED_REQUIRE(priority.size() == n, "priority must cover all classes");
   STOSCHED_REQUIRE(horizon > 0.0, "horizon must be > 0");
   STOSCHED_REQUIRE(warmup >= 0.0, "warmup must be >= 0");
   STOSCHED_TRACE_SPAN("sim", "simulate_mmm");
+  const std::vector<std::size_t> rank = priority_rank(priority, n);
 
-  // An out-of-range entry would write rank[] out of bounds; a duplicate
-  // would silently leave some class with a stale rank. Require a
-  // permutation of 0..n-1 outright.
-  std::vector<std::size_t> rank(n);
-  {
-    std::vector<char> seen(n, 0);
-    for (std::size_t pos = 0; pos < n; ++pos) {
-      const std::size_t cls = priority[pos];
-      STOSCHED_REQUIRE(cls < n && !seen[cls],
-                       "priority must be a permutation of 0..n-1");
-      seen[cls] = 1;
-      rank[cls] = pos;
-    }
-  }
-
-  // Per-purpose substreams (see the header comment): class j's arrivals and
-  // services each draw from their own stream derived from one draw of the
-  // caller's Rng, so the k-th class-j service requirement is the same number
-  // under every priority order.
-  const Rng root(rng());
-  std::vector<Rng> arrival_rng, service_rng;
-  arrival_rng.reserve(n);
-  service_rng.reserve(n);
-  for (std::size_t j = 0; j < n; ++j) {
-    arrival_rng.push_back(root.stream(2 * j));
-    service_rng.push_back(root.stream(2 * j + 1));
-  }
-
-  // Effective per-class arrival processes (Poisson default) + per-
-  // replication sampler state; see dist/arrival.hpp.
-  std::vector<ArrivalPtr> arrival;
-  arrival.reserve(n);
-  for (const auto& spec : classes) arrival.push_back(effective_arrival(spec));
-  std::vector<ArrivalState> arrival_state(n);
-
-  // Sampling procedures resolved once per class (bit-identical draws; see
-  // FlatSampler / CachedGapSampler).
-  std::vector<CachedGapSampler> gap(n);
-  std::vector<FlatSampler> service_flat(n);
-  for (std::size_t j = 0; j < n; ++j) {
-    gap[j] = CachedGapSampler(arrival[j].get());
-    service_flat[j] = classes[j].service->flat();
-  }
-
-  EventQueue events;
+  // The kernel's streams: class j's arrivals and services each draw from
+  // their own substream, so the k-th class-j service requirement is the
+  // same number under every priority order.
+  Kernel k(classes, rng);
   std::vector<FifoArena<double>> queue(n);  // arrival times per class
-  std::vector<long> in_system(n, 0);
-  std::vector<TimeAverage> count_ta(n);
+  Population pop(n);
   TimeAverage busy_ta;
   unsigned busy = 0;
-  double now = 0.0;
-  bool warm = false;
-  obs::LocalHistogram wait_hist;  // post-warmup waits, merged once at the end
-
-  for (std::size_t j = 0; j < n; ++j) count_ta[j].observe(0.0, 0.0);
   busy_ta.observe(0.0, 0.0);
-
-  auto bump = [&](std::size_t cls, long d) {
-    in_system[cls] += d;
-    STOSCHED_ASSERT(in_system[cls] >= 0, "negative class population");
-    STOSCHED_TIME_START(mmm_bookkeeping);
-    count_ta[cls].observe(now, static_cast<double>(in_system[cls]));
-    STOSCHED_TIME_STOP(mmm_bookkeeping);
-  };
 
   auto start_if_possible = [&]() {
     while (busy < servers) {
@@ -113,21 +49,13 @@ MmmResult simulate_mmm(const std::vector<ClassSpec>& classes,
       if (best == SIZE_MAX) break;
       const double arrived = queue[best].front();
       queue[best].pop_front();
-      if (warm) wait_hist.record(now - arrived);
+      if (k.warm) k.wait_hist.record(k.now - arrived);
       ++busy;
-      busy_ta.observe(now, static_cast<double>(busy));
-      STOSCHED_TIME_START(mmm_sampling);
-      const double duration = service_flat[best].sample(service_rng[best]);
-      STOSCHED_TIME_STOP(mmm_sampling);
-      events.push(now + duration, kDeparture,
-                  static_cast<std::uint32_t>(best));
+      busy_ta.observe(k.now, static_cast<double>(busy));
+      k.events.push(k.now + k.service_time(best), kDeparture,
+                    static_cast<std::uint32_t>(best));
     }
   };
-
-  for (std::size_t j = 0; j < n; ++j)
-    if (arrival[j])
-      events.push(gap[j].next_gap(arrival_state[j], arrival_rng[j]), kArrival,
-                  static_cast<std::uint32_t>(j));
 
   // Restart the time-averages at the warmup *epoch*, not at the first event
   // at-or-after it: TimeAverage::reset keeps the current level, so the
@@ -135,52 +63,33 @@ MmmResult simulate_mmm(const std::vector<ClassSpec>& classes,
   // event-triggered reset would drop that segment (biased when events are
   // sparse) and never fire at all if no event follows warmup.
   auto warm_up = [&] {
-    warm = true;
-    for (auto& ta : count_ta) ta.reset(warmup);
+    pop.reset(warmup);
     busy_ta.reset(warmup);
   };
 
   const double t_end = warmup + horizon;
-  while (!events.empty() && events.top().time <= t_end) {
-    STOSCHED_TIME_START(mmm_fes);
-    const Event e = events.pop();
-    STOSCHED_TIME_STOP(mmm_fes);
-    now = e.time;
-    if (!warm && now >= warmup) warm_up();
+  k.start_arrivals();
+  k.run(t_end, warmup, warm_up, [&](const Event& e) {
     const auto cls = static_cast<std::size_t>(e.a);
     if (e.type == kArrival) {
-      STOSCHED_TIME_START(mmm_sampling);
-      const double g =
-          gap[cls].next_gap(arrival_state[cls], arrival_rng[cls]);
-      STOSCHED_TIME_STOP(mmm_sampling);
-      events.push(now + g, kArrival, e.a);
-      // Batch processes deliver several simultaneous jobs per epoch (the
-      // default batch_size() is 1 and draws nothing).
-      const std::size_t jobs =
-          arrival[cls]->batch_size(arrival_state[cls], arrival_rng[cls]);
+      const std::size_t jobs = k.arrival_epoch(cls);
       for (std::size_t i = 0; i < jobs; ++i) {
-        bump(cls, +1);
-        queue[cls].push_back(now);
+        pop.add(cls, +1, k.now);
+        queue[cls].push_back(k.now);
       }
-      start_if_possible();
     } else {
-      bump(cls, -1);
+      pop.add(cls, -1, k.now);
       --busy;
-      busy_ta.observe(now, static_cast<double>(busy));
-      start_if_possible();
+      busy_ta.observe(k.now, static_cast<double>(busy));
     }
-  }
-  now = t_end;
-  if (!warm) warm_up();  // no event reached the warmup epoch
+    start_if_possible();
+  });
+  if (!k.warm) warm_up();  // no event reached the warmup epoch
 
   MmmResult out;
-  out.mean_in_system.resize(n);
-  for (std::size_t j = 0; j < n; ++j) {
-    out.mean_in_system[j] = count_ta[j].finish(t_end);
-    out.cost_rate += classes[j].holding_cost * out.mean_in_system[j];
-  }
+  out.mean_in_system = pop.finish(t_end);
+  out.cost_rate = holding_cost_rate(classes, out.mean_in_system);
   out.utilization = busy_ta.finish(t_end) / servers;
-  obs::wait_time_histogram().merge(wait_hist);
   return out;
 }
 

@@ -1,59 +1,34 @@
 #include "queueing/polling.hpp"
 
-#include <algorithm>
 #include <cstdint>
 
 #include "des/event_queue.hpp"
 #include "des/fifo_arena.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "queueing/kernel.hpp"
 #include "util/check.hpp"
 #include "util/contract.hpp"
 #include "util/stats.hpp"
-#include "util/timestat.hpp"
 
 namespace stosched::queueing {
-
-// Hot-path phase accounting (zero-cost unless -DSTOSCHED_TIME_STATS).
-STOSCHED_TIME_DECLARE(polling_fes);
-STOSCHED_TIME_DECLARE(polling_sampling);
-STOSCHED_TIME_DECLARE(polling_bookkeeping);
-
 namespace {
 
-constexpr std::uint32_t kArrival = 0;
 constexpr std::uint32_t kServiceDone = 1;
 constexpr std::uint32_t kSwitchDone = 2;
 
 enum class ServerState { kIdle, kSwitching, kServing };
 
-struct PollingSim {
+// The kernel's streams: queue j's arrivals and services draw from their own
+// substreams and setups from the extra one, so every polling discipline
+// sees the identical workload under common random numbers.
+struct PollingSim : Kernel {
   const std::vector<ClassSpec>& classes;
   const PollingOptions& opt;
   std::size_t n;
 
-  // Per-purpose substreams (as in mg1.cpp): queue j's arrivals and services
-  // draw from their own streams and setups from a third, so every polling
-  // discipline sees the identical workload under common random numbers.
-  std::vector<Rng> arrival_rng;
-  std::vector<Rng> service_rng;
-  Rng switch_rng;
-
-  // Effective per-queue arrival processes (Poisson default; null = no
-  // arrivals) + per-replication sampler state; see dist/arrival.hpp.
-  std::vector<ArrivalPtr> arrival;
-  std::vector<ArrivalState> arrival_state;
-
-  // Sampling procedures resolved once per queue (bit-identical draws; see
-  // FlatSampler / CachedGapSampler).
-  std::vector<CachedGapSampler> gap;
-  std::vector<FlatSampler> service_flat;
   FlatSampler switch_flat;
-
-  EventQueue events;
   std::vector<FifoArena<double>> queue;
-  std::vector<long> in_system;
-  std::vector<TimeAverage> count_ta;
+  Population pop;
   TimeAverage switch_ta, serve_ta;
   std::vector<double> cmu;  // static priority index per queue
 
@@ -61,53 +36,19 @@ struct PollingSim {
   std::size_t at = 0;       // queue the server is at (or moving toward)
   std::size_t gate = 0;     // gated discipline: jobs admitted this visit
   std::size_t served_this_visit = 0;
-  double now = 0.0;
-  bool warm = false;
-  obs::LocalHistogram wait_hist;  // post-warmup waits, merged once per run
 
   PollingSim(const std::vector<ClassSpec>& c, const PollingOptions& o, Rng& r)
-      : classes(c), opt(o), n(c.size()) {
+      : Kernel(c, r), classes(c), opt(o), n(c.size()), pop(n) {
     STOSCHED_REQUIRE(n >= 1, "need at least one queue");
     STOSCHED_REQUIRE(opt.switchover != nullptr, "switchover law required");
     STOSCHED_REQUIRE(opt.horizon > 0.0, "horizon must be > 0");
     STOSCHED_REQUIRE(opt.warmup >= 0.0, "warmup must be >= 0");
-    const Rng root(r());
-    arrival_rng.reserve(n);
-    service_rng.reserve(n);
-    for (std::size_t j = 0; j < n; ++j) {
-      arrival_rng.push_back(root.stream(2 * j));
-      service_rng.push_back(root.stream(2 * j + 1));
-    }
-    switch_rng = root.stream(2 * n);
-    arrival.reserve(n);
-    for (const auto& spec : classes) arrival.push_back(effective_arrival(spec));
-    arrival_state.resize(n);
-    gap.reserve(n);
-    service_flat.reserve(n);
-    for (std::size_t j = 0; j < n; ++j) {
-      gap.emplace_back(arrival[j].get());
-      service_flat.push_back(classes[j].service->flat());
-    }
     switch_flat = opt.switchover->flat();
-    events.reserve(2 * n + 16);
     queue.resize(n);
-    in_system.assign(n, 0);
-    count_ta.resize(n);
-    cmu.resize(n);
-    for (std::size_t j = 0; j < n; ++j) {
-      count_ta[j].observe(0.0, 0.0);
-      cmu[j] = classes[j].holding_cost / classes[j].service->mean();
-    }
+    for (const auto& spec : classes)
+      cmu.push_back(spec.holding_cost / spec.service->mean());
     switch_ta.observe(0.0, 0.0);
     serve_ta.observe(0.0, 0.0);
-  }
-
-  void bump(std::size_t q, long d) {
-    in_system[q] += d;
-    STOSCHED_ASSERT(in_system[q] >= 0, "negative queue population");
-    STOSCHED_TIME_START(polling_bookkeeping);
-    count_ta[q].observe(now, static_cast<double>(in_system[q]));
-    STOSCHED_TIME_STOP(polling_bookkeeping);
   }
 
   void set_state(ServerState s) {
@@ -144,19 +85,14 @@ struct PollingSim {
     set_state(ServerState::kServing);
     ++served_this_visit;
     if (gate > 0) --gate;
-    STOSCHED_TIME_START(polling_sampling);
-    const double duration = service_flat[q].sample(service_rng[q]);
-    STOSCHED_TIME_STOP(polling_sampling);
-    events.push(now + duration, kServiceDone, static_cast<std::uint32_t>(q));
+    events.push(now + service_time(q), kServiceDone,
+                static_cast<std::uint32_t>(q));
   }
 
   void begin_switch(std::size_t target) {
     at = target;
     set_state(ServerState::kSwitching);
-    STOSCHED_TIME_START(polling_sampling);
-    const double duration = switch_flat.sample(switch_rng);
-    STOSCHED_TIME_STOP(polling_sampling);
-    events.push(now + duration, kSwitchDone,
+    events.push(now + switch_flat.sample(extra_rng), kSwitchDone,
                 static_cast<std::uint32_t>(target));
   }
 
@@ -212,72 +148,46 @@ struct PollingSim {
   }
 
   PollingResult run() {
-    for (std::size_t j = 0; j < n; ++j)
-      if (arrival[j])
-        events.push(gap[j].next_gap(arrival_state[j], arrival_rng[j]),
-                    kArrival, static_cast<std::uint32_t>(j));
-
     const double t_end = opt.warmup + opt.horizon;
-    while (!events.empty() && events.top().time <= t_end) {
-      STOSCHED_TIME_START(polling_fes);
-      const Event e = events.pop();
-      STOSCHED_TIME_STOP(polling_fes);
-      now = e.time;
-      if (!warm && now >= opt.warmup) {
-        warm = true;
-        for (auto& ta : count_ta) ta.reset(now);
-        switch_ta.reset(now);
-        serve_ta.reset(now);
-      }
+    start_arrivals();
+    // Time averages restart at the first event at or after the warmup.
+    const auto warm_up = [this] {
+      pop.reset(now);
+      switch_ta.reset(now);
+      serve_ta.reset(now);
+    };
+    Kernel::run(t_end, opt.warmup, warm_up, [this](const Event& e) {
       const auto q = static_cast<std::size_t>(e.a);
       switch (e.type) {
         case kArrival: {
-          STOSCHED_TIME_START(polling_sampling);
-          const double g =
-              gap[q].next_gap(arrival_state[q], arrival_rng[q]);
-          STOSCHED_TIME_STOP(polling_sampling);
-          events.push(now + g, kArrival, e.a);
-          // Batch processes deliver several simultaneous jobs per epoch
-          // (the default batch_size() is 1 and draws nothing).
-          const std::size_t jobs =
-              arrival[q]->batch_size(arrival_state[q], arrival_rng[q]);
+          const std::size_t jobs = arrival_epoch(q);
           for (std::size_t i = 0; i < jobs; ++i) {
-            bump(q, +1);
+            pop.add(q, +1, now);
             queue[q].push_back(now);
           }
-          if (state == ServerState::kIdle) {
-            // The idle server reacts as if re-polling its current position.
-            if (q == at &&
-                opt.discipline != PollingDiscipline::kGreedyCmu) {
-              gate = queue[at].size();
-              served_this_visit = 0;
-              decide();
-            } else {
-              decide();
-            }
-          }
+          if (state != ServerState::kIdle) break;
+          // The idle server reacts as if re-polling its current position.
+          if (q == at && opt.discipline != PollingDiscipline::kGreedyCmu)
+            on_poll();
+          else
+            decide();
           break;
         }
         case kServiceDone:
-          bump(q, -1);
+          pop.add(q, -1, now);
           decide();
           break;
         case kSwitchDone:
           on_poll();
           break;
       }
-    }
-    now = t_end;
+    });
 
     PollingResult out;
-    out.mean_in_system.resize(n);
-    for (std::size_t j = 0; j < n; ++j) {
-      out.mean_in_system[j] = count_ta[j].finish(t_end);
-      out.cost_rate += classes[j].holding_cost * out.mean_in_system[j];
-    }
+    out.mean_in_system = pop.finish(t_end);
+    out.cost_rate = holding_cost_rate(classes, out.mean_in_system);
     out.switching_fraction = switch_ta.finish(t_end);
     out.serving_fraction = serve_ta.finish(t_end);
-    obs::wait_time_histogram().merge(wait_hist);
     return out;
   }
 };

@@ -1,22 +1,24 @@
 // Fixture: rng-laundering (tools/ast_audit.py).
 //
-// The regex rule `substream-discipline` (tools/lint_stosched.py) audits
-// only simulate_* definitions, so this file is regex-clean: the entry point
-// forwards its Rng& whole, exactly as that rule demands. But the helper it
-// forwards TO draws directly on the caller's stream — laundering the draw
-// through one call level. The AST-grade rule follows every function with an
-// Rng& parameter and flags the helper; tools/test_ast_audit.py asserts BOTH
-// outcomes (regex passes, ast_audit fires) to pin the loophole closed.
+// The entry point forwards its Rng& whole, which is allowed. But the helper
+// it forwards TO draws on the caller's stream twice — directly, and by
+// handing the stream to a distribution's sample() — laundering both draws
+// through one call level. The rule follows every function with an Rng&
+// parameter and flags both uses in the helper; tools/test_ast_audit.py
+// asserts the two findings and that the forwarding stays clean.
+#include "dist/distribution.hpp"
 #include "util/rng.hpp"
 
 namespace fixture {
 
-double jitter_helper(stosched::Rng& rng) {
-  return rng.uniform(0.0, 1.0);  // BAD: direct draw on a routed stream
+double jitter_helper(const stosched::Distribution& law, stosched::Rng& rng) {
+  return rng.uniform(0.0, 1.0)  // BAD: direct draw on a routed stream
+         + law.sample(rng);     // BAD: the law draws on it too
 }
 
-double simulate_fixture(stosched::Rng& rng) {
-  return jitter_helper(rng);  // whole-argument forwarding: regex-clean
+double simulate_fixture(const stosched::Distribution& law,
+                        stosched::Rng& rng) {
+  return jitter_helper(law, rng);  // whole-argument forwarding: allowed
 }
 
 }  // namespace fixture

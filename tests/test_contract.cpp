@@ -12,7 +12,6 @@
 
 #include <gtest/gtest.h>
 
-#include "des/calendar_queue.hpp"
 #include "des/event_queue.hpp"
 #include "des/fifo_arena.hpp"
 
@@ -31,7 +30,7 @@ TEST(ContractMacrosTest, ConditionEvaluatedExactlyWhenArmed) {
   // "compiled out": armed builds must evaluate each condition once, Release
   // builds exactly zero times.
   int evaluations = 0;
-  auto pass = [&evaluations]() {
+  [[maybe_unused]] auto pass = [&evaluations]() {
     ++evaluations;
     return true;
   };
@@ -76,20 +75,6 @@ TEST(ContractedStructuresTest, EventHeapLegitimateUseIsContractClean) {
       last = e.time;
     }
     q.clear();  // must reset the ghost last-pop key: round 2 re-pops time 0
-  }
-}
-
-TEST(ContractedStructuresTest, CalendarQueueLegitimateUseIsContractClean) {
-  CalendarEventQueue q;
-  for (int round = 0; round < 3; ++round) {
-    for (int i = 0; i < 100; ++i) q.push(double((i * 37) % 50), 0, 0, 0);
-    double last = -1.0;
-    while (!q.empty()) {
-      const Event e = q.pop();
-      EXPECT_GE(e.time, last);
-      last = e.time;
-    }
-    q.clear();
   }
 }
 

@@ -1,8 +1,7 @@
 // Tests for des/: heap ordering with tie-breaking (the determinism
-// guarantee), arity-parameterized property checks, calendar-queue order
-// equivalence with the heaps, the FifoArena ring buffer against a
-// std::deque reference, the process-wide event counter, and the Simulator
-// kernel's clock discipline.
+// guarantee), arity-parameterized property checks, the FifoArena ring
+// buffer against a std::deque reference, and the process-wide event
+// counter.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,10 +9,8 @@
 #include <utility>
 #include <vector>
 
-#include "des/calendar_queue.hpp"
 #include "des/event_queue.hpp"
 #include "des/fifo_arena.hpp"
-#include "des/simulator.hpp"
 #include "util/rng.hpp"
 
 namespace stosched {
@@ -102,84 +99,6 @@ TEST(EventQueue, InterleavedPushPop) {
   }
 }
 
-TEST(CalendarQueue, PopsInTimeOrder) {
-  CalendarEventQueue q;
-  q.push(3.0, 0);
-  q.push(1.0, 1);
-  q.push(2.0, 2);
-  EXPECT_EQ(q.pop().type, 1u);
-  EXPECT_EQ(q.pop().type, 2u);
-  EXPECT_EQ(q.pop().type, 0u);
-  EXPECT_TRUE(q.empty());
-}
-
-TEST(CalendarQueue, TiesBreakByInsertionOrder) {
-  CalendarEventQueue q;
-  for (std::uint32_t i = 0; i < 50; ++i) q.push(1.0, i);
-  for (std::uint32_t i = 0; i < 50; ++i) EXPECT_EQ(q.pop().type, i);
-}
-
-TEST(CalendarQueue, ClearRestartsSequenceAndSurvivesReuse) {
-  CalendarEventQueue q;
-  for (int i = 0; i < 100; ++i) q.push(static_cast<double>(i), 0);
-  q.clear();
-  EXPECT_TRUE(q.empty());
-  q.push(3.0, 7);
-  EXPECT_EQ(q.top().seq, 0u);
-  EXPECT_EQ(q.pop().type, 7u);
-}
-
-TEST(CalendarQueue, SparseAndClusteredTimes) {
-  // Exercise the direct-scan fallback (events far beyond one calendar
-  // year) and bucket collisions (many events in one slot).
-  CalendarEventQueue q;
-  q.push(1e12, 0);
-  q.push(0.5, 1);
-  q.push(1e6, 2);
-  for (std::uint32_t i = 0; i < 40; ++i) q.push(2.0, 10 + i);
-  EXPECT_EQ(q.pop().type, 1u);
-  for (std::uint32_t i = 0; i < 40; ++i) EXPECT_EQ(q.pop().type, 10 + i);
-  EXPECT_EQ(q.pop().type, 2u);
-  EXPECT_EQ(q.pop().type, 0u);
-}
-
-TEST(CalendarQueue, OrderEquivalentToHeapRandomized) {
-  // The contract the simulators rely on to swap structures freely: under
-  // any interleaving of pushes and pops — including exact ties, which both
-  // structures must break by insertion seq — the two FES implementations
-  // emit the identical event stream.
-  CalendarEventQueue cal;
-  DaryEventHeap<4> heap;
-  Rng rng(2024);
-  double floor_time = 0.0;  // pops only rise; pushes stay >= last pop
-  for (int op = 0; op < 10000; ++op) {
-    const bool can_pop = !heap.empty();
-    if (!can_pop || rng.uniform() < 0.55) {
-      // Coarse grid => frequent exact ties across pushes.
-      const double t = floor_time + rng.below(16);
-      const auto tag = static_cast<std::uint32_t>(op);
-      cal.push(t, tag, tag, static_cast<std::uint64_t>(op));
-      heap.push(t, tag, tag, static_cast<std::uint64_t>(op));
-    } else {
-      const Event a = cal.pop();
-      const Event b = heap.pop();
-      ASSERT_EQ(a.time, b.time);
-      ASSERT_EQ(a.seq, b.seq);
-      ASSERT_EQ(a.type, b.type);
-      ASSERT_EQ(a.a, b.a);
-      ASSERT_EQ(a.b, b.b);
-      floor_time = a.time;
-    }
-  }
-  while (!heap.empty()) {
-    const Event a = cal.pop();
-    const Event b = heap.pop();
-    ASSERT_EQ(a.time, b.time);
-    ASSERT_EQ(a.seq, b.seq);
-  }
-  EXPECT_TRUE(cal.empty());
-}
-
 TEST(EventCounter, FlushesOnClearAndDestroy) {
   const std::uint64_t before = process_event_count();
   {
@@ -195,14 +114,6 @@ TEST(EventCounter, FlushesOnClearAndDestroy) {
     q.pop();
   }  // destructor flushes the second pop
   EXPECT_EQ(process_event_count(), before + 2);
-
-  const std::uint64_t mid = process_event_count();
-  {
-    CalendarEventQueue q;
-    q.push(1.0, 0);
-    q.pop();
-  }
-  EXPECT_EQ(process_event_count(), mid + 1);
 }
 
 TEST(FifoArena, MatchesDequeReference) {
@@ -263,60 +174,6 @@ TEST(FifoArena, GrowthUnwrapsRing) {
     ASSERT_EQ(arena.front(), i);
     arena.pop_front();
   }
-}
-
-TEST(Simulator, DispatchesInOrderAndAdvancesClock) {
-  Simulator sim;
-  std::vector<double> seen;
-  sim.on(0, [&](const Event& e) {
-    EXPECT_DOUBLE_EQ(sim.now(), e.time);
-    seen.push_back(e.time);
-  });
-  sim.schedule_at(2.0, 0);
-  sim.schedule_at(1.0, 0);
-  sim.schedule_at(3.0, 0);
-  sim.run_until(10.0);
-  EXPECT_EQ(seen, (std::vector<double>{1.0, 2.0, 3.0}));
-  EXPECT_DOUBLE_EQ(sim.now(), 10.0);
-  EXPECT_EQ(sim.dispatched(), 3u);
-}
-
-TEST(Simulator, HandlersCanScheduleMoreEvents) {
-  Simulator sim;
-  int count = 0;
-  sim.on(0, [&](const Event&) {
-    if (++count < 5) sim.schedule_in(1.0, 0);
-  });
-  sim.schedule_at(0.0, 0);
-  sim.run_until(100.0);
-  EXPECT_EQ(count, 5);
-  EXPECT_DOUBLE_EQ(sim.now(), 100.0);
-}
-
-TEST(Simulator, EventsBeyondHorizonStayPending) {
-  Simulator sim;
-  int count = 0;
-  sim.on(0, [&](const Event&) { ++count; });
-  sim.schedule_at(1.0, 0);
-  sim.schedule_at(50.0, 0);
-  sim.run_until(10.0);
-  EXPECT_EQ(count, 1);
-  EXPECT_EQ(sim.pending(), 1u);
-}
-
-TEST(Simulator, SchedulingInPastThrows) {
-  Simulator sim;
-  sim.on(0, [](const Event&) {});
-  sim.schedule_at(5.0, 0);
-  sim.run_until(5.0);
-  EXPECT_THROW(sim.schedule_at(1.0, 0), std::invalid_argument);
-  EXPECT_THROW(sim.schedule_in(-1.0, 0), std::invalid_argument);
-}
-
-TEST(Simulator, MissingHandlerThrows) {
-  Simulator sim;
-  sim.schedule_at(1.0, 3);
-  EXPECT_THROW(sim.step(), std::invalid_argument);
 }
 
 }  // namespace

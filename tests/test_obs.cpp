@@ -275,6 +275,12 @@ TEST(TraceTest, SpanRecordsOnDestruction) {
   obs::trace::clear();
 }
 
+TEST(TraceTest, NowNsIsMonotonic) {
+  const std::uint64_t a = obs::trace::now_ns();
+  const std::uint64_t b = obs::trace::now_ns();
+  EXPECT_LE(a, b);
+}
+
 // ---- compiled-out macros ---------------------------------------------------
 
 TEST(TraceMacrosTest, ArgumentsEvaluatedExactlyWhenArmed) {

@@ -13,7 +13,6 @@
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
-#include "util/timestat.hpp"
 
 namespace stosched {
 namespace {
@@ -342,39 +341,6 @@ TEST(Check, RequireThrowsInvalidArgument) {
 
 TEST(Check, AssertThrowsInvariantError) {
   EXPECT_THROW(STOSCHED_ASSERT(false, "bug"), invariant_error);
-}
-
-// TimeStat is exercised directly (not through the STOSCHED_TIME_* macros,
-// which compile to nothing in this build): the accumulator arithmetic and
-// the report rendering must work in any build so the stats leg can trust
-// them.
-TEST(TimeStat, AccumulatesAndReports) {
-  timestat::TimeStat ts("test_phase_report");
-  ts.add(1500);
-  ts.add(500);
-  EXPECT_EQ(ts.count(), 2u);
-  EXPECT_EQ(ts.total_ns(), 2000u);
-  std::ostringstream os;
-  timestat::report(os);
-  const std::string text = os.str();
-  EXPECT_NE(text.find("test_phase_report"), std::string::npos);
-  EXPECT_NE(text.find("per-call"), std::string::npos);
-}
-
-TEST(TimeStat, DestroyedStatsSurviveIntoTheReport) {
-  {
-    timestat::TimeStat ts("test_phase_dead");
-    ts.add(42);
-  }  // flushed into the registry's dead aggregate
-  std::ostringstream os;
-  timestat::report(os);
-  EXPECT_NE(os.str().find("test_phase_dead"), std::string::npos);
-}
-
-TEST(TimeStat, NowNsIsMonotonic) {
-  const std::uint64_t a = timestat::now_ns();
-  const std::uint64_t b = timestat::now_ns();
-  EXPECT_LE(a, b);
 }
 
 }  // namespace

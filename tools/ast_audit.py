@@ -23,11 +23,10 @@ ctest `ast_audit`:
 
           // rng-audit: sink(<why this function legitimately draws>)
 
-      placed on or up to three lines above the definition. The regex rule
-      `substream-discipline` in lint_stosched.py only inspects
-      simulate_* entry points; this rule closes the helper-function
-      loophole it leaves open (proved by tests/lint_fixtures/
-      rng_laundering.cpp, which that regex passes and this rule flags).
+      placed on or up to three lines above the definition. Handing the
+      stream to a law, `law.sample(p)`, is a draw like `p.uniform()` and
+      is flagged too, although it looks like whole-argument forwarding
+      (tests/lint_fixtures/rng_laundering.cpp pins both cases).
 
   unordered-iteration
       Iterating a std::unordered_{map,set} (range-for or .begin()) makes
@@ -80,6 +79,7 @@ ENTRY_VALIDATION_RE = re.compile(
 # The reason is mandatory (non-empty after the paren); it may continue onto
 # the next comment line, so the closing paren is not required on this one.
 SINK_RE = re.compile(r"//\s*rng-audit:\s*sink\(\s*([^\s)][^\n]*)")
+SAMPLE_CALL_RE = re.compile(r"\bsample\s*\(\s*\Z")
 UNORDERED_DECL_RE = re.compile(r"\bstd\s*::\s*unordered_(?:map|set)\s*<")
 ORDERED_DECL_RE = re.compile(r"\bstd\s*::\s*(?:multi)?(?:map|set)\s*<")
 
@@ -259,6 +259,10 @@ def audit_rng_uses(stripped: str, region_start: int, region_end: int,
             yield (region_start + um.start(),
                    f"raw '{name}()' outside an `Rng root({name}())` "
                    "bootstrap")
+        elif SAMPLE_CALL_RE.search(region, 0, um.start()):
+            yield (region_start + um.start(),
+                   f"'{name}' handed to sample(): the law draws on the "
+                   "routed stream; carve a substream first")
         else:
             prev = prev_nonspace(region, um.start() - 1)
             if prev in "(," and nxt in ",)":
@@ -445,6 +449,19 @@ def is_rng_ref_type(qual: str) -> bool:
     return bool(re.search(r"\bRng\s*&$", qual or ""))
 
 
+def callee_name(call: dict) -> str:
+    """Name of the function a CallExpr / CXXMemberCallExpr calls, or ''."""
+    node = next((c for c in call.get("inner", ()) if isinstance(c, dict)), {})
+    while node.get("kind") in ("ImplicitCastExpr", "ParenExpr"):
+        node = next((c for c in node.get("inner", ())
+                     if isinstance(c, dict)), {})
+    if node.get("kind") == "MemberExpr":
+        return node.get("name", "")
+    if node.get("kind") == "DeclRefExpr":
+        return (node.get("referencedDecl") or {}).get("name", "")
+    return ""
+
+
 def clang_check_tu(tree: dict, rel: str, raw: str) -> list:
     """rng-laundering + unordered-iteration on one TU's JSON AST."""
     out = []
@@ -503,6 +520,11 @@ def clang_check_tu(tree: dict, rel: str, raw: str) -> list:
                         "rng-laundering", rel, line,
                         f"raw '{name}()' outside an Rng bootstrap "
                         "(clang backend)"))
+            elif pk in ("CallExpr", "CXXMemberCallExpr") and \
+                    callee_name(parent) == "sample":
+                out.append(Violation(
+                    "rng-laundering", rel, line,
+                    f"'{name}' handed to sample() (clang backend)"))
             elif pk in ("CallExpr", "CXXConstructExpr",
                         "CXXMemberCallExpr"):
                 pass  # whole-argument forwarding

@@ -9,12 +9,6 @@ Enforces the invariants the codebase relies on but no compiler checks:
                         distribution adaptors — their algorithms are
                         implementation-defined, which breaks the bit-identical
                         (seed, stream) replay every CRN test depends on.
-  substream-discipline  Every simulate_* taking an Rng& must consume it only
-                        by (a) one bootstrap draw `const Rng root(rng());`,
-                        (b) deriving named substreams via .stream(i), or
-                        (c) forwarding it whole to a callee. Direct draws on
-                        the caller's stream entangle purposes and destroy the
-                        common-random-numbers pairing of policy arms.
   umbrella-header       Every header under src/ is transitively reachable
                         from the core/stosched.hpp umbrella, so one include
                         really is the full public API.
@@ -29,8 +23,8 @@ Enforces the invariants the codebase relies on but no compiler checks:
                         gettimeofday, *_clock) in src/des, src/queueing or
                         src/lp: the DES event loop and the simplex pivot
                         loop are the multipliers on every experiment, so
-                        timing enters them only through the compiled-out
-                        STOSCHED_TIME_* macros (util/timestat).
+                        they read no clock at all. Per-layer costs come from
+                        perfbench's layer passes, spans from obs/trace.
   cmake-coverage        Every src/**/*.cpp is listed in the CMake library
                         sources and every tests/test_*.cpp in STOSCHED_TESTS
                         — an unlisted translation unit silently never builds.
@@ -172,33 +166,6 @@ def rel(root, path):
     return path.relative_to(root).as_posix()
 
 
-def match_paren(text, open_idx):
-    """Index of the char after the parenthesis group opening at open_idx, or
-    -1. `text` must already be comment/string-stripped."""
-    depth = 0
-    for i in range(open_idx, len(text)):
-        if text[i] == "(":
-            depth += 1
-        elif text[i] == ")":
-            depth -= 1
-            if depth == 0:
-                return i + 1
-    return -1
-
-
-def match_brace(text, open_idx):
-    """Index of the char after the brace block opening at open_idx, or -1."""
-    depth = 0
-    for i in range(open_idx, len(text)):
-        if text[i] == "{":
-            depth += 1
-        elif text[i] == "}":
-            depth -= 1
-            if depth == 0:
-                return i + 1
-    return -1
-
-
 # ---------------------------------------------------------------------------
 # Rules
 # ---------------------------------------------------------------------------
@@ -229,55 +196,6 @@ def rule_raw_random(root):
                     rel(root, path), line_of(code, m.start()), "raw-random",
                     f"{what} — all randomness must flow through util/Rng "
                     f"(deterministic (seed, stream) replay)"))
-    return out
-
-
-RNG_DRAW_METHODS = ("uniform_pos|uniform|exponential|normal|gamma|below|"
-                    "bernoulli|categorical")
-
-
-def rule_substream_discipline(root):
-    """simulate_* must draw only via named per-purpose substreams."""
-    out = []
-    for path in cxx_files(root, "src"):
-        code = strip_code(read(path))
-        for m in re.finditer(r"\bsimulate_\w+\s*\(", code):
-            popen = m.end() - 1
-            pclose = match_paren(code, popen)
-            if pclose == -1:
-                continue
-            after = code[pclose:]
-            qual = re.match(r"\s*(?:const\s*)?(?:noexcept\s*)?\{", after)
-            if not qual:
-                continue  # declaration or call, not a definition
-            pm = re.search(r"\bRng\s*&\s*(\w+)", code[popen:pclose])
-            if not pm:
-                continue
-            p = pm.group(1)
-            body_open = pclose + qual.end() - 1
-            body_end = match_brace(code, body_open)
-            if body_end == -1:
-                continue
-            body = code[body_open:body_end]
-            # Mask the one allowed bootstrap draw `Rng root(rng());`.
-            masked = re.sub(rf"\bRng\s+\w+\s*\(\s*{p}\s*\(\s*\)\s*\)",
-                            lambda mo: " " * len(mo.group(0)), body)
-            checks = [
-                (rf"\b{p}\s*\.\s*(?:{RNG_DRAW_METHODS})\s*\(",
-                 f"direct draw on the caller's Rng '{p}'"),
-                (rf"\bsample\s*\(\s*{p}\s*\)",
-                 f"distribution sampled from the caller's Rng '{p}'"),
-                (rf"\b{p}\s*\(\s*\)",
-                 f"raw invocation of the caller's Rng '{p}' outside the "
-                 f"`const Rng root({p}());` bootstrap"),
-            ]
-            for pat, what in checks:
-                for v in re.finditer(pat, masked):
-                    out.append(Violation(
-                        rel(root, path), line_of(code, body_open + v.start()),
-                        "substream-discipline",
-                        f"{what} — derive named per-purpose substreams via "
-                        f".stream(i) so CRN arms replay identical workloads"))
     return out
 
 
@@ -364,11 +282,10 @@ HOT_LOOP_CLOCK_PATTERNS = [
 
 def rule_hot_loop_clock(root):
     """No direct clock reads in the hot paths (src/des, src/queueing,
-    src/lp). Timing enters only through the util/timestat macros, which
-    compile out unless STOSCHED_TIME_STATS is on — a stray
-    steady_clock::now() in an event loop or a simplex pivot loop costs
-    ~20ns per call in every build. Benches time LP solves from bench/,
-    outside the scanned tree."""
+    src/lp). A stray steady_clock::now() in an event loop or a simplex
+    pivot loop costs ~20ns per call and distorts what it times. Per-layer
+    costs come from perfbench's layer passes and whole-run spans from
+    obs/trace, both outside the scanned tree."""
     out = []
     for path in cxx_files(root, "src/des", "src/queueing", "src/lp"):
         code = strip_code(read(path))
@@ -377,8 +294,8 @@ def rule_hot_loop_clock(root):
                 out.append(Violation(
                     rel(root, path), line_of(code, m.start()),
                     "hot-loop-clock",
-                    f"{what} in a hot path — time only through the "
-                    f"STOSCHED_TIME_* macros (compiled out by default)"))
+                    f"{what} in a hot path — time layers from perfbench "
+                    f"or spans from obs/trace, outside the loop"))
     return out
 
 
@@ -436,7 +353,6 @@ def rule_metrics_registry(root):
 
 RULES = {
     "raw-random": rule_raw_random,
-    "substream-discipline": rule_substream_discipline,
     "umbrella-header": rule_umbrella_header,
     "bench-finish": rule_bench_finish,
     "float-accumulator": rule_float_accumulator,

@@ -81,29 +81,6 @@ class RuleFiresOnFixture(unittest.TestCase):
         self.assertEqual(self.run_rule("raw-random"), [],
                          "src/util/ owns the RNG and is exempt")
 
-    def test_substream_discipline_fires(self):
-        self.skel.add("substream_discipline.cpp",
-                      "src/queueing/substream_discipline.cpp")
-        found = self.run_rule("substream-discipline")
-        kinds = {v.message.split(" — ")[0] for v in found}
-        self.assertGreaterEqual(len(found), 2,
-                                "direct draw AND sample() must both fire")
-        self.assertTrue(any("direct draw" in k for k in kinds))
-        self.assertTrue(any("sampled from" in k for k in kinds))
-
-    def test_substream_discipline_accepts_bootstrap(self):
-        (self.skel.root / "src" / "queueing").mkdir(parents=True,
-                                                    exist_ok=True)
-        (self.skel.root / "src" / "queueing" / "good.cpp").write_text(
-            "double simulate_good(Rng& rng) {\n"
-            "  const Rng root(rng());\n"
-            "  Rng clock_rng = root.stream(0);\n"
-            "  return clock_rng.exponential(1.0);\n"
-            "}\n", encoding="utf-8")
-        self.assertEqual(self.run_rule("substream-discipline"), [],
-                         "the bootstrap + named-substream pattern is the "
-                         "conforming idiom")
-
     def test_umbrella_header_fires(self):
         self.skel.add("orphan_header.hpp", "src/queueing/orphan_header.hpp")
         found = self.run_rule("umbrella-header")
@@ -163,7 +140,7 @@ class RuleFiresOnFixture(unittest.TestCase):
                                 "src/lp is inside the scanned hot paths")
 
     def test_hot_loop_clock_allows_clocks_outside_hot_path(self):
-        # util/timestat.cpp and bench_common.hpp legitimately read clocks;
+        # obs/trace.cpp and bench_common.hpp legitimately read clocks;
         # the rule only polices src/des, src/queueing and src/lp.
         self.skel.add("hot_loop_clock.cpp", "src/util/timed.cpp")
         self.skel.add("hot_loop_clock.cpp", "bench/bench_timed.cpp")
@@ -269,7 +246,6 @@ class RealTreeIsClean(unittest.TestCase):
         """Every rule keeps a fixture proving it can fire."""
         expected = {
             "raw-random": "raw_random.cpp",
-            "substream-discipline": "substream_discipline.cpp",
             "umbrella-header": "orphan_header.hpp",
             "bench-finish": "bench_bad_exit.cpp",
             "float-accumulator": "float_accumulator.cpp",

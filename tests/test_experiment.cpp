@@ -103,6 +103,77 @@ TEST(Engine, StoppingReportsMissWhenCapTooSmall) {
   EXPECT_EQ(res.replications, 512u);
 }
 
+TEST(Engine, TrackedIndexOutOfRangeThrowsAtStopCheck) {
+  EngineOptions opt;
+  opt.seed = 4;
+  opt.rel_precision = 0.05;
+  opt.min_replications = 64;
+  opt.batch = 64;
+  opt.max_replications = 256;
+  opt.tracked = {1};  // the body reports one dimension
+  EXPECT_THROW(run(opt, 1, exp_body), std::invalid_argument);
+  const std::vector<RunningStat> one(1);
+  EXPECT_THROW(experiment::detail::precision_met(one, opt),
+               std::invalid_argument);
+  // A fixed-length run never consults the stopping rule.
+  opt.rel_precision = 0.0;
+  EXPECT_NO_THROW(run(opt, 1, exp_body));
+}
+
+TEST(Engine, ZeroMeanMetricJudgedOnAbsoluteHalfwidth) {
+  // |mean| < abs_floor: the target is rel_precision itself, so a constant
+  // zero metric converges at the first stop check.
+  EngineOptions opt;
+  opt.seed = 8;
+  opt.rel_precision = 0.02;
+  opt.min_replications = 64;
+  opt.batch = 16;
+  opt.max_replications = 4096;
+  const auto zero = run(opt, 1, [](std::size_t, Rng&, std::span<double>) {});
+  EXPECT_TRUE(zero.converged);
+  EXPECT_EQ(zero.replications, opt.min_replications);
+
+  // A noisy metric far below the floor is precise in absolute terms at 64
+  // samples; judged relatively (abs_floor = 0) its half-width is ~25% of
+  // the mean, well short of 2%.
+  RunningStat tiny;
+  Rng rng(3);
+  for (int i = 0; i < 64; ++i) tiny.push(1e-12 * rng.exponential(1.0));
+  EXPECT_TRUE(experiment::detail::metric_precise(tiny, opt));
+  EngineOptions relative = opt;
+  relative.abs_floor = 0.0;
+  EXPECT_FALSE(experiment::detail::metric_precise(tiny, relative));
+}
+
+TEST(Engine, PairedStopWaitsForEveryArmDifference) {
+  // Arm 1 differs from arm 0 by a constant (precise at once); arm 2 adds an
+  // independent exponential, whose difference needs ~2400 replications for
+  // 2% precision. Three arms must run to the cap; the first two alone stop
+  // at min_replications.
+  EngineOptions opt;
+  opt.seed = 12;
+  opt.rel_precision = 0.02;
+  opt.min_replications = 64;
+  opt.batch = 64;
+  opt.max_replications = 512;
+  const auto body = [](std::size_t, std::size_t arm, Rng& rng,
+                       std::span<double> out) {
+    out[0] = rng.exponential(1.0);
+    if (arm >= 1) out[0] += 1.0;
+    if (arm == 2) out[0] += rng.exponential(1.0);
+  };
+  const auto three =
+      run_paired(opt, 3, 1, Pairing::kCommonRandomNumbers, body);
+  EXPECT_FALSE(three.converged);
+  EXPECT_EQ(three.replications, opt.max_replications);
+  EXPECT_TRUE(experiment::detail::precision_met(three.diff[0], opt));
+  EXPECT_FALSE(experiment::detail::precision_met(three.diff[1], opt));
+
+  const auto two = run_paired(opt, 2, 1, Pairing::kCommonRandomNumbers, body);
+  EXPECT_TRUE(two.converged);
+  EXPECT_EQ(two.replications, opt.min_replications);
+}
+
 TEST(Engine, PairedDiffMatchesArmMeans) {
   EngineOptions opt;
   opt.seed = 11;

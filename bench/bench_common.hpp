@@ -183,7 +183,6 @@ inline void write_provenance(std::ostream& os, const Table& table,
      << "\", \"build_type\": \"" << json_escape(b.build_type)
      << "\", \"sanitizers\": \"" << json_escape(b.sanitizers)
      << "\", \"contracts\": " << (b.contracts ? "true" : "false")
-     << ", \"trace\": " << (b.trace ? "true" : "false")
      << ", \"omp_max_threads\": " << b.omp_max_threads;
   if (g_seed_set) os << ", \"seed\": " << g_seed;
   os << ", \"scenario_hash\": \"" << scenario_hash(table, arrival)

@@ -14,9 +14,8 @@
 //     offline lower bounds and empirical competitive ratios;
 //   * unifying machinery: conservation laws, achievable regions, adaptive
 //     greedy indices, priority-rule catalog;
-//   * observability: metrics registry (counters/gauges/deterministic
-//     latency histograms), compiled-out Chrome-trace spans, run
-//     provenance, structured progress sink;
+//   * observability: metrics registry (counters and deterministic
+//     latency histograms) and run provenance;
 //   * the experiment engine: replication driver, CRN paired comparisons,
 //     sequential-precision stopping, scenario registry and adapters;
 //   * substrates: distributions, RNG, statistics, discrete-event kernel,

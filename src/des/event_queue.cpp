@@ -4,25 +4,13 @@
 
 namespace stosched {
 
-namespace {
-
-/// Process-wide processed-event tally, now an obs registry counter (the
-/// bench JSON "events" column). Queues flush their per-instance pop
+/// The process-wide processed-event tally is the obs registry counter
+/// "events" (the bench JSON column). Queues flush their per-instance pop
 /// counters here (event_queue.hpp), so the only atomic traffic is one add
 /// per clear/destroy — never per event.
-obs::Counter& events_counter() {
-  static obs::Counter& c = obs::counter("events");
-  return c;
-}
-
-}  // namespace
-
-std::uint64_t process_event_count() noexcept {
-  return events_counter().value();
-}
-
 void add_process_events(std::uint64_t n) noexcept {
-  events_counter().add(n);
+  static obs::Counter& events = obs::counter("events");
+  events.add(n);
 }
 
 // Explicit instantiations of the arities exercised by the library and the

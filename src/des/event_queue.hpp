@@ -33,15 +33,12 @@ struct Event {
   std::uint64_t b = 0;     ///< model payload (e.g. job id / generation)
 };
 
-/// Events popped by every future-event set in this process so far — the
+/// Add `n` processed events to the process-wide obs counter "events" — the
 /// numerator of the events/sec throughput number bench_common::finish puts
 /// in every BENCH_*.json. Queues count pops in a plain per-instance counter
 /// (no hot-path atomics) and flush it here, atomically, when cleared or
-/// destroyed; read after the simulations of interest have finished.
-std::uint64_t process_event_count() noexcept;
-
-/// Add `n` processed events to the process-wide counter (the flush half of
-/// the contract above; thread-safe).
+/// destroyed; read it with obs::counter_value("events") after the
+/// simulations of interest have finished. Thread-safe.
 void add_process_events(std::uint64_t n) noexcept;
 
 /// Min-heap on (time, seq) with configurable arity.

@@ -257,16 +257,6 @@ EngineResult run_queue(const QueueScenario& s, const QueuePolicy& policy,
              });
 }
 
-EngineResult run_polling(const PollingScenario& s, const PollingPolicy& policy,
-                         const EngineOptions& opt) {
-  const queueing::PollingOptions sim_opt =
-      s.options(policy.discipline, policy.limit);
-  return run(opt, metric_count(s),
-             [&](std::size_t, Rng& rng, std::span<double> out) {
-               queueing::run_replication(s.classes, sim_opt, rng, out);
-             });
-}
-
 EngineResult run_restless(const RestlessScenario& s,
                           const restless::PriorityTable& priority,
                           const EngineOptions& opt) {
@@ -292,14 +282,6 @@ EngineResult run_network(const NetworkScenario& s, const NetworkPolicy& policy,
              });
 }
 
-EngineResult run_mmm(const MmmScenario& s, const MmmPolicy& policy,
-                     const EngineOptions& opt) {
-  return run(opt, metric_count(s),
-             [&](std::size_t, Rng& rng, std::span<double> out) {
-               run_replication(s, policy, rng, out);
-             });
-}
-
 EngineResult run_fluid(const FluidScenario& s,
                        const std::vector<std::size_t>& priority,
                        const EngineOptions& opt) {
@@ -308,13 +290,6 @@ EngineResult run_fluid(const FluidScenario& s,
              [&](std::size_t, Rng& rng, std::span<double> out) {
                fluid_replication(s, grid, priority, rng, out);
              });
-}
-
-EngineResult run_tree(const TreeScenario& s, batch::TreePolicy policy,
-                      const EngineOptions& opt) {
-  return run(opt, 1, [&](std::size_t, Rng& rng, std::span<double> out) {
-    run_replication(s, policy, rng, out);
-  });
 }
 
 EngineResult run_online(const OnlineScenario& s,

@@ -128,8 +128,6 @@ void run_replication(const OnlineScenario& s,
 /// Engine drivers: replications of one policy on one scenario.
 EngineResult run_queue(const QueueScenario& s, const QueuePolicy& policy,
                        const EngineOptions& opt);
-EngineResult run_polling(const PollingScenario& s, const PollingPolicy& policy,
-                         const EngineOptions& opt);
 EngineResult run_restless(const RestlessScenario& s,
                           const restless::PriorityTable& priority,
                           const EngineOptions& opt);
@@ -137,13 +135,9 @@ EngineResult run_batch(const BatchScenario& s, const batch::Order& order,
                        const EngineOptions& opt);
 EngineResult run_network(const NetworkScenario& s, const NetworkPolicy& policy,
                          const EngineOptions& opt);
-EngineResult run_mmm(const MmmScenario& s, const MmmPolicy& policy,
-                     const EngineOptions& opt);
 EngineResult run_fluid(const FluidScenario& s,
                        const std::vector<std::size_t>& priority,
                        const EngineOptions& opt);
-EngineResult run_tree(const TreeScenario& s, batch::TreePolicy policy,
-                      const EngineOptions& opt);
 EngineResult run_online(const OnlineScenario& s,
                         const online::OnlinePolicy& policy,
                         const EngineOptions& opt);

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "obs/progress.hpp"
-
 #ifdef _OPENMP
 #include <omp.h>
 #endif
@@ -30,50 +28,18 @@ bool metric_precise(const RunningStat& s, const EngineOptions& opt) {
   return hw <= target;
 }
 
-namespace {
-
-// When the STOSCHED_PROGRESS sink is armed, every stopping check reports
-// each tracked metric's live CI half-width — and keeps checking past the
-// first imprecise metric so the line stream covers all of them. With the
-// sink off, the early-exit fast path is untouched.
-bool check_metric(const std::vector<RunningStat>& stats, std::size_t d,
-                  const EngineOptions& opt) {
-  const RunningStat& s = stats[d];
-  const bool precise = metric_precise(s, opt);
-  if (obs::progress_enabled())
-    obs::progress_line(
-        "ci", {{"metric", static_cast<double>(d)},
-               {"n", static_cast<double>(s.count())},
-               {"mean", s.count() > 0 ? s.mean() : 0.0},
-               {"halfwidth", s.count() >= 2 ? s.ci_halfwidth(opt.alpha) : 0.0},
-               {"target", opt.rel_precision},
-               {"precise", precise ? 1.0 : 0.0}});
-  return precise;
-}
-
-}  // namespace
-
 bool precision_met(const std::vector<RunningStat>& stats,
                    const EngineOptions& opt) {
-  const bool report_all = obs::progress_enabled();
-  bool ok = true;
   if (opt.tracked.empty()) {
-    for (std::size_t d = 0; d < stats.size(); ++d) {
-      if (!check_metric(stats, d, opt)) {
-        ok = false;
-        if (!report_all) return false;
-      }
-    }
-    return ok;
+    for (const RunningStat& s : stats)
+      if (!metric_precise(s, opt)) return false;
+    return true;
   }
   for (const std::size_t d : opt.tracked) {
     STOSCHED_REQUIRE(d < stats.size(), "tracked metric index out of range");
-    if (!check_metric(stats, d, opt)) {
-      ok = false;
-      if (!report_all) return false;
-    }
+    if (!metric_precise(stats[d], opt)) return false;
   }
-  return ok;
+  return true;
 }
 
 bool paired_precision_met(const std::vector<std::vector<RunningStat>>& diff,

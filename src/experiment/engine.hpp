@@ -33,8 +33,6 @@
 #include <utility>
 #include <vector>
 
-#include "obs/progress.hpp"
-#include "obs/trace.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -157,17 +155,12 @@ std::pair<std::size_t, bool> drive(const EngineOptions& opt,
     std::vector<std::vector<RunningStat>> cell(
         ncells, std::vector<RunningStat>(slots));
     for_each_cell(ncells, [&](std::size_t c) {
-      STOSCHED_TRACE_SPAN("engine", "cell");
       const std::size_t lo = done + c * kCellSize;
       const std::size_t hi = std::min(lo + kCellSize, done + want);
       cell_body(lo, hi, cell[c]);
     });
     for (const auto& acc : cell) merge_cell(acc);
     done += want;
-    if (obs::progress_enabled())
-      obs::progress_line(
-          "batch", {{"replications", static_cast<double>(done)},
-                    {"cap", static_cast<double>(opt.max_replications)}});
 
     if (!sequential) break;
     if (done >= opt.min_replications && stop()) break;
@@ -195,7 +188,6 @@ EngineResult run(const EngineOptions& opt, std::size_t dims, Body&& body) {
       [&](std::size_t lo, std::size_t hi, std::vector<RunningStat>& acc) {
         std::vector<double> out(dims, 0.0);
         for (std::size_t r = lo; r < hi; ++r) {
-          STOSCHED_TRACE_SPAN("engine", "replication");
           Rng rng = master.stream(r);
           std::fill(out.begin(), out.end(), 0.0);
           body(r, rng, std::span<double>(out));
@@ -247,10 +239,8 @@ PairedResult run_paired(const EngineOptions& opt, std::size_t arms,
         std::vector<double> out(dims, 0.0);
         std::vector<double> base(dims, 0.0);
         for (std::size_t r = lo; r < hi; ++r) {
-          STOSCHED_TRACE_SPAN("engine", "replication");
           const Rng rep_stream = master.stream(r);
           for (std::size_t k = 0; k < arms; ++k) {
-            STOSCHED_TRACE_SPAN("engine", "arm");
             Rng rng = pairing == Pairing::kCommonRandomNumbers
                           ? rep_stream
                           : master.stream(r * arms + k);

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#include "obs/trace.hpp"
 #include "util/check.hpp"
 #include "util/contract.hpp"
 
@@ -467,7 +466,6 @@ struct Engine {
 
 Solution solve_revised_impl(const Problem& p, Basis* warm,
                             std::size_t max_iterations) {
-  STOSCHED_TRACE_SPAN("lp", "lp_solve_revised");
   Engine e;
   e.build(p);
   if (warm == nullptr || !warm->matches(e.n, e.m) || !e.load_basis(*warm))

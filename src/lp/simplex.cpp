@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "util/check.hpp"
 
 namespace stosched::lp {
@@ -100,29 +99,14 @@ Solution::Status run_simplex(Tableau& t, const std::vector<char>& eligible,
   return Solution::Status::kIterLimit;
 }
 
-// Process-wide LP effort, mirroring the DES event counter: obs registry
-// counters with relaxed adds — the totals are commutative sums, so they
-// are schedule-independent under OpenMP (the --exact determinism gate
-// relies on this). The names are the bench JSON column names.
-obs::Counter& solves_counter() {
-  static obs::Counter& c = obs::counter("lp_solves");
-  return c;
-}
-
-obs::Counter& iterations_counter() {
-  static obs::Counter& c = obs::counter("lp_iterations");
-  return c;
-}
-
 }  // namespace
 
-LpCounters process_lp_counters() noexcept {
-  return {solves_counter().value(), iterations_counter().value()};
-}
-
 void add_process_lp_solve(std::uint64_t iterations) noexcept {
-  solves_counter().add(1);
-  iterations_counter().add(iterations);
+  // Resolved once: the registry lookup takes a mutex.
+  static obs::Counter& solves = obs::counter("lp_solves");
+  static obs::Counter& iters = obs::counter("lp_iterations");
+  solves.add(1);
+  iters.add(iterations);
 }
 
 Problem Problem::maximize(std::vector<double> costs) {
@@ -182,7 +166,6 @@ std::string to_string(Solution::Status s) {
 }
 
 Solution solve(const Problem& p, std::size_t max_iterations) {
-  STOSCHED_TRACE_SPAN("lp", "lp_solve_dense");
   const std::size_t n = p.costs.size();
   const std::size_t m = p.constraints.size();
   STOSCHED_REQUIRE(n > 0, "LP needs at least one variable");

@@ -92,17 +92,12 @@ enum class Solver { kDense, kRevised };
 Solution solve(const Problem& p, Solver solver,
                std::size_t max_iterations = 100000);
 
-/// Process-wide LP effort counters, mirroring des/event_queue.hpp's event
-/// counters: every completed solve (either engine, any thread) adds its
-/// iteration count. The totals are order-independent sums, so they are
-/// bit-identical across OpenMP schedules — bench_compare.py gates on
-/// lp_iterations in --exact mode while lp_solves_per_sec is the warn-only
-/// perf trajectory.
-struct LpCounters {
-  std::uint64_t solves = 0;
-  std::uint64_t iterations = 0;
-};
-LpCounters process_lp_counters() noexcept;
+/// Process-wide LP effort, mirroring des/event_queue.hpp's event counter:
+/// every completed solve (either engine, any thread) adds one to the obs
+/// counter "lp_solves" and its iteration count to "lp_iterations". The
+/// totals are order-independent sums, so they are bit-identical across
+/// OpenMP schedules — bench_compare.py gates on lp_iterations in --exact
+/// mode while lp_solves_per_sec is the warn-only perf trajectory.
 void add_process_lp_solve(std::uint64_t iterations) noexcept;
 
 }  // namespace stosched::lp

@@ -11,12 +11,10 @@ namespace {
 // Leaked on purpose: instruments must outlive every static destructor that
 // might still bump a counter, and atexit-ordered teardown across TUs is not
 // worth reasoning about for a telemetry registry. std::map keys the
-// instruments by name so every iteration (snapshot, report) is alphabetical
-// and deterministic.
+// instruments by name.
 struct Registry {
   std::mutex mu;
   std::map<std::string, std::unique_ptr<Counter>> counters;
-  std::map<std::string, std::unique_ptr<Gauge>> gauges;
   std::map<std::string, std::unique_ptr<Histogram>> histograms;
 };
 
@@ -42,12 +40,6 @@ Counter& counter(const std::string& name) {
   return find_or_create(r.counters, name);
 }
 
-Gauge& gauge(const std::string& name) {
-  Registry& r = registry();
-  std::lock_guard<std::mutex> lock(r.mu);
-  return find_or_create(r.gauges, name);
-}
-
 Histogram& histogram(const std::string& name) {
   Registry& r = registry();
   std::lock_guard<std::mutex> lock(r.mu);
@@ -70,20 +62,6 @@ HistogramSnapshot histogram_snapshot(const std::string& name) noexcept {
     if (it != r.histograms.end()) h = it->second.get();
   }
   return h == nullptr ? HistogramSnapshot{} : h->snapshot();
-}
-
-MetricsSnapshot metrics_snapshot() {
-  Registry& r = registry();
-  std::lock_guard<std::mutex> lock(r.mu);
-  MetricsSnapshot s;
-  s.counters.reserve(r.counters.size());
-  for (const auto& [name, c] : r.counters) s.counters.emplace_back(name, c->value());
-  s.gauges.reserve(r.gauges.size());
-  for (const auto& [name, g] : r.gauges) s.gauges.emplace_back(name, g->value());
-  s.histograms.reserve(r.histograms.size());
-  for (const auto& [name, h] : r.histograms)
-    s.histograms.emplace_back(name, h->snapshot());
-  return s;
 }
 
 Histogram& wait_time_histogram() {

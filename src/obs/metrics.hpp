@@ -9,8 +9,6 @@
 //   * Counter    — monotone event tally (relaxed-atomic adds). The sums are
 //                  commutative, so totals are bit-identical under any
 //                  OpenMP schedule — the discipline the LP counters set.
-//   * Gauge      — last-written level (relaxed store/load); for facts, not
-//                  sums (e.g. a configuration knob worth exporting).
 //   * Histogram  — deterministic log₂-bucketed distribution. The bucket of
 //                  a value is a pure function of its IEEE-754 bits (no
 //                  floating log), bucket counts are commutative atomic
@@ -23,8 +21,8 @@
 // plain LocalHistogram (one array increment per sample, no atomics) and
 // merge it into the shared registry histogram once per replication.
 // Callers that need an instrument repeatedly cache the reference returned
-// by counter()/gauge()/histogram(); the registry lookup itself takes a
-// mutex and is not for hot loops.
+// by counter()/histogram(); the registry lookup itself takes a mutex and is
+// not for hot loops.
 //
 // The repo lint rule `metrics-registry` (tools/lint_stosched.py) forbids
 // new file-scope std::atomic telemetry outside src/obs/ — all
@@ -40,7 +38,7 @@
 #include <cstdint>
 #include <limits>
 #include <string>
-#include <vector>
+#include <utility>
 
 namespace stosched::obs {
 
@@ -63,25 +61,6 @@ class Counter {
  private:
   std::string name_;
   std::atomic<std::uint64_t> value_{0};
-};
-
-/// Last-written level. Thread-safe; last writer wins (use for facts and
-/// settings, not for sums — concurrent set() is a race by design).
-class Gauge {
- public:
-  explicit Gauge(std::string name) : name_(std::move(name)) {}
-  Gauge(const Gauge&) = delete;
-  Gauge& operator=(const Gauge&) = delete;
-
-  void set(double v) noexcept { value_.store(v, std::memory_order_relaxed); }
-  [[nodiscard]] double value() const noexcept {
-    return value_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] const std::string& name() const noexcept { return name_; }
-
- private:
-  std::string name_;
-  std::atomic<double> value_{0.0};
 };
 
 // ---- deterministic log₂ bucketing ------------------------------------------
@@ -142,8 +121,9 @@ struct HistogramSnapshot {
   /// Nearest-rank percentile (q in (0, 1]): the upper edge of the bucket
   /// holding the ceil(q·total)-th smallest sample — deterministic and
   /// conservative (never below the true percentile by more than one bucket
-  /// width, ~9% relative). The overflow bucket reports its lower edge so
-  /// the result is always finite. Returns 0 when the histogram is empty.
+  /// width, ~9% relative). The underflow bucket reports 0 (zero waits are
+  /// zero, not 2^kMinExp) and the overflow bucket its lower edge, so the
+  /// result is always finite. Returns 0 when the histogram is empty.
   [[nodiscard]] double percentile(double q) const noexcept {
     if (total == 0) return 0.0;
     const double want = std::ceil(q * static_cast<double>(total));
@@ -152,9 +132,10 @@ struct HistogramSnapshot {
     std::uint64_t cum = 0;
     for (std::size_t i = 0; i < hist::kBuckets; ++i) {
       cum += counts[i];
-      if (cum >= rank)
-        return i == hist::kBuckets - 1 ? hist::bucket_lower(i)
-                                       : hist::bucket_upper(i);
+      if (cum < rank) continue;
+      if (i == 0) return 0.0;
+      return i == hist::kBuckets - 1 ? hist::bucket_lower(i)
+                                     : hist::bucket_upper(i);
     }
     return hist::bucket_lower(hist::kBuckets - 1);  // unreachable
   }
@@ -185,18 +166,14 @@ class LocalHistogram {
   std::uint64_t total_ = 0;
 };
 
-/// Shared histogram: relaxed-atomic bucket counts. merge() is the intended
-/// write path (one fetch_add per nonzero bucket per replication); record()
-/// exists for low-rate direct use.
+/// Shared histogram: relaxed-atomic bucket counts, written by merge() (one
+/// fetch_add per nonzero bucket per replication).
 class Histogram {
  public:
   explicit Histogram(std::string name) : name_(std::move(name)) {}
   Histogram(const Histogram&) = delete;
   Histogram& operator=(const Histogram&) = delete;
 
-  void record(double v) noexcept {
-    counts_[hist::bucket_index(v)].fetch_add(1, std::memory_order_relaxed);
-  }
   void merge(const LocalHistogram& local) noexcept {
     if (local.total() == 0) return;
     const auto& c = local.counts();
@@ -224,7 +201,6 @@ class Histogram {
 // a mutex: resolve once, cache the reference.
 
 Counter& counter(const std::string& name);
-Gauge& gauge(const std::string& name);
 Histogram& histogram(const std::string& name);
 
 /// Read a counter without creating it: 0 when the name was never
@@ -234,15 +210,6 @@ std::uint64_t counter_value(const std::string& name) noexcept;
 
 /// Snapshot a histogram without creating it: empty when never registered.
 HistogramSnapshot histogram_snapshot(const std::string& name) noexcept;
-
-/// Name-sorted snapshot of every registered instrument (deterministic
-/// iteration order for reports and JSON export).
-struct MetricsSnapshot {
-  std::vector<std::pair<std::string, std::uint64_t>> counters;
-  std::vector<std::pair<std::string, double>> gauges;
-  std::vector<std::pair<std::string, HistogramSnapshot>> histograms;
-};
-MetricsSnapshot metrics_snapshot();
 
 /// The two cross-simulator tail histograms every event-driven simulator
 /// merges into (post-warmup per-visit waiting time; per-job time in

@@ -1,13 +1,11 @@
 // obs.hpp — umbrella for the observability subsystem.
 //
 // One include gives a consumer the whole telemetry surface: the metrics
-// registry (counters / gauges / deterministic latency histograms), the
-// compiled-out Chrome-trace macros, run provenance, the structured
-// progress sink. The trace clock (obs::trace::now_ns) is the library's one
-// wall clock; per-layer costs come from perfbench, not from in-loop timers.
+// registry (counters and deterministic latency histograms) and run
+// provenance — what bench JSON and perfbench read. Per-layer costs and
+// Chrome-trace spans come from perfbench (`run.py --trace 1`), outside the
+// library's loops.
 #pragma once
 
 #include "obs/metrics.hpp"
-#include "obs/progress.hpp"
 #include "obs/provenance.hpp"
-#include "obs/trace.hpp"

@@ -46,9 +46,6 @@ BuildInfo build_info() {
   b.sanitizers = STOSCHED_SANITIZE_STR;
   if (b.sanitizers.empty() || b.sanitizers == "OFF") b.sanitizers = "none";
   b.contracts = STOSCHED_CONTRACTS_ACTIVE != 0;
-#ifdef STOSCHED_TRACE
-  b.trace = true;
-#endif
 #ifdef _OPENMP
   b.omp_max_threads = omp_get_max_threads();
 #else

@@ -10,7 +10,7 @@
 // different OMP thread counts).
 //
 // Compile-time facts (git sha, compiler, flags, build type, sanitizers,
-// which compiled-out layers are armed) are baked into provenance.cpp via
+// whether contracts are armed) are baked into provenance.cpp via
 // CMake-provided defines — the git sha is captured at *configure* time, so
 // it can lag the working tree until the next CMake run; treat it as "the
 // commit this build directory was configured from". Runtime facts (OpenMP
@@ -30,7 +30,6 @@ struct BuildInfo {
   std::string build_type;  ///< CMAKE_BUILD_TYPE, or "unknown"
   std::string sanitizers;  ///< STOSCHED_SANITIZE value; "none" when off
   bool contracts = false;  ///< STOSCHED_CONTRACTS armed in this build
-  bool trace = false;      ///< STOSCHED_TRACE macros compiled in
   int omp_max_threads = 1; ///< omp_get_max_threads() now (1 without OpenMP)
 };
 

@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "util/check.hpp"
 #include "util/contract.hpp"
 
@@ -59,7 +58,6 @@ OnlineResult simulate_online(const OnlineInstance& inst,
                              const OnlinePolicy& policy, Rng& policy_rng) {
   validate_types(types);
   env.validate(types.size());
-  STOSCHED_TRACE_SPAN("sim", "simulate_online");
   for (std::size_t j = 1; j < inst.size(); ++j)
     STOSCHED_REQUIRE(inst[j - 1].release <= inst[j].release,
                      "online instance must be sorted by release");

@@ -6,7 +6,6 @@
 #include "des/event_queue.hpp"
 #include "des/fifo_arena.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "queueing/kernel.hpp"
 #include "util/check.hpp"
 #include "util/contract.hpp"
@@ -244,7 +243,6 @@ struct Sim : Kernel {
 SimResult simulate_mg1(const std::vector<ClassSpec>& classes,
                        const SimOptions& options, Rng& rng) {
   STOSCHED_EXPECTS(!classes.empty(), "simulate_mg1 needs at least one class");
-  STOSCHED_TRACE_SPAN("sim", "simulate_mg1");
   Sim sim(classes, options, rng);
   const SimResult res = sim.run();
   // A single server's busy fraction is a time average of an indicator.

@@ -4,7 +4,6 @@
 
 #include "des/event_queue.hpp"
 #include "des/fifo_arena.hpp"
-#include "obs/trace.hpp"
 #include "queueing/kernel.hpp"
 #include "util/check.hpp"
 #include "util/stats.hpp"
@@ -94,7 +93,6 @@ NetworkTrace simulate_network(const NetworkConfig& config, double horizon,
                               std::size_t samples, Rng& rng) {
   config.validate();
   STOSCHED_REQUIRE(horizon > 0.0 && samples >= 2, "need a horizon and samples");
-  STOSCHED_TRACE_SPAN("sim", "simulate_network");
   const std::size_t nc = config.classes.size();
   const std::size_t ns = config.num_stations;
   const bool fcfs = config.station_priority.empty();

@@ -4,7 +4,6 @@
 
 #include "des/event_queue.hpp"
 #include "des/fifo_arena.hpp"
-#include "obs/trace.hpp"
 #include "queueing/kernel.hpp"
 #include "queueing/mg1_analytic.hpp"
 #include "util/check.hpp"
@@ -26,7 +25,6 @@ MmmResult simulate_mmm(const std::vector<ClassSpec>& classes,
   STOSCHED_REQUIRE(servers >= 1, "need at least one server");
   STOSCHED_REQUIRE(horizon > 0.0, "horizon must be > 0");
   STOSCHED_REQUIRE(warmup >= 0.0, "warmup must be >= 0");
-  STOSCHED_TRACE_SPAN("sim", "simulate_mmm");
   const std::vector<std::size_t> rank = priority_rank(priority, n);
 
   // The kernel's streams: class j's arrivals and services each draw from

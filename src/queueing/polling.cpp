@@ -4,7 +4,6 @@
 
 #include "des/event_queue.hpp"
 #include "des/fifo_arena.hpp"
-#include "obs/trace.hpp"
 #include "queueing/kernel.hpp"
 #include "util/check.hpp"
 #include "util/contract.hpp"
@@ -198,7 +197,6 @@ PollingResult simulate_polling(const std::vector<ClassSpec>& classes,
                                const PollingOptions& options, Rng& rng) {
   STOSCHED_EXPECTS(!classes.empty(),
                    "simulate_polling needs at least one queue");
-  STOSCHED_TRACE_SPAN("sim", "simulate_polling");
   PollingSim sim(classes, options, rng);
   const PollingResult res = sim.run();
   // The server partitions time into serving / switching / idle, so the two

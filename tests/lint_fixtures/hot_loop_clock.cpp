@@ -1,6 +1,6 @@
 // Deliberately-bad fixture for the hot-loop-clock rule: direct clock reads
 // inside the DES hot path (src/des, src/queueing), which reads no clock at
-// all; layer costs come from perfbench, spans from obs/trace.
+// all; layer costs and spans come from perfbench.
 #include <chrono>
 
 #include <ctime>

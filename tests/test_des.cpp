@@ -11,6 +11,7 @@
 
 #include "des/event_queue.hpp"
 #include "des/fifo_arena.hpp"
+#include "obs/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace stosched {
@@ -100,20 +101,20 @@ TEST(EventQueue, InterleavedPushPop) {
 }
 
 TEST(EventCounter, FlushesOnClearAndDestroy) {
-  const std::uint64_t before = process_event_count();
+  const std::uint64_t before = obs::counter_value("events");
   {
     EventQueue q;
     q.push(1.0, 0);
     q.push(2.0, 0);
     q.pop();
     // Unflushed pops are not yet visible process-wide.
-    EXPECT_EQ(process_event_count(), before);
+    EXPECT_EQ(obs::counter_value("events"), before);
     q.clear();
-    EXPECT_EQ(process_event_count(), before + 1);
+    EXPECT_EQ(obs::counter_value("events"), before + 1);
     q.push(1.0, 0);
     q.pop();
   }  // destructor flushes the second pop
-  EXPECT_EQ(process_event_count(), before + 2);
+  EXPECT_EQ(obs::counter_value("events"), before + 2);
 }
 
 TEST(FifoArena, MatchesDequeReference) {

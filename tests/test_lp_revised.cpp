@@ -12,6 +12,7 @@
 
 #include "lp/revised_simplex.hpp"
 #include "lp/simplex.hpp"
+#include "obs/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace stosched::lp {
@@ -321,14 +322,14 @@ TEST(RevisedSimplex, WarmStartShapeMismatchFallsBackToCold) {
 }
 
 TEST(RevisedSimplex, CountsProcessLpEffort) {
-  const auto before = process_lp_counters();
+  const std::uint64_t solves = obs::counter_value("lp_solves");
+  const std::uint64_t iterations = obs::counter_value("lp_iterations");
   auto p = Problem::maximize({1.0});
   p.subject_to({1.0}, Sense::kLe, 1.0);
   ASSERT_TRUE(solve_revised(p).optimal());
   ASSERT_TRUE(solve(p).optimal());
-  const auto after = process_lp_counters();
-  EXPECT_EQ(after.solves, before.solves + 2);
-  EXPECT_GE(after.iterations, before.iterations + 1);
+  EXPECT_EQ(obs::counter_value("lp_solves"), solves + 2);
+  EXPECT_GE(obs::counter_value("lp_iterations"), iterations + 1);
 }
 
 }  // namespace

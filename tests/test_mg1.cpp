@@ -259,7 +259,7 @@ std::vector<ClassSpec> golden_classes() {
 void expect_golden(const SimOptions& opt, const std::vector<double>& want,
                    std::uint64_t events, std::uint64_t waits) {
   Rng rng(2024);
-  const std::uint64_t events0 = process_event_count();
+  const std::uint64_t events0 = obs::counter_value("events");
   const std::uint64_t waits0 = obs::wait_time_histogram().snapshot().total;
   const SimResult r = simulate_mg1(golden_classes(), opt, rng);
   std::vector<double> got{r.cost_rate, r.utilization, r.time_simulated};
@@ -267,7 +267,7 @@ void expect_golden(const SimOptions& opt, const std::vector<double>& want,
     got.insert(got.end(), {c.mean_in_system, c.mean_wait, c.mean_sojourn,
                            static_cast<double>(c.completions), c.throughput});
   EXPECT_EQ(got, want) << hexfloats(got);
-  EXPECT_EQ(process_event_count() - events0, events);
+  EXPECT_EQ(obs::counter_value("events") - events0, events);
   EXPECT_EQ(obs::wait_time_histogram().snapshot().total - waits0, waits);
 }
 

@@ -445,11 +445,11 @@ template <class Sim>
 void expect_golden(Sim&& sim, const std::vector<double>& want,
                    std::uint64_t events, std::uint64_t waits) {
   Rng rng(2024);
-  const std::uint64_t events0 = process_event_count();
+  const std::uint64_t events0 = obs::counter_value("events");
   const std::uint64_t waits0 = obs::wait_time_histogram().snapshot().total;
   const std::vector<double> got = sim(rng);
   EXPECT_EQ(got, want) << hexfloats(got);
-  EXPECT_EQ(process_event_count() - events0, events);
+  EXPECT_EQ(obs::counter_value("events") - events0, events);
   EXPECT_EQ(obs::wait_time_histogram().snapshot().total - waits0, waits);
 }
 

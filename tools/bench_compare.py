@@ -102,7 +102,7 @@ def compare_cells(old, new, rel_tol):
 # Warn-only: the numbers are still shown, but every wall-clock / throughput
 # line below them is suspect when one of these differs.
 PROVENANCE_KEYS = ("compiler", "flags", "build_type", "sanitizers",
-                   "contracts", "trace", "omp_max_threads")
+                   "contracts", "omp_max_threads")
 
 
 def compare_provenance(old, new):

@@ -23,8 +23,8 @@ Enforces the invariants the codebase relies on but no compiler checks:
                         gettimeofday, *_clock) in src/des, src/queueing or
                         src/lp: the DES event loop and the simplex pivot
                         loop are the multipliers on every experiment, so
-                        they read no clock at all. Per-layer costs come from
-                        perfbench's layer passes, spans from obs/trace.
+                        they read no clock at all. Per-layer costs and spans
+                        come from perfbench's layer passes.
   cmake-coverage        Every src/**/*.cpp is listed in the CMake library
                         sources and every tests/test_*.cpp in STOSCHED_TESTS
                         — an unlisted translation unit silently never builds.
@@ -284,8 +284,8 @@ def rule_hot_loop_clock(root):
     """No direct clock reads in the hot paths (src/des, src/queueing,
     src/lp). A stray steady_clock::now() in an event loop or a simplex
     pivot loop costs ~20ns per call and distorts what it times. Per-layer
-    costs come from perfbench's layer passes and whole-run spans from
-    obs/trace, both outside the scanned tree."""
+    costs and spans come from perfbench's layer passes, outside the scanned
+    tree."""
     out = []
     for path in cxx_files(root, "src/des", "src/queueing", "src/lp"):
         code = strip_code(read(path))
@@ -294,8 +294,8 @@ def rule_hot_loop_clock(root):
                 out.append(Violation(
                     rel(root, path), line_of(code, m.start()),
                     "hot-loop-clock",
-                    f"{what} in a hot path — time layers from perfbench "
-                    f"or spans from obs/trace, outside the loop"))
+                    f"{what} in a hot path — time layers from perfbench, "
+                    f"outside the loop"))
     return out
 
 

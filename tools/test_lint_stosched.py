@@ -140,7 +140,7 @@ class RuleFiresOnFixture(unittest.TestCase):
                                 "src/lp is inside the scanned hot paths")
 
     def test_hot_loop_clock_allows_clocks_outside_hot_path(self):
-        # obs/trace.cpp and bench_common.hpp legitimately read clocks;
+        # bench_common.hpp and perfbench legitimately read clocks;
         # the rule only polices src/des, src/queueing and src/lp.
         self.skel.add("hot_loop_clock.cpp", "src/util/timed.cpp")
         self.skel.add("hot_loop_clock.cpp", "bench/bench_timed.cpp")

@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "experiment/adapters.hpp"
 #include "experiment/engine.hpp"
@@ -646,4 +649,233 @@ TEST(Adapters, RestlessAndBatchReplicationsRun) {
   const auto bres = run_batch(qs, order, opt);
   EXPECT_EQ(bres.replications, 8u);
   EXPECT_GT(bres.metrics[0].mean(), 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// Golden outputs of the adapters: every family's comparison driver, plus the
+// single-arm batch path on one and on several machines, at fixed seeds and
+// short horizons, pinned bit-exactly. Any change in how a policy arm becomes
+// simulator input, or in the draw order behind it, shows up here. On a
+// mismatch the message lists the new means as hexfloat literals.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+std::string hexfloats(const std::vector<double>& v) {
+  std::string s;
+  char buf[40];
+  for (const double x : v) {
+    std::snprintf(buf, sizeof buf, "%a, ", x);
+    s += buf;
+  }
+  return s;
+}
+
+/// Checks the replication count, every accumulator's count, and the means
+/// of every arm then every difference, in [k][metric] order.
+void expect_golden(const PairedResult& r, std::size_t reps,
+                   const std::vector<double>& want) {
+  EXPECT_EQ(r.replications, reps);
+  std::vector<double> got;
+  for (const auto* stats : {&r.arm, &r.diff})
+    for (const auto& row : *stats)
+      for (const auto& m : row) {
+        EXPECT_EQ(m.count(), reps);
+        got.push_back(m.mean());
+      }
+  EXPECT_EQ(got, want) << hexfloats(got);
+}
+
+void expect_golden(const EngineResult& r, std::size_t reps,
+                   const std::vector<double>& want) {
+  EXPECT_EQ(r.replications, reps);
+  std::vector<double> got;
+  for (const auto& m : r.metrics) {
+    EXPECT_EQ(m.count(), reps);
+    got.push_back(m.mean());
+  }
+  EXPECT_EQ(got, want) << hexfloats(got);
+}
+
+EngineOptions golden_fixed(std::uint64_t seed, std::size_t reps) {
+  EngineOptions opt;
+  opt.seed = seed;
+  opt.max_replications = reps;
+  return opt;
+}
+
+EngineOptions golden_sequential(std::uint64_t seed, double rel) {
+  EngineOptions opt;
+  opt.seed = seed;
+  opt.rel_precision = rel;
+  opt.min_replications = 32;
+  opt.batch = 32;
+  opt.max_replications = 512;
+  opt.tracked = {0};
+  return opt;
+}
+
+}  // namespace
+
+TEST(AdaptersGolden, QueueSequentialCrn) {
+  QueueScenario s = queue_scenario("f4-two-class");
+  s.horizon = 1500.0;
+  s.warmup = 150.0;
+  const auto res = compare_queue_policies(
+      s, {fcfs_arm(), cmu_arm(s)}, golden_sequential(101, 0.1),
+      Pairing::kCommonRandomNumbers);
+  expect_golden(res, 224,
+                {0x1.6d24f045c67d2p+1, 0x1.32d52234096c8p-1,
+                 0x1.fab35b5aed493p-1, 0x1.24e94cf170a97p+1,
+                 0x1.33fbb57de73aap-2, 0x1.bf2d0a613f61bp-1,
+                 0x1.24036234c2c6cp+1, 0x1.ff1dbea8b7584p-3,
+                 0x1.408e8d8f06a69p+1, 0x1.32d4948598bfap-1,
+                 0x1.63ee21a19544dp-1, 0x1.502368e94a955p+0,
+                 0x1.33fc7d38775e7p-2, 0x1.1d2ef97c78082p+0,
+                 0x1.9e8c8877ac876p+1, 0x1.ff2a3a51b9969p-3,
+                 -0x1.64b315b5feb3dp-2, -0x1.1b5ce159ea924p-18,
+                 -0x1.2d8a7372b008bp-2, -0x1.f35e61f32d7b2p-1,
+                 0x1.8f752047c700ep-19, 0x1.ecc3a25ec2bafp-3,
+                 0x1.ea24990ba702bp-1, 0x1.8f752047c7002p-16});
+}
+
+TEST(AdaptersGolden, PollingCrn) {
+  PollingScenario s = polling_scenario("t11-two-queue");
+  s.horizon = 1500.0;
+  s.warmup = 150.0;
+  const std::vector<PollingPolicy> arms{
+      {"exhaustive", queueing::PollingDiscipline::kExhaustive},
+      {"gated", queueing::PollingDiscipline::kGated},
+      {"2-limited", queueing::PollingDiscipline::kLimited, 2}};
+  const auto res = compare_polling_policies(s, arms, golden_fixed(102, 32),
+                                            Pairing::kCommonRandomNumbers);
+  expect_golden(res, 32,
+                {0x1.5902b46af3d33p+1, 0x1.3ddde39004d0dp-4,
+                 0x1.389a09da9e671p-1, 0x1.04f838b093864p+0,
+                 0x1.ad0d302554203p-1, 0x1.930937ec08d44p+1,
+                 0x1.da358fe949c9ep-4, 0x1.38a14b723eb0bp-1,
+                 0x1.2333f903f77f5p+0, 0x1.016f3b6a0d14ap+0,
+                 0x1.abed786f09b44p+1, 0x1.dd6a150d816f7p-4,
+                 0x1.38ae5b60428a5p-1, 0x1.4fe8431d948fap+0,
+                 0x1.03f956e03f6c6p+0, 0x1.d0341c08a808bp-2,
+                 0x1.38af58b289f22p-5, 0x1.d065e81267dffp-15,
+                 0x1.e3bc05363f91dp-4, 0x1.57451abb18244p-3,
+                 0x1.4bab101057842p-1, 0x1.3f1862faf93d7p-5,
+                 0x1.45185a4234d81p-13, 0x1.2bc029b40425cp-2,
+                 0x1.6b95f66caae28p-3});
+}
+
+TEST(AdaptersGolden, RestlessCrn) {
+  RestlessScenario s = restless_scenario("f3-decay");
+  s.horizon = 500;
+  s.burnin = 50;
+  const std::size_t states = s.prototype.num_states();
+  std::vector<double> ascending(states);
+  for (std::size_t x = 0; x < states; ++x)
+    ascending[x] = static_cast<double>(x);
+  const std::vector<restless::PriorityTable> arms{
+      restless::PriorityTable(s.projects, std::vector<double>(states, 1.0)),
+      restless::PriorityTable(s.projects, ascending)};
+  const auto res = compare_restless_policies(s, arms, golden_fixed(103, 32),
+                                             Pairing::kCommonRandomNumbers);
+  expect_golden(res, 32,
+                {0x1.9a69ad42c3c8cp-1, 0x1.a303afb7e90ebp-1,
+                 0x1.13404ea4a8beap-6});
+}
+
+TEST(AdaptersGolden, NetworkIndependentStreams) {
+  NetworkScenario s = network_scenario("lu-kumar");
+  s.horizon = 1000.0;
+  s.samples = 10;
+  const auto res =
+      compare_network_policies(s, lu_kumar_policies(), golden_fixed(104, 16),
+                               Pairing::kIndependentStreams);
+  expect_golden(res, 16,
+                {0x1.82134f3d85d41p+7, 0x1.81affffffffffp+8,
+                 0x1.9980c6980c69ap-2, 0x1.f59a151798e31p+3, 0x1.33p+4,
+                 0x1.f376b8d10526ap-9, 0x1.2f5dc6d0650ebp+2, 0x1.68p+1,
+                 0x1.5d867c3ece2ap-14, -0x1.62b9adec0c45dp+7, -0x1.6e8p+8,
+                 -0x1.9599d9266a5f4p-2, -0x1.7898610702ab9p+7, -0x1.7eep+8,
+                 -0x1.996aee30487cbp-2});
+}
+
+TEST(AdaptersGolden, MmmCrn) {
+  MmmScenario s = mmm_scenario("parallel-pooling");
+  s.horizon = 1000.0;
+  s.warmup = 100.0;
+  const auto cmu = queueing::cmu_order(s.classes);
+  const std::vector<MmmPolicy> arms{{"c-mu", cmu},
+                                    {"reverse", {cmu.rbegin(), cmu.rend()}}};
+  const auto res = compare_mmm_policies(s, arms, golden_fixed(105, 32),
+                                        Pairing::kCommonRandomNumbers);
+  expect_golden(res, 32,
+                {0x1.2440b997b512p+3, 0x1.b6636397dddcbp-1,
+                 0x1.bfa7dc73320f2p+0, 0x1.68ad84f5d11c5p+2,
+                 0x1.55bfb456aacd2p+3, 0x1.b6666b2e58c0ep-1,
+                 0x1.2e7ab63da2fdep+2, 0x1.3a27f0c83e7a6p+0,
+                 0x1.8bf7d5f7add9ap+0, 0x1.83cb3d72248p-16,
+                 0x1.7d217e41acf42p+1, -0x1.1a2388c3c17dcp+2});
+}
+
+TEST(AdaptersGolden, FluidCrn) {
+  FluidScenario s = fluid_scenario("f7-fluid");
+  s.scale = 40.0;
+  s.path_fractions = {0.5};
+  const auto cmu = queueing::fluid_cmu_priority(s.classes);
+  const std::vector<std::vector<std::size_t>> arms{
+      cmu, {cmu.rbegin(), cmu.rend()}};
+  const auto res = compare_fluid_policies(s, arms, golden_fixed(106, 16),
+                                          Pairing::kCommonRandomNumbers);
+  expect_golden(res, 16,
+                {0x1.03459203cae76p+3, 0x1.9999999999998p-10,
+                 0x1.0f99999999998p+0, 0x1.e973e93e93e92p+3,
+                 0x1.4accccccccccep+0, 0x1.3333333333333p-7,
+                 0x1.cc5cae759203cp+2, 0x1.4a66666666666p+0,
+                 -0x1.0d33333333332p+0});
+}
+
+TEST(AdaptersGolden, TreeCrn) {
+  const auto res = compare_tree_policies(
+      intree_scenario(30),
+      {batch::TreePolicy::kHighestLevelFirst,
+       batch::TreePolicy::kFifoEligible},
+      golden_fixed(107, 32), Pairing::kCommonRandomNumbers);
+  expect_golden(res, 32,
+                {0x1.6fe2a856eedb4p+3, 0x1.92c56cf713e2p+3,
+                 0x1.1716250128358p+0});
+}
+
+TEST(AdaptersGolden, OnlineCrn) {
+  OnlineScenario s = online_scenario("online-identical");
+  s.horizon = 6.0;
+  const auto res =
+      compare_online_policies(s, online_policy_arms(), golden_fixed(108, 16),
+                              Pairing::kCommonRandomNumbers);
+  expect_golden(res, 16,
+                {0x1.0e3f45ca5a7dap+0, 0x1.25731d90d8ab7p+7,
+                 0x1.155b810b16ecbp+7, 0x1.3900000000001p+4,
+                 0x1.0f368223669b9p+0, 0x1.27d3f3b9767b8p+7,
+                 0x1.155b810b16ecbp+7, 0x1.3900000000001p+4,
+                 0x1.1ee817e91c1b3p+0, 0x1.3a3ee631c640fp+7,
+                 0x1.155b810b16ecbp+7, 0x1.3900000000001p+4,
+                 0x1.2a38de3f1e2cfp+0, 0x1.45ca0a28ac3fbp+7,
+                 0x1.155b810b16ecbp+7, 0x1.3900000000001p+4,
+                 0x1.ee78b2183befcp-9, 0x1.306b144ee80fp+0, 0x0p+0, 0x0p+0,
+                 0x1.0a8d21ec19d9ep-4, 0x1.4cbc8a0ed9576p+3, 0x0p+0, 0x0p+0,
+                 0x1.bf99874c3af5ap-4, 0x1.02b764be9ca0ep+4, 0x0p+0, 0x0p+0});
+}
+
+TEST(AdaptersGolden, BatchSingleMachineSequential) {
+  const auto& s = batch_scenario("quickstart-four-jobs");
+  ASSERT_EQ(s.machines, 1u);
+  const auto res = run_batch(s, {2, 0, 1, 3}, golden_sequential(109, 0.05));
+  expect_golden(res, 352, {0x1.0179558959859p+5});
+}
+
+TEST(AdaptersGolden, BatchParallelMachines) {
+  const BatchScenario s = turnpike_scenario(20);
+  ASSERT_GT(s.machines, 1u);
+  const auto res = run_batch(s, batch::wsept_order(s.jobs),
+                             golden_fixed(110, 64));
+  expect_golden(res, 64, {0x1.3d5fdaa27a082p+7});
 }

@@ -54,15 +54,17 @@ int main() {
   bench::note_seed(eopt.seed);
   eopt.min_replications = 12;
   eopt.batch = 12;
-  eopt.max_replications = bench::smoke_scale<std::size_t>(128, 16);
-  eopt.rel_precision = bench::smoke_scale(0.015, 0.06);
+  eopt.max_replications = bench::smoke_scale<std::size_t>(128, 48);
+  eopt.rel_precision = bench::smoke_scale(0.015, 0.03);
   eopt.tracked = {3, 6};  // wait_0, wait_1
   bool sim_on_vertex = true;
   for (const auto& prio :
        std::vector<std::vector<std::size_t>>{{0, 1}, {1, 0}}) {
-    const auto res = experiment::run_queue(
+    const auto res = experiment::run_policy(
         scenario,
-        {"prio", Discipline::kPriorityNonPreemptive, prio}, eopt);
+        experiment::QueuePolicy{"prio", Discipline::kPriorityNonPreemptive,
+                                prio},
+        eopt);
     std::vector<double> x(2);
     for (std::size_t j = 0; j < 2; ++j)
       x[j] = classes[j].arrival_rate * classes[j].service->mean() *

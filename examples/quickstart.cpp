@@ -42,8 +42,8 @@ int main() {
   eopt.rel_precision = 0.005;
   eopt.max_replications = 200000;
   const experiment::EngineResult sim =
-      experiment::run_batch(experiment::batch_scenario("quickstart-four-jobs"),
-                            order, eopt);
+      experiment::run_policy(experiment::batch_scenario("quickstart-four-jobs"),
+                             order, eopt);
   const Estimate est = sim.estimate();
   std::cout << "simulated: " << est.value << " +/- " << est.half_width
             << " (95% CI, " << est.replications << " reps, "

@@ -168,11 +168,4 @@ double simulate_index_policy(const BanditInstance& inst,
   return total;
 }
 
-void run_replication(const BanditInstance& inst, const IndexTable& table,
-                     const std::vector<std::size_t>& start, Rng& rng,
-                     std::span<double> out, double trunc_eps) {
-  STOSCHED_REQUIRE(out.size() == 1, "bandit replication reports one metric");
-  out[0] = simulate_index_policy(inst, table, start, rng, trunc_eps);
-}
-
 }  // namespace stosched::bandit

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstddef>
-#include <span>
 #include <vector>
 
 #include "bandit/project.hpp"
@@ -48,11 +47,5 @@ double simulate_index_policy(const BanditInstance& inst,
                              const IndexTable& table,
                              const std::vector<std::size_t>& start, Rng& rng,
                              double trunc_eps = 1e-10);
-
-/// Experiment-engine adapter: one simulate_index_policy replication; the
-/// single metric is the truncated discounted reward.
-void run_replication(const BanditInstance& inst, const IndexTable& table,
-                     const std::vector<std::size_t>& start, Rng& rng,
-                     std::span<double> out, double trunc_eps = 1e-10);
 
 }  // namespace stosched::bandit

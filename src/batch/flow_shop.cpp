@@ -4,7 +4,6 @@
 #include <numeric>
 
 #include "util/check.hpp"
-#include "util/contract.hpp"
 
 namespace stosched::batch {
 
@@ -51,24 +50,6 @@ FlowShopOutcome flow_shop_realization(
     prev = cur;
   }
   return out;
-}
-
-FlowShopOutcome simulate_flow_shop(const std::vector<FlowShopJob>& jobs,
-                                   const Order& order, bool blocking,
-                                   Rng& rng) {
-  STOSCHED_EXPECTS(order.size() == jobs.size(),
-                   "flow shop order must cover every job");
-  // Per-job substreams (stage draws sequential within a job's stream): the
-  // realized stage matrix depends only on the caller's stream, never on the
-  // order argument, so CRN arms run the identical shop.
-  const Rng root(rng());
-  std::vector<std::vector<double>> p(jobs.size());
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    Rng job_rng = root.stream(j);
-    p[j].reserve(jobs[j].stages.size());
-    for (const auto& d : jobs[j].stages) p[j].push_back(d->sample(job_rng));
-  }
-  return flow_shop_realization(p, order, blocking);
 }
 
 Order talwar_order(const std::vector<FlowShopJob>& jobs) {

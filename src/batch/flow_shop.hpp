@@ -37,11 +37,6 @@ FlowShopOutcome flow_shop_realization(
     const std::vector<std::vector<double>>& p, const Order& order,
     bool blocking);
 
-/// One simulated replication (draws all stage times).
-FlowShopOutcome simulate_flow_shop(const std::vector<FlowShopJob>& jobs,
-                                   const Order& order, bool blocking,
-                                   Rng& rng);
-
 /// Talwar's rule for 2-machine exponential flow shops: sort by nonincreasing
 /// (rate at stage 0 − rate at stage 1). Requires exponential stage laws.
 Order talwar_order(const std::vector<FlowShopJob>& jobs);

@@ -61,7 +61,4 @@ Order wsept_order(const Batch& jobs);
 /// Uniformly random permutation.
 Order random_order(std::size_t n, Rng& rng);
 
-/// Sum of expected processing times.
-double total_expected_work(const Batch& jobs);
-
 }  // namespace stosched::batch

@@ -1,12 +1,16 @@
 // adapters.hpp — glue between scenarios, simulators and the engine.
 //
-// Each simulator family exposes a `run_replication(model, Rng&, out)` entry
-// point in its own module; this layer pairs that with the scenario registry
-// and a *policy arm* type, so an experiment reads as
+// Each simulator family exposes a one-replication entry point (model, Rng&,
+// metric span) in its own module; this layer pairs that with the scenario
+// registry and a *policy arm* type. `replication(scenario, arm)` binds the
+// two once and the drivers hand the result to the engine, so an experiment
+// reads as
 //
-//     auto res = run_queue(queue_scenario("t9-three-class"),
-//                          {"c-mu", Discipline::kPriorityNonPreemptive, cmu},
-//                          opts);
+//     auto res = run_policy(queue_scenario("t9-three-class"),
+//                           QueuePolicy{"c-mu",
+//                                       Discipline::kPriorityNonPreemptive,
+//                                       cmu},
+//                           opts);
 //     auto cmp = compare_queue_policies(scenario, {fcfs, cmu}, opts,
 //                                       Pairing::kCommonRandomNumbers);
 //
@@ -15,6 +19,7 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -23,7 +28,6 @@
 #include "experiment/engine.hpp"
 #include "experiment/scenario.hpp"
 #include "online/policies.hpp"
-#include "online/simulate.hpp"
 #include "restless/restless_sim.hpp"
 
 namespace stosched::experiment {
@@ -81,66 +85,61 @@ std::vector<online::OnlinePolicyPtr> online_policy_arms();
 
 /// Metric layout of each scenario family (delegates to the simulator).
 std::size_t metric_count(const QueueScenario& s);
-std::vector<std::string> metric_names(const QueueScenario& s);
 std::size_t metric_count(const PollingScenario& s);
-std::vector<std::string> metric_names(const PollingScenario& s);
 std::size_t metric_count(const NetworkScenario& s);
-std::vector<std::string> metric_names(const NetworkScenario& s);
 std::size_t metric_count(const MmmScenario& s);
-std::vector<std::string> metric_names(const MmmScenario& s);
 /// Fluid layout: [cost_integral, then per path fraction i, per class j:
 /// scaled level q_j(t_i)/n].
 std::size_t metric_count(const FluidScenario& s);
-std::vector<std::string> metric_names(const FluidScenario& s);
 /// Online layout: [ratio, weighted_completion, lower_bound, jobs].
 std::size_t metric_count(const OnlineScenario& s);
-std::vector<std::string> metric_names(const OnlineScenario& s);
+/// Restless: the average per-epoch reward.
+inline std::size_t metric_count(const RestlessScenario&) { return 1; }
+/// Batch: the realized weighted flowtime.
+inline std::size_t metric_count(const BatchScenario&) { return 1; }
+/// Tree: the realized makespan.
+inline std::size_t metric_count(const TreeScenario&) { return 1; }
 
-/// Uniform replication entry points on scenario types.
-void run_replication(const QueueScenario& s, const QueuePolicy& policy,
-                     Rng& rng, std::span<double> out);
-void run_replication(const PollingScenario& s, const PollingPolicy& policy,
-                     Rng& rng, std::span<double> out);
-/// Restless: single metric, the average per-epoch reward.
-void run_replication(const RestlessScenario& s,
-                     const restless::PriorityTable& priority, Rng& rng,
-                     std::span<double> out);
-/// Batch: single metric, the realized weighted flowtime of `order` (list
-/// policy on s.machines machines; the exact single-machine path when
-/// machines == 1).
-void run_replication(const BatchScenario& s, const batch::Order& order,
-                     Rng& rng, std::span<double> out);
-void run_replication(const NetworkScenario& s, const NetworkPolicy& policy,
-                     Rng& rng, std::span<double> out);
-void run_replication(const MmmScenario& s, const MmmPolicy& policy, Rng& rng,
-                     std::span<double> out);
-/// Fluid: the policy arm is a priority order over the fluid classes.
-void run_replication(const FluidScenario& s,
-                     const std::vector<std::size_t>& priority, Rng& rng,
-                     std::span<double> out);
-/// Tree: single metric, the realized makespan under `policy`.
-void run_replication(const TreeScenario& s, batch::TreePolicy policy,
-                     Rng& rng, std::span<double> out);
-void run_replication(const OnlineScenario& s,
-                     const online::OnlinePolicy& policy, Rng& rng,
-                     std::span<double> out);
+/// One replication of a bound policy arm: run the simulator once on `rng`
+/// and write the scenario's metric vector (metric_count(s) doubles) into
+/// the zeroed `out`.
+using Replication = std::function<void(Rng&, std::span<double>)>;
 
-/// Engine drivers: replications of one policy on one scenario.
-EngineResult run_queue(const QueueScenario& s, const QueuePolicy& policy,
-                       const EngineOptions& opt);
-EngineResult run_restless(const RestlessScenario& s,
-                          const restless::PriorityTable& priority,
-                          const EngineOptions& opt);
-EngineResult run_batch(const BatchScenario& s, const batch::Order& order,
-                       const EngineOptions& opt);
-EngineResult run_network(const NetworkScenario& s, const NetworkPolicy& policy,
-                         const EngineOptions& opt);
-EngineResult run_fluid(const FluidScenario& s,
-                       const std::vector<std::size_t>& priority,
-                       const EngineOptions& opt);
-EngineResult run_online(const OnlineScenario& s,
-                        const online::OnlinePolicy& policy,
-                        const EngineOptions& opt);
+/// Bind a policy arm to a scenario — the only place each family maps its
+/// arm onto simulator input. Per-arm inputs (SimOptions, PollingOptions, the
+/// validated NetworkConfig, the fluid sample grid, the RestlessInstance) are
+/// built here once, not per replication; the returned callable holds copies
+/// of everything it reads, so it may outlive `s` and `arm`.
+Replication replication(const QueueScenario& s, const QueuePolicy& arm);
+Replication replication(const PollingScenario& s, const PollingPolicy& arm);
+Replication replication(const NetworkScenario& s, const NetworkPolicy& arm);
+Replication replication(const MmmScenario& s, const MmmPolicy& arm);
+/// Fluid: the arm is a priority order over the fluid classes.
+Replication replication(const FluidScenario& s,
+                        const std::vector<std::size_t>& priority);
+Replication replication(const RestlessScenario& s,
+                        const restless::PriorityTable& priority);
+/// Batch: list policy `order` on s.machines machines; the exact
+/// single-machine path when machines == 1.
+Replication replication(const BatchScenario& s, const batch::Order& order);
+Replication replication(const TreeScenario& s, batch::TreePolicy policy);
+/// Online: the arm must be non-null and the scenario needs an arrival
+/// process.
+Replication replication(const OnlineScenario& s,
+                        const online::OnlinePolicyPtr& policy);
+
+/// Engine driver: replications of one policy arm on one scenario. A
+/// brace-initialized arm needs its type spelled out to deduce, e.g.
+/// `run_policy(s, QueuePolicy{...}, opt)`.
+template <class Scenario, class Arm>
+EngineResult run_policy(const Scenario& s, const Arm& arm,
+                        const EngineOptions& opt) {
+  const Replication rep = replication(s, arm);
+  return run(opt, metric_count(s),
+             [&](std::size_t, Rng& rng, std::span<double> out) {
+               rep(rng, out);
+             });
+}
 
 /// Paired policy comparisons (arm 0 is the baseline the differences are
 /// taken against).

@@ -22,8 +22,7 @@
 //     (options, body) because substreams are indexed, not consumed.
 //
 // The body parameter is a template, not a std::function: the hot loop
-// inlines the replication call. (The former `util/parallel.hpp` shim over
-// this engine is gone; run_fixed is the drop-in replacement.)
+// inlines the replication call.
 #pragma once
 
 #include <algorithm>

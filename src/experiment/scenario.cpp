@@ -86,15 +86,8 @@ class Registry {
     return it->second;
   }
 
-  [[nodiscard]] std::vector<std::string> names() const {
-    std::vector<std::string> out;
-    out.reserve(entries_.size());
-    for (const auto& [k, v] : entries_) out.push_back(k);
-    return out;
-  }
-
  private:
-  std::map<std::string, S> entries_;  // ordered => deterministic names()
+  std::map<std::string, S> entries_;  // ordered => sorted error listing
 };
 
 Registry<QueueScenario> build_queue_registry() {
@@ -525,40 +518,6 @@ const TreeScenario& tree_scenario(std::string_view name) {
 
 const OnlineScenario& online_scenario(std::string_view name) {
   return online_registry().get(name, "online");
-}
-
-std::vector<std::string> queue_scenario_names() {
-  return queue_registry().names();
-}
-
-std::vector<std::string> polling_scenario_names() {
-  return polling_registry().names();
-}
-
-std::vector<std::string> restless_scenario_names() {
-  return restless_registry().names();
-}
-
-std::vector<std::string> batch_scenario_names() {
-  return batch_registry().names();
-}
-
-std::vector<std::string> network_scenario_names() {
-  return network_registry().names();
-}
-
-std::vector<std::string> mmm_scenario_names() { return mmm_registry().names(); }
-
-std::vector<std::string> fluid_scenario_names() {
-  return fluid_registry().names();
-}
-
-std::vector<std::string> tree_scenario_names() {
-  return tree_registry().names();
-}
-
-std::vector<std::string> online_scenario_names() {
-  return online_registry().names();
 }
 
 namespace {

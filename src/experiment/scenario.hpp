@@ -192,7 +192,7 @@ struct OnlineScenario {
 };
 
 /// Registry lookups. Unknown names throw std::invalid_argument listing the
-/// known scenarios; *_names() enumerate the catalogue for sweeps/tools.
+/// known scenarios.
 const QueueScenario& queue_scenario(std::string_view name);
 const PollingScenario& polling_scenario(std::string_view name);
 const RestlessScenario& restless_scenario(std::string_view name);
@@ -202,16 +202,6 @@ const MmmScenario& mmm_scenario(std::string_view name);
 const FluidScenario& fluid_scenario(std::string_view name);
 const TreeScenario& tree_scenario(std::string_view name);
 const OnlineScenario& online_scenario(std::string_view name);
-
-std::vector<std::string> queue_scenario_names();
-std::vector<std::string> polling_scenario_names();
-std::vector<std::string> restless_scenario_names();
-std::vector<std::string> batch_scenario_names();
-std::vector<std::string> network_scenario_names();
-std::vector<std::string> mmm_scenario_names();
-std::vector<std::string> fluid_scenario_names();
-std::vector<std::string> tree_scenario_names();
-std::vector<std::string> online_scenario_names();
 
 /// Rescale every arrival rate by a common factor so the base traffic
 /// intensity becomes `rho` — the standard load-sweep transform. Classes

@@ -12,12 +12,6 @@ std::size_t FiniteMdp::add_action(std::size_t state, Action a) {
   return actions_[state].size() - 1;
 }
 
-std::size_t FiniteMdp::total_actions() const noexcept {
-  std::size_t total = 0;
-  for (const auto& acts : actions_) total += acts.size();
-  return total;
-}
-
 void FiniteMdp::validate() const {
   for (std::size_t s = 0; s < actions_.size(); ++s) {
     STOSCHED_REQUIRE(!actions_[s].empty(),

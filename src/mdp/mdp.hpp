@@ -44,7 +44,6 @@ class FiniteMdp {
   [[nodiscard]] std::span<const Action> actions(std::size_t s) const {
     return actions_[s];
   }
-  [[nodiscard]] std::size_t total_actions() const noexcept;
 
   /// Verify every state has at least one action and every action's
   /// transition probabilities are nonnegative and sum to 1 (tolerance 1e-9).

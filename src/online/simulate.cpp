@@ -127,10 +127,6 @@ OnlineResult simulate_online(const OnlineInstance& inst,
 
 std::size_t online_metric_count() { return 4; }
 
-std::vector<std::string> online_metric_names() {
-  return {"ratio", "weighted_completion", "lower_bound", "jobs"};
-}
-
 void run_online_replication(const ArrivalProcess& arrival,
                             const std::vector<JobType>& types,
                             const Environment& env, double horizon,

@@ -19,7 +19,6 @@
 
 #include <cstddef>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "online/lower_bound.hpp"
@@ -48,7 +47,6 @@ OnlineResult simulate_online(const OnlineInstance& inst,
 /// Experiment-engine adapter: metric vector layout is
 ///   [ratio, weighted_completion, lower_bound, jobs].
 std::size_t online_metric_count();
-std::vector<std::string> online_metric_names();
 
 /// Uniform replication entry point: derive the five per-purpose substreams
 /// (arrival, type, size, sample, policy) from one draw of `rng`, generate

@@ -116,19 +116,6 @@ SimResult simulate_klimov(const KlimovNetwork& net,
   return simulate_mg1(net.classes, opt, rng);
 }
 
-void run_replication(const KlimovNetwork& net,
-                     const std::vector<std::size_t>& priority, double horizon,
-                     double warmup, Rng& rng, std::span<double> out) {
-  net.validate();
-  SimOptions opt;
-  opt.horizon = horizon;
-  opt.warmup = warmup;
-  opt.discipline = Discipline::kPriorityNonPreemptive;
-  opt.priority = priority;
-  opt.feedback = net.feedback;
-  run_replication(net.classes, opt, rng, out);
-}
-
 // ---------------------------------------------------------------------------
 // Truncated exact baseline (exponential services).
 // ---------------------------------------------------------------------------
@@ -245,15 +232,6 @@ double truncated_cost(const KlimovNetwork& net, std::size_t cap,
   const auto m = build_truncated_mdp(net, cap);
   const std::size_t n = net.num_classes();
   const TruncSpace space(n, cap);
-
-  std::vector<double> lambda(n), mu(n);
-  double unif = 0.0;
-  for (std::size_t j = 0; j < n; ++j) {
-    lambda[j] = class_arrival_rate(net.classes[j]);
-    mu[j] = 1.0 / net.classes[j].service->mean();
-    unif += lambda[j];
-  }
-  unif += *std::max_element(mu.begin(), mu.end());
 
   if (!priority) {
     const auto sol = mdp::relative_value_iteration(m, 1e-10);

@@ -19,7 +19,6 @@
 
 #include <cstddef>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "queueing/mg1.hpp"
@@ -51,7 +50,6 @@ MmmResult simulate_mmm(const std::vector<ClassSpec>& classes,
 /// Experiment-engine adapter: metric vector layout is
 ///   [cost_rate, utilization, then per class j: mean_in_system_j].
 std::size_t mmm_metric_count(std::size_t num_classes);
-std::vector<std::string> mmm_metric_names(std::size_t num_classes);
 
 /// Uniform replication entry point: one simulate_mmm run, metrics written
 /// into `out` (size mmm_metric_count(classes.size())).

@@ -4,10 +4,9 @@
 //   * contract violations by the caller (bad arguments, inconsistent model
 //     definitions) -> throw std::invalid_argument / std::logic_error via
 //     STOSCHED_REQUIRE, always on, cheap to test;
-//   * internal invariant breaks (algorithm bugs) -> STOSCHED_ASSERT, compiled
-//     out in release builds only if STOSCHED_NO_ASSERT is defined. Numerical
-//     simulation bugs are notoriously silent, so asserts default to ON even
-//     in Release.
+//   * internal invariant breaks (algorithm bugs) -> STOSCHED_ASSERT, throws
+//     invariant_error. Numerical simulation bugs are notoriously silent, so
+//     asserts stay on in every build type, Release included.
 #pragma once
 
 #include <sstream>
@@ -52,13 +51,9 @@ namespace detail {
       ::stosched::detail::throw_require(#cond, __FILE__, __LINE__, (msg)); \
   } while (0)
 
-/// Validate an internal invariant; enabled unless STOSCHED_NO_ASSERT.
-#ifdef STOSCHED_NO_ASSERT
-#define STOSCHED_ASSERT(cond, msg) ((void)0)
-#else
+/// Validate an internal invariant; always enabled.
 #define STOSCHED_ASSERT(cond, msg)                                       \
   do {                                                                   \
     if (!(cond))                                                         \
       ::stosched::detail::throw_assert(#cond, __FILE__, __LINE__, (msg)); \
   } while (0)
-#endif

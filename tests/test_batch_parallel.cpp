@@ -72,13 +72,13 @@ TEST(SubsetDp, SimulationConfirmsPriorityValue) {
     scenario.jobs.push_back({1.0, exponential_dist(j.rate)});
   scenario.machines = 2;
   const Order order = sept_order(scenario.jobs);
-  const auto res = experiment::run_batch(scenario, order,
-                                         [] {
-                                           experiment::EngineOptions o;
-                                           o.seed = 5;
-                                           o.max_replications = 40000;
-                                           return o;
-                                         }());
+  const auto res = experiment::run_policy(scenario, order,
+                                          [] {
+                                            experiment::EngineOptions o;
+                                            o.seed = 5;
+                                            o.max_replications = 40000;
+                                            return o;
+                                          }());
   const auto est = make_estimate(res.metrics[0]);
   // List policies and DP priority policies coincide for exponential jobs
   // (memorylessness): simulated SEPT must cover the DP value.
@@ -144,7 +144,7 @@ TEST(DiscreteExact, AgreesWithSimulation) {
   experiment::EngineOptions opt;
   opt.seed = 3;
   opt.max_replications = 30000;
-  const auto res = experiment::run_batch(scenario, order, opt);
+  const auto res = experiment::run_policy(scenario, order, opt);
   EXPECT_TRUE(make_estimate(res.metrics[0]).covers(exact.flowtime));
 }
 

@@ -68,7 +68,7 @@ TEST(Simulation, UnbiasedForExactValue) {
   experiment::EngineOptions opt;
   opt.seed = 11;
   opt.max_replications = 20000;
-  const auto res = experiment::run_batch(scenario, order, opt);
+  const auto res = experiment::run_policy(scenario, order, opt);
   const auto est = make_estimate(res.metrics[0]);
   EXPECT_TRUE(est.covers(exact))
       << "exact " << exact << " vs " << est.value << " ± " << est.half_width;

@@ -1,6 +1,7 @@
 // Tests for the experiment subsystem: the replication engine (fixed-length,
 // sequential-precision and paired/CRN modes), the scenario registry, and the
-// uniform run_replication adapters over the simulators.
+// adapters that bind policy arms to the simulators (replication, run_policy,
+// compare_*_policies).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -52,8 +53,7 @@ TEST(Engine, FixedRunDeterministicAndCounted) {
 }
 
 TEST(Engine, FixedRunCountsAreExact) {
-  // The former monte_carlo shim is gone; run_fixed is the only fixed-length
-  // entry point. Pin its count/min/max bookkeeping on a known body.
+  // Pin run_fixed's count/min/max bookkeeping on a known body.
   const auto engine = run_fixed(1000, 99, 1, exp_body);
   EXPECT_EQ(engine.metrics[0].count(), 1000u);
   EXPECT_GT(engine.metrics[0].min(), 0.0);
@@ -239,10 +239,13 @@ TEST(Scenarios, RegistryLookupAndUnknownName) {
   EXPECT_EQ(t9.classes.size(), 3u);
   EXPECT_NEAR(t9.load(), 0.25 + 0.20 * (2.0 / 3.0) + 0.15 * 1.3, 1e-12);
   EXPECT_THROW(queue_scenario("no-such-scenario"), std::invalid_argument);
-  EXPECT_FALSE(queue_scenario_names().empty());
-  EXPECT_FALSE(polling_scenario_names().empty());
-  EXPECT_FALSE(restless_scenario_names().empty());
-  EXPECT_FALSE(batch_scenario_names().empty());
+  // The error lists the known scenarios.
+  try {
+    queue_scenario("no-such-scenario");
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("t9-three-class"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Scenarios, ScaleToLoadHitsTarget) {
@@ -263,7 +266,7 @@ TEST(Adapters, QueueReplicationMatchesDirectSimulate) {
   const auto arm = cmu_arm(s);
   std::vector<double> metrics(metric_count(s), 0.0);
   Rng r1(42);
-  run_replication(s, arm, r1, std::span<double>(metrics));
+  replication(s, arm)(r1, std::span<double>(metrics));
 
   queueing::SimOptions opt = s.options();
   opt.discipline = arm.discipline;
@@ -282,8 +285,6 @@ TEST(Adapters, QueueReplicationMatchesDirectSimulate) {
   EXPECT_DOUBLE_EQ(rebuilt.cost_rate, direct.cost_rate);
   EXPECT_DOUBLE_EQ(rebuilt.per_class[2].mean_wait,
                    direct.per_class[2].mean_wait);
-  EXPECT_EQ(queueing::mg1_metric_names(3).size(),
-            queueing::mg1_metric_count(3));
 }
 
 TEST(Adapters, SimOptionsValidationRejectsBadRuns) {
@@ -312,11 +313,6 @@ TEST(Adapters, SimOptionsValidationRejectsBadRuns) {
 }
 
 TEST(Scenarios, NewFamiliesRegistered) {
-  EXPECT_FALSE(network_scenario_names().empty());
-  EXPECT_FALSE(mmm_scenario_names().empty());
-  EXPECT_FALSE(fluid_scenario_names().empty());
-  EXPECT_FALSE(tree_scenario_names().empty());
-  EXPECT_FALSE(online_scenario_names().empty());
   EXPECT_THROW(network_scenario("no-such"), std::invalid_argument);
   EXPECT_NO_THROW(batch_scenario("turnpike"));
   EXPECT_NO_THROW(batch_scenario("t5-twopoint"));
@@ -389,7 +385,7 @@ TEST(Adapters, MmmReplicationMatchesDirectSimulate) {
   const MmmPolicy arm{"c-mu", queueing::cmu_order(s.classes)};
   std::vector<double> metrics(metric_count(s), 0.0);
   Rng r1(42);
-  run_replication(s, arm, r1, std::span<double>(metrics));
+  replication(s, arm)(r1, std::span<double>(metrics));
   Rng r2(42);
   const auto direct = queueing::simulate_mmm(s.classes, s.servers,
                                              arm.priority, s.horizon,
@@ -398,8 +394,6 @@ TEST(Adapters, MmmReplicationMatchesDirectSimulate) {
   EXPECT_DOUBLE_EQ(metrics[1], direct.utilization);
   for (std::size_t j = 0; j < s.classes.size(); ++j)
     EXPECT_DOUBLE_EQ(metrics[2 + j], direct.mean_in_system[j]);
-  EXPECT_EQ(queueing::mmm_metric_names(2).size(),
-            queueing::mmm_metric_count(2));
 }
 
 TEST(Adapters, NetworkGrowthSignSeparatesStableFromBad) {
@@ -414,9 +408,9 @@ TEST(Adapters, NetworkGrowthSignSeparatesStableFromBad) {
   EngineOptions opt;
   opt.seed = 31;
   opt.max_replications = 4;
-  const auto bad = run_network(s, arms[0], opt);
-  const auto fcfs = run_network(s, arms[1], opt);
-  const auto safe = run_network(s, arms[2], opt);
+  const auto bad = run_policy(s, arms[0], opt);
+  const auto fcfs = run_policy(s, arms[1], opt);
+  const auto safe = run_policy(s, arms[2], opt);
   EXPECT_GT(bad.metrics[2].mean(), 0.05);
   EXPECT_LT(std::abs(fcfs.metrics[2].mean()), 0.002);
   EXPECT_LT(std::abs(safe.metrics[2].mean()), 0.002);
@@ -460,7 +454,7 @@ TEST(Adapters, FluidReplicationTracksFluidLimit) {
   EngineOptions opt;
   opt.seed = 12;
   opt.max_replications = 24;
-  const auto res = run_fluid(s, priority, opt);
+  const auto res = run_policy(s, priority, opt);
   ASSERT_EQ(res.metrics.size(), metric_count(s));
   const auto fluid = queueing::fluid_drain(s.classes, s.initial, priority);
   // Cost integral close to the fluid prediction; path point mid-drain too.
@@ -469,7 +463,6 @@ TEST(Adapters, FluidReplicationTracksFluidLimit) {
   const auto mid = fluid.at(0.5 * fluid.drain_time);
   const std::size_t nc = s.classes.size();
   EXPECT_NEAR(res.metrics[1 + 4 * nc + 1].mean(), mid[1], 0.15 * (1.0 + mid[1]));
-  EXPECT_EQ(metric_names(s).size(), metric_count(s));
 }
 
 TEST(Adapters, TreeComparisonRunsUnderCrn) {
@@ -552,9 +545,9 @@ TEST(Adapters, RybkoStolyarExitPrioritySelfStarves) {
   EngineOptions opt;
   opt.seed = 33;
   opt.max_replications = 4;
-  const auto bad = run_network(s, arms[0], opt);
-  const auto fcfs = run_network(s, arms[1], opt);
-  const auto safe = run_network(s, arms[2], opt);
+  const auto bad = run_policy(s, arms[0], opt);
+  const auto fcfs = run_policy(s, arms[1], opt);
+  const auto safe = run_policy(s, arms[2], opt);
   EXPECT_GT(bad.metrics[2].mean(), 0.02);
   EXPECT_LT(std::abs(fcfs.metrics[2].mean()), 0.005);
   EXPECT_LT(std::abs(safe.metrics[2].mean()), 0.005);
@@ -598,22 +591,22 @@ TEST(Engine, BurstyScenarioSequentialStoppingConverges) {
   opt.batch = 64;
   opt.max_replications = 1 << 14;
   opt.tracked = {0};
-  const auto res = run_queue(s, fcfs_arm(), opt);
+  const auto res = run_policy(s, fcfs_arm(), opt);
   ASSERT_TRUE(res.converged);
   const double hw = res.metrics[0].ci_halfwidth(opt.alpha);
   EXPECT_LE(hw, opt.rel_precision * std::abs(res.metrics[0].mean()) + 1e-12);
 }
 
 TEST(Adapters, NewQueueScenariosSmokeThroughReplication) {
-  // Every new arrival-process scenario is runnable through the uniform
-  // run_replication adapter (one cheap replication each).
+  // Every new arrival-process scenario is runnable through its bound
+  // replication (one cheap replication each).
   for (const char* name : {"t9-bursty", "t9-scv4", "call-center-bursty"}) {
     QueueScenario s = queue_scenario(name);
     s.horizon = 400.0;
     s.warmup = 40.0;
     std::vector<double> metrics(metric_count(s), 0.0);
     Rng rng(5);
-    run_replication(s, fcfs_arm(), rng, std::span<double>(metrics));
+    replication(s, fcfs_arm())(rng, std::span<double>(metrics));
     EXPECT_GT(metrics[1], 0.0) << name;  // utilization
   }
   for (const char* name :
@@ -623,8 +616,8 @@ TEST(Adapters, NewQueueScenariosSmokeThroughReplication) {
     s.samples = 10;
     std::vector<double> metrics(metric_count(s), 0.0);
     Rng rng(6);
-    run_replication(s, NetworkPolicy{"FCFS", {}}, rng,
-                    std::span<double>(metrics));
+    replication(s, NetworkPolicy{"FCFS", {}})(rng,
+                                              std::span<double>(metrics));
     EXPECT_GT(metrics[0], 0.0) << name;  // mean_total
   }
 }
@@ -640,13 +633,13 @@ TEST(Adapters, RestlessAndBatchReplicationsRun) {
   EngineOptions opt;
   opt.seed = 9;
   opt.max_replications = 8;
-  const auto res = run_restless(quick, uniform, opt);
+  const auto res = run_policy(quick, uniform, opt);
   EXPECT_EQ(res.replications, 8u);
   EXPECT_GT(res.metrics[0].mean(), 0.0);
 
   const auto& qs = batch_scenario("quickstart-four-jobs");
   batch::Order order{0, 1, 2, 3};
-  const auto bres = run_batch(qs, order, opt);
+  const auto bres = run_policy(qs, order, opt);
   EXPECT_EQ(bres.replications, 8u);
   EXPECT_GT(bres.metrics[0].mean(), 0.0);
 }
@@ -868,14 +861,15 @@ TEST(AdaptersGolden, OnlineCrn) {
 TEST(AdaptersGolden, BatchSingleMachineSequential) {
   const auto& s = batch_scenario("quickstart-four-jobs");
   ASSERT_EQ(s.machines, 1u);
-  const auto res = run_batch(s, {2, 0, 1, 3}, golden_sequential(109, 0.05));
+  const auto res =
+      run_policy(s, batch::Order{2, 0, 1, 3}, golden_sequential(109, 0.05));
   expect_golden(res, 352, {0x1.0179558959859p+5});
 }
 
 TEST(AdaptersGolden, BatchParallelMachines) {
   const BatchScenario s = turnpike_scenario(20);
   ASSERT_GT(s.machines, 1u);
-  const auto res = run_batch(s, batch::wsept_order(s.jobs),
-                             golden_fixed(110, 64));
+  const auto res = run_policy(s, batch::wsept_order(s.jobs),
+                              golden_fixed(110, 64));
   expect_golden(res, 64, {0x1.3d5fdaa27a082p+7});
 }

@@ -27,7 +27,7 @@ TEST(Integration, BatchPipelineWseptAgainstSimulatedAlternatives) {
   experiment::EngineOptions opt;
   opt.seed = 2;
   opt.max_replications = 4000;
-  const auto sim = experiment::run_batch(scenario, wsept, opt);
+  const auto sim = experiment::run_policy(scenario, wsept, opt);
   EXPECT_TRUE(make_estimate(sim.metrics[0]).covers(exact_wsept));
 }
 

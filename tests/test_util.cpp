@@ -216,29 +216,6 @@ TEST(TimeAverage, ResetDiscardsWarmup) {
   EXPECT_DOUBLE_EQ(ta.finish(20.0), 4.0);
 }
 
-TEST(BatchMeans, MeanMatchesSample) {
-  BatchMeans bm(8);
-  double total = 0.0;
-  for (int i = 1; i <= 100; ++i) {
-    bm.push(i);
-    total += i;
-  }
-  EXPECT_NEAR(bm.mean(), total / 100.0, 1e-12);
-}
-
-TEST(BatchMeans, CiShrinksWithData) {
-  Rng rng(12);
-  BatchMeans small(16), large(16);
-  for (int i = 0; i < 500; ++i) small.push(rng.normal());
-  for (int i = 0; i < 50000; ++i) large.push(rng.normal());
-  EXPECT_GT(small.ci_halfwidth(), large.ci_halfwidth());
-}
-
-TEST(BatchMeans, RejectsOddConfig) {
-  EXPECT_THROW(BatchMeans(3), std::invalid_argument);
-  EXPECT_THROW(BatchMeans(7), std::invalid_argument);
-}
-
 TEST(StudentT, MatchesTables) {
   // t_{0.975, dof}: classic table values.
   EXPECT_NEAR(student_t_quantile(0.05, 1), 12.706, 0.01);
@@ -255,9 +232,8 @@ TEST(Estimate, Covers) {
   EXPECT_FALSE(e.covers(10.6));
 }
 
-// The old util/parallel monte_carlo shim is gone; run_fixed is the
-// replication driver these tests now pin (same contracts: determinism in
-// seed, seed sensitivity, statistical correctness, vector metrics).
+// run_fixed, the fixed-length replication driver: determinism in seed, seed
+// sensitivity, statistical correctness, vector metrics.
 TEST(RunFixed, DeterministicGivenSeed) {
   auto body = [](std::size_t, Rng& rng, std::span<double> out) {
     out[0] = rng.exponential(1.0);

@@ -858,6 +858,49 @@ TEST(AdaptersGolden, OnlineCrn) {
                  0x1.bf99874c3af5ap-4, 0x1.02b764be9ca0ep+4, 0x0p+0, 0x0p+0});
 }
 
+TEST(AdaptersGolden, OnlineLpCrn) {
+  // The interval LP raises the bound above the combinatorial one on some
+  // of these paths, so lower_bound pins the LP solution too.
+  OnlineScenario s = online_scenario("online-bernoulli");
+  s.horizon = 8.0;
+  s.bound.use_lp = true;
+  const auto res =
+      compare_online_policies(s, online_policy_arms(), golden_fixed(111, 16),
+                              Pairing::kCommonRandomNumbers);
+  expect_golden(res, 16,
+                {0x1.19bc79f1e8e11p+0, 0x1.5cbc3d58f855ep+7,
+                 0x1.3bb88a158ccb5p+7, 0x1.61p+4, 0x1.19bd1639ab3c6p+0,
+                 0x1.5cbd6dd5524a4p+7, 0x1.3bb88a158ccb5p+7, 0x1.61p+4,
+                 0x1.1ae1ef634f397p+0, 0x1.5d18c352dcb53p+7,
+                 0x1.3bb88a158ccb5p+7, 0x1.61p+4, 0x1.82404823db73cp+0,
+                 0x1.da63d37d780adp+7, 0x1.3bb88a158ccb5p+7, 0x1.61p+4,
+                 0x1.388f84b68ep-17, 0x1.307c59f46ap-9, 0x0p+0, 0x0p+0,
+                 0x1.25757166584bfp-8, 0x1.7217e7917d65cp-3, 0x0p+0, 0x0p+0,
+                 0x1.a20f38c7ca4abp-2, 0x1.f69e5891fed3fp+5, 0x0p+0, 0x0p+0});
+}
+
+TEST(AdaptersGolden, OnlineIndependentStreams) {
+  OnlineScenario s = online_scenario("online-identical");
+  s.horizon = 6.0;
+  const auto res =
+      compare_online_policies(s, online_policy_arms(), golden_fixed(112, 16),
+                              Pairing::kIndependentStreams);
+  expect_golden(res, 16,
+                {0x1.0ff74c3e2f742p+0, 0x1.15e6fbb2f51f5p+7,
+                 0x1.02f942249b204p+7, 0x1.2dp+4, 0x1.135311322bc71p+0,
+                 0x1.221266e58d7bfp+7, 0x1.0e4710bccc479p+7,
+                 0x1.36ffffffffffep+4, 0x1.1c935c94a5669p+0,
+                 0x1.38c736fc1dca3p+7, 0x1.1a08057183061p+7,
+                 0x1.4600000000001p+4, 0x1.3bc4b05b28ec2p+0,
+                 0x1.37825d58b3842p+7, 0x1.f03ccbf99a42fp+6, 0x1.2bp+4,
+                 0x1.ade279fe29758p-7, 0x1.856d66530b95cp+2,
+                 0x1.69b9d30624eacp+2, 0x1.3ffffffffffffp-1,
+                 0x1.93820acebe4ccp-5, 0x1.1701da4945578p+4,
+                 0x1.70ec34ce7e5e2p+3, 0x1.9p+0, 0x1.5e6b20e7cbbfbp-3,
+                 0x1.0cdb0d2df326ap+4, -0x1.5b5b84f9bfd96p+2,
+                 -0x1.0000000000005p-3});
+}
+
 TEST(AdaptersGolden, BatchSingleMachineSequential) {
   const auto& s = batch_scenario("quickstart-four-jobs");
   ASSERT_EQ(s.machines, 1u);

@@ -30,6 +30,15 @@ void bm_gittins_restart(benchmark::State& state) {
 }
 BENCHMARK(bm_gittins_restart)->Arg(8)->Arg(16)->Arg(32);
 
+void bm_gittins_calibration(benchmark::State& state) {
+  stosched::Rng rng(7);
+  const auto p = stosched::bandit::random_project(
+      static_cast<std::size_t>(state.range(0)), rng);
+  for (auto _ : state)
+    benchmark::DoNotOptimize(stosched::bandit::gittins_calibration(p, 0.9));
+}
+BENCHMARK(bm_gittins_calibration)->Arg(8)->Arg(16)->Arg(32);
+
 void bm_whittle_index(benchmark::State& state) {
   stosched::Rng rng(7);
   const auto p = stosched::restless::random_restless_project(

@@ -48,6 +48,14 @@ FluidGrid fluid_grid(const FluidScenario& s) {
   return g;
 }
 
+/// The preconditions every online arm shares, checked before anything runs.
+void require_online_arm(const OnlineScenario& s,
+                        const online::OnlinePolicyPtr& policy) {
+  STOSCHED_REQUIRE(policy != nullptr, "online policy arm must be non-null");
+  STOSCHED_REQUIRE(s.arrival != nullptr,
+                   "online scenario needs an arrival process");
+}
+
 /// Every arm's bound replication, in arm order, as one paired comparison.
 template <class Scenario, class Arm>
 PairedResult compare(const Scenario& s, const std::vector<Arm>& arms,
@@ -211,9 +219,7 @@ Replication replication(const TreeScenario& s, batch::TreePolicy policy) {
 
 Replication replication(const OnlineScenario& s,
                         const online::OnlinePolicyPtr& policy) {
-  STOSCHED_REQUIRE(policy != nullptr, "online policy arm must be non-null");
-  STOSCHED_REQUIRE(s.arrival != nullptr,
-                   "online scenario needs an arrival process");
+  require_online_arm(s, policy);
   return [s, policy](Rng& rng, std::span<double> out) {
     online::run_online_replication(*s.arrival, s.types, s.env, s.horizon,
                                    s.bound, *policy, rng, out);
@@ -269,7 +275,20 @@ PairedResult compare_tree_policies(const TreeScenario& s,
 PairedResult compare_online_policies(
     const OnlineScenario& s, const std::vector<online::OnlinePolicyPtr>& arms,
     const EngineOptions& opt, Pairing pairing) {
-  return compare(s, arms, opt, pairing);
+  for (const auto& a : arms) require_online_arm(s, a);
+  // The instance and its offline bound do not depend on the arm: under CRN
+  // they are built once per replication and shared by every arm.
+  return run_paired(
+      opt, arms.size(), metric_count(s), pairing,
+      [&](std::size_t, Rng& rng) {
+        return online::prepare_online_replication(
+            *s.arrival, s.types, s.env, s.horizon, s.bound, rng);
+      },
+      [&](const online::OnlinePath& path, std::size_t k,
+          std::span<double> out) {
+        online::evaluate_online_replication(path, s.env, s.types, *arms[k],
+                                            out);
+      });
 }
 
 }  // namespace stosched::experiment

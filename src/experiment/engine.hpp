@@ -15,7 +15,11 @@
 //     *same* substream per replication, turning a policy comparison into a
 //     paired-difference estimate whose variance drops by the (usually
 //     large) common-variation term — see the CRN tests for the measured
-//     factor on M/G/1 discipline comparisons.
+//     factor on M/G/1 discipline comparisons. A comparison may split each
+//     replication into `prepare` (what every arm shares, such as the
+//     realized workload and its offline bound) and `evaluate` (one arm);
+//     under CRN the shared half then runs once per replication, not once
+//     per arm.
 //   * *Sequential stopping*: instead of guessing a replication count, run
 //     batches until every tracked metric's (1-alpha) CI half-width falls
 //     below `rel_precision * |mean|`, with a hard cap. Deterministic in
@@ -213,15 +217,20 @@ EngineResult run_fixed(std::size_t replications, std::uint64_t seed,
   return run(opt, dims, static_cast<Body&&>(body));
 }
 
-/// K-arm comparison of `body(rep, arm, rng, out)`. Under
-/// `Pairing::kCommonRandomNumbers` every arm replays the same substream for
-/// replication r (the CRN design); under `kIndependentStreams` each
-/// (replication, arm) pair draws from its own substream. The stopping rule
-/// tracks the *difference* metrics (arm k − arm 0) — those are what a
-/// comparison wants tight — and the run is deterministic in (opt, body).
-template <class Body>
+/// K-arm comparison split into the part of a replication every arm shares
+/// and the part each arm runs: `prepare(rep, rng)` returns a `Shared` value
+/// (e.g. the realized workload), `evaluate(shared, arm, out)` runs one arm
+/// on it. Under `Pairing::kCommonRandomNumbers` every arm faces the same
+/// workload, so `prepare` runs once per replication on substream r and
+/// `evaluate` runs K times on its result; under `kIndependentStreams`
+/// `prepare` runs once per (replication, arm) pair on its own substream.
+/// The stopping rule tracks the *difference* metrics (arm k − arm 0) —
+/// those are what a comparison wants tight — and the run is deterministic
+/// in (opt, prepare, evaluate).
+template <class Prepare, class Evaluate>
 PairedResult run_paired(const EngineOptions& opt, std::size_t arms,
-                        std::size_t dims, Pairing pairing, Body&& body) {
+                        std::size_t dims, Pairing pairing, Prepare&& prepare,
+                        Evaluate&& evaluate) {
   STOSCHED_REQUIRE(arms >= 2, "a paired comparison needs at least two arms");
   STOSCHED_REQUIRE(dims > 0, "need at least one metric dimension");
   const Rng master(opt.seed);
@@ -237,20 +246,26 @@ PairedResult run_paired(const EngineOptions& opt, std::size_t arms,
       [&](std::size_t lo, std::size_t hi, std::vector<RunningStat>& acc) {
         std::vector<double> out(dims, 0.0);
         std::vector<double> base(dims, 0.0);
+        const auto run_arm = [&](const auto& shared, std::size_t k) {
+          std::fill(out.begin(), out.end(), 0.0);
+          evaluate(shared, k, std::span<double>(out));
+          for (std::size_t d = 0; d < dims; ++d) {
+            acc[k * dims + d].push(out[d]);
+            if (k == 0)
+              base[d] = out[d];
+            else
+              acc[arms * dims + (k - 1) * dims + d].push(out[d] - base[d]);
+          }
+        };
         for (std::size_t r = lo; r < hi; ++r) {
-          const Rng rep_stream = master.stream(r);
-          for (std::size_t k = 0; k < arms; ++k) {
-            Rng rng = pairing == Pairing::kCommonRandomNumbers
-                          ? rep_stream
-                          : master.stream(r * arms + k);
-            std::fill(out.begin(), out.end(), 0.0);
-            body(r, k, rng, std::span<double>(out));
-            for (std::size_t d = 0; d < dims; ++d) {
-              acc[k * dims + d].push(out[d]);
-              if (k == 0)
-                base[d] = out[d];
-              else
-                acc[arms * dims + (k - 1) * dims + d].push(out[d] - base[d]);
+          if (pairing == Pairing::kCommonRandomNumbers) {
+            Rng rng = master.stream(r);
+            const auto shared = prepare(r, rng);
+            for (std::size_t k = 0; k < arms; ++k) run_arm(shared, k);
+          } else {
+            for (std::size_t k = 0; k < arms; ++k) {
+              Rng rng = master.stream(r * arms + k);
+              run_arm(prepare(r, rng), k);
             }
           }
         }
@@ -267,6 +282,26 @@ PairedResult run_paired(const EngineOptions& opt, std::size_t arms,
   res.replications = done;
   res.converged = converged;
   return res;
+}
+
+/// K-arm comparison of `body(rep, arm, rng, out)`, the form for bodies with
+/// no shared part: every arm gets its own copy of the replication's
+/// substream (the same one for all arms under CRN), so the draws are those
+/// of the split form with `Shared` = that substream.
+template <class Body>
+PairedResult run_paired(const EngineOptions& opt, std::size_t arms,
+                        std::size_t dims, Pairing pairing, Body&& body) {
+  struct Stream {
+    Rng rng;
+    std::size_t rep;
+  };
+  return run_paired(
+      opt, arms, dims, pairing,
+      [](std::size_t r, Rng& rng) { return Stream{Rng(rng), r}; },
+      [&](const Stream& s, std::size_t k, std::span<double> out) {
+        Rng rng = s.rng;
+        body(s.rep, k, rng, out);
+      });
 }
 
 }  // namespace stosched::experiment

@@ -100,13 +100,18 @@ bool trivial_instance(const OnlineInstance& inst, const Environment& env) {
   return true;
 }
 
-/// The interval-indexed LP bound (0 if skipped or the solve failed).
+/// The interval-indexed LP bound (0 for a trivial instance). The LP is
+/// feasible and bounded by construction — every job fits on one machine
+/// inside [max release, τ_T], and the weights are positive — so any other
+/// status is a solver or construction bug, not a weak bound.
 double interval_lp_bound(const OnlineInstance& inst, const Environment& env,
                          const OfflineBoundOptions& opt) {
   if (trivial_instance(inst, env)) return 0.0;
   const lp::Problem prob = interval_indexed_lp(inst, env, opt);
   const lp::Solution sol = lp::solve(prob, opt.lp_solver);
-  return sol.optimal() ? sol.objective : 0.0;
+  STOSCHED_ASSERT(sol.optimal(), "interval-indexed LP bound not solved to "
+                                 "optimality");
+  return sol.objective;
 }
 
 }  // namespace

@@ -127,14 +127,11 @@ OnlineResult simulate_online(const OnlineInstance& inst,
 
 std::size_t online_metric_count() { return 4; }
 
-void run_online_replication(const ArrivalProcess& arrival,
-                            const std::vector<JobType>& types,
-                            const Environment& env, double horizon,
-                            const OfflineBoundOptions& bound,
-                            const OnlinePolicy& policy, Rng& rng,
-                            std::span<double> out) {
-  STOSCHED_REQUIRE(out.size() == online_metric_count(),
-                   "metric span size mismatch");
+OnlinePath prepare_online_replication(const ArrivalProcess& arrival,
+                                      const std::vector<JobType>& types,
+                                      const Environment& env, double horizon,
+                                      const OfflineBoundOptions& bound,
+                                      Rng& rng) {
   // Per-purpose substreams (see the header comment): the workload streams
   // (arrival/type/size/sample) are consumed identically by every policy
   // arm; only the policy stream's usage differs between arms.
@@ -143,18 +140,44 @@ void run_online_replication(const ArrivalProcess& arrival,
   Rng type_rng = root.stream(1);
   Rng size_rng = root.stream(2);
   Rng sample_rng = root.stream(3);
-  Rng policy_rng = root.stream(4);
 
-  const OnlineInstance inst = generate_online_instance(
-      arrival, types, horizon, arrival_rng, type_rng, size_rng, sample_rng);
+  OnlinePath path{generate_online_instance(arrival, types, horizon,
+                                           arrival_rng, type_rng, size_rng,
+                                           sample_rng),
+                  0.0, root.stream(4)};
+  path.lower_bound =
+      offline_lower_bound(path.instance, env, types, bound).value;
+  return path;
+}
+
+void evaluate_online_replication(const OnlinePath& path,
+                                 const Environment& env,
+                                 const std::vector<JobType>& types,
+                                 const OnlinePolicy& policy,
+                                 std::span<double> out) {
+  STOSCHED_REQUIRE(out.size() == online_metric_count(),
+                   "metric span size mismatch");
+  Rng policy_rng = path.policy_rng;
   const OnlineResult res =
-      simulate_online(inst, env, types, policy, policy_rng);
-  const OfflineBound lb = offline_lower_bound(inst, env, types, bound);
-
-  out[0] = lb.value > 0.0 ? res.weighted_completion / lb.value : 1.0;
+      simulate_online(path.instance, env, types, policy, policy_rng);
+  const double lb = path.lower_bound;
+  out[0] = lb > 0.0 ? res.weighted_completion / lb : 1.0;
   out[1] = res.weighted_completion;
-  out[2] = lb.value;
+  out[2] = lb;
   out[3] = static_cast<double>(res.jobs);
+}
+
+void run_online_replication(const ArrivalProcess& arrival,
+                            const std::vector<JobType>& types,
+                            const Environment& env, double horizon,
+                            const OfflineBoundOptions& bound,
+                            const OnlinePolicy& policy, Rng& rng,
+                            std::span<double> out) {
+  STOSCHED_REQUIRE(out.size() == online_metric_count(),
+                   "metric span size mismatch");
+  evaluate_online_replication(
+      prepare_online_replication(arrival, types, env, horizon, bound, rng),
+      env, types, policy, out);
 }
 
 }  // namespace stosched::online

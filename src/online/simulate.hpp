@@ -48,11 +48,36 @@ OnlineResult simulate_online(const OnlineInstance& inst,
 ///   [ratio, weighted_completion, lower_bound, jobs].
 std::size_t online_metric_count();
 
-/// Uniform replication entry point: derive the five per-purpose substreams
-/// (arrival, type, size, sample, policy) from one draw of `rng`, generate
-/// the instance, run the policy, bound the instance offline, and write the
-/// metric vector. CRN arms replaying the same `rng` state face identical
-/// instances and identical lower bounds.
+/// The half of a replication that does not depend on the policy: the
+/// realized sample path, its offline lower bound, and the policy stream.
+struct OnlinePath {
+  OnlineInstance instance;
+  double lower_bound = 0.0;  ///< offline_lower_bound(instance, ...).value
+  Rng policy_rng;            ///< copied by each policy run
+};
+
+/// Derive the five per-purpose substreams (arrival, type, size, sample,
+/// policy) from one draw of `rng`, generate the instance from the first
+/// four and bound it offline. Every policy arm of a CRN replication shares
+/// the result, so the bound (usually most of a replication's cost when the
+/// interval LP is engaged) is solved once, not once per arm.
+OnlinePath prepare_online_replication(const ArrivalProcess& arrival,
+                                      const std::vector<JobType>& types,
+                                      const Environment& env, double horizon,
+                                      const OfflineBoundOptions& bound,
+                                      Rng& rng);
+
+/// Run `policy` over the prepared instance on a copy of its policy stream
+/// and write the metric vector.
+void evaluate_online_replication(const OnlinePath& path,
+                                 const Environment& env,
+                                 const std::vector<JobType>& types,
+                                 const OnlinePolicy& policy,
+                                 std::span<double> out);
+
+/// One whole replication: evaluate_online_replication applied to
+/// prepare_online_replication. Arms replaying the same `rng` state face
+/// identical instances and identical lower bounds.
 void run_online_replication(const ArrivalProcess& arrival,
                             const std::vector<JobType>& types,
                             const Environment& env, double horizon,

@@ -4,6 +4,7 @@
 // compare_*_policies).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <stdexcept>
@@ -175,6 +176,84 @@ TEST(Engine, PairedStopWaitsForEveryArmDifference) {
   const auto two = run_paired(opt, 2, 1, Pairing::kCommonRandomNumbers, body);
   EXPECT_TRUE(two.converged);
   EXPECT_EQ(two.replications, opt.min_replications);
+}
+
+TEST(Engine, PairedPrepareCountFollowsPairing) {
+  // Under CRN the shared half runs once per replication; under independent
+  // streams once per (replication, arm). Cells may run on several threads.
+  EngineOptions opt;
+  opt.seed = 13;
+  opt.max_replications = 40;  // not a whole number of cells
+  const std::size_t arms = 3;
+  for (const Pairing pairing :
+       {Pairing::kCommonRandomNumbers, Pairing::kIndependentStreams}) {
+    std::atomic<std::size_t> prepared{0};
+    std::atomic<std::size_t> evaluated{0};
+    const auto res = run_paired(
+        opt, arms, 1, pairing,
+        [&](std::size_t, Rng& rng) {
+          ++prepared;
+          return rng.uniform();
+        },
+        [&](double shared, std::size_t, std::span<double> out) {
+          ++evaluated;
+          out[0] = shared;
+        });
+    const std::size_t want = pairing == Pairing::kCommonRandomNumbers
+                                 ? opt.max_replications
+                                 : opt.max_replications * arms;
+    EXPECT_EQ(prepared.load(), want);
+    EXPECT_EQ(evaluated.load(), opt.max_replications * arms);
+    EXPECT_EQ(res.replications, opt.max_replications);
+  }
+}
+
+TEST(Engine, PairedBodyFormMatchesSplitForm) {
+  // The same draws through both forms: a shared exponential, then an
+  // arm-specific uniform from the rest of the replication's stream.
+  EngineOptions opt;
+  opt.seed = 14;
+  opt.rel_precision = 0.05;
+  opt.min_replications = 32;
+  opt.batch = 32;
+  opt.max_replications = 256;
+  const auto body = [](std::size_t, std::size_t arm, Rng& rng,
+                       std::span<double> out) {
+    out[0] = rng.exponential(1.0);
+    out[1] = out[0] + static_cast<double>(arm) * rng.uniform();
+  };
+  struct Shared {
+    double x;
+    Rng rest;
+  };
+  const auto prepare = [](std::size_t, Rng& rng) {
+    const double x = rng.exponential(1.0);
+    return Shared{x, rng};
+  };
+  const auto evaluate = [](const Shared& s, std::size_t arm,
+                           std::span<double> out) {
+    Rng rng = s.rest;
+    out[0] = s.x;
+    out[1] = s.x + static_cast<double>(arm) * rng.uniform();
+  };
+  const auto bits = [](const RunningStat& s) {
+    return std::vector<double>{static_cast<double>(s.count()), s.mean(),
+                               s.variance(), s.min(), s.max()};
+  };
+  for (const Pairing pairing :
+       {Pairing::kCommonRandomNumbers, Pairing::kIndependentStreams}) {
+    const auto a = run_paired(opt, 3, 2, pairing, body);
+    const auto b = run_paired(opt, 3, 2, pairing, prepare, evaluate);
+    EXPECT_EQ(a.replications, b.replications);
+    EXPECT_EQ(a.converged, b.converged);
+    for (const auto member : {&PairedResult::arm, &PairedResult::diff}) {
+      ASSERT_EQ((a.*member).size(), (b.*member).size());
+      for (std::size_t k = 0; k < (a.*member).size(); ++k)
+        for (std::size_t d = 0; d < 2; ++d)
+          EXPECT_EQ(bits((a.*member)[k][d]), bits((b.*member)[k][d]))
+              << "row " << k << " metric " << d;
+    }
+  }
 }
 
 TEST(Engine, PairedDiffMatchesArmMeans) {

@@ -4,7 +4,9 @@
 //   * lower-bound validity: the combined release / mean-busy-time /
 //     interval-LP bound never exceeds the brute-forced offline optimum on
 //     tiny instances, is exact for single-machine WSPT without releases,
-//     and is dominated by every policy's realized cost path by path;
+//     and is dominated by every policy's realized cost path by path; the
+//     interval LP solves to optimality on F11's LP-audited cell, and a CRN
+//     comparison solves it once per replication, not once per arm;
 //   * policy behavior: greedy WSEPT beats random assignment on the
 //     unrelated-machine scenario;
 //   * CRN under online workloads: arms replaying the same substreams face
@@ -17,11 +19,14 @@
 #include <limits>
 #include <numeric>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "experiment/adapters.hpp"
 #include "experiment/engine.hpp"
 #include "experiment/scenario.hpp"
+#include "lp/simplex.hpp"
+#include "obs/metrics.hpp"
 #include "online/lower_bound.hpp"
 #include "online/model.hpp"
 #include "online/policies.hpp"
@@ -279,6 +284,76 @@ TEST(OnlineLowerBound, EveryPolicyRunStaysAboveTheBound) {
     EXPECT_GE(res.metrics[0].min(), 1.0 - 1e-9) << policy->name();
     EXPECT_GT(res.metrics[2].mean(), 0.0);  // lower bound is positive
   }
+}
+
+TEST(OnlineBound, IntervalLpOptimalOnAuditedCell) {
+  // F11's LP-audited cell (online-bernoulli, horizon 48, LP engaged): the
+  // interval LP is feasible and bounded by construction, so every solve is
+  // optimal and the bound reports its objective unchanged.
+  OnlineScenario s = experiment::online_scenario("online-bernoulli");
+  s.horizon = 48.0;
+  s.bound.use_lp = true;
+  const Rng master(111);
+  for (std::size_t r = 0; r < 16; ++r) {
+    const Rng root = master.stream(r);
+    Rng arrival_rng = root.stream(0);
+    Rng type_rng = root.stream(1);
+    Rng size_rng = root.stream(2);
+    Rng sample_rng = root.stream(3);
+    const OnlineInstance inst = online::generate_online_instance(
+        *s.arrival, s.types, s.horizon, arrival_rng, type_rng, size_rng,
+        sample_rng);
+    ASSERT_FALSE(inst.empty());
+    ASSERT_LE(inst.size(), s.bound.lp_job_cap);
+    const lp::Solution sol = lp::solve(
+        online::interval_indexed_lp(inst, s.env, s.bound), s.bound.lp_solver);
+    ASSERT_TRUE(sol.optimal()) << "instance " << r;
+    EXPECT_EQ(sol.objective,
+              online::offline_lower_bound(inst, s.env, s.types, s.bound)
+                  .lp_bound)
+        << "instance " << r;
+  }
+}
+
+TEST(OnlineBound, CrnSolvesTheLpOncePerReplication) {
+  // compare_online_policies prepares each CRN replication once, so it does
+  // exactly 1/arms of the LP work of a per-arm body that redoes the whole
+  // replication, and reports the same statistics.
+  OnlineScenario s = experiment::online_scenario("online-bernoulli");
+  s.horizon = 8.0;
+  s.bound.use_lp = true;
+  const auto arms = experiment::online_policy_arms();
+  experiment::EngineOptions opt;
+  opt.seed = 113;
+  opt.max_replications = 16;
+  const auto lp_work = [] {
+    return std::pair{obs::counter_value("lp_solves"),
+                     obs::counter_value("lp_iterations")};
+  };
+
+  const auto before_split = lp_work();
+  const auto split = experiment::compare_online_policies(
+      s, arms, opt, experiment::Pairing::kCommonRandomNumbers);
+  const auto after_split = lp_work();
+  const auto per_arm = experiment::run_paired(
+      opt, arms.size(), online::online_metric_count(),
+      experiment::Pairing::kCommonRandomNumbers,
+      [&](std::size_t, std::size_t k, Rng& rng, std::span<double> out) {
+        online::run_online_replication(*s.arrival, s.types, s.env, s.horizon,
+                                       s.bound, *arms[k], rng, out);
+      });
+  const auto after_per_arm = lp_work();
+
+  const std::uint64_t solves = after_split.first - before_split.first;
+  const std::uint64_t iterations = after_split.second - before_split.second;
+  EXPECT_GT(solves, 0u);
+  EXPECT_EQ(arms.size() * solves, after_per_arm.first - after_split.first);
+  EXPECT_EQ(arms.size() * iterations,
+            after_per_arm.second - after_split.second);
+  for (std::size_t k = 0; k < arms.size(); ++k)
+    for (std::size_t d = 0; d < online::online_metric_count(); ++d)
+      EXPECT_EQ(split.arm[k][d].mean(), per_arm.arm[k][d].mean())
+          << "arm " << k << " metric " << d;
 }
 
 // ---------------------------------------------------------------------------

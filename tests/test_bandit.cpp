@@ -198,5 +198,52 @@ TEST(Project, ValidateCatchesBadRows) {
   EXPECT_THROW(p.validate(), std::invalid_argument);
 }
 
+// ---------------------------------------------------------------------------
+// Golden values of the exact solvers, pinned bit-exactly. Projects of
+// different sizes, a nonzero start and a duplicated project (index ties)
+// make any change in the joint-state layout, the action order or the
+// tie-break show up here. A mismatch prints the new value as a hexfloat.
+// ---------------------------------------------------------------------------
+
+std::vector<MarkovProject> golden_projects() {
+  Rng rng(2024);
+  std::vector<MarkovProject> projects;
+  for (const std::size_t states : {2, 3, 4})
+    projects.push_back(random_project(states, rng));
+  projects.push_back(projects[0]);
+  return projects;
+}
+
+TEST(ExactGolden, BanditOptimalAndIndexPolicies) {
+  BanditInstance inst;
+  inst.beta = 0.85;
+  inst.projects = golden_projects();
+  const std::vector<std::size_t> start{1, 0, 2, 0};
+  const double opt = optimal_value(inst, start);
+  const double git = index_policy_value(inst, gittins_table(inst), start);
+  const double myo = index_policy_value(inst, myopic_table(inst), start);
+  EXPECT_EQ(opt, 0x1.f01de802278fdp+1) << std::hexfloat << opt;
+  EXPECT_EQ(git, 0x1.f01de80239db3p+1) << std::hexfloat << git;
+  EXPECT_EQ(myo, 0x1.d6ca0ccfe7c38p+1) << std::hexfloat << myo;
+}
+
+TEST(ExactGolden, SwitchingOptimalHysteresisAndNaive) {
+  SwitchingInstance inst;
+  inst.base.beta = 0.85;
+  MarkovProject flip;  // alternates every pull, so indices flip often
+  flip.reward = {1.0, 0.0};
+  flip.trans = {{0.0, 1.0}, {1.0, 0.0}};
+  inst.base.projects = golden_projects();
+  inst.base.projects[2] = flip;  // 2, 3, 2, 2 states
+  inst.switch_cost = 0.5;
+  const std::vector<std::size_t> start{1, 2, 0, 1};
+  const double opt = switching_optimal_value(inst, start);
+  const double hyst = switching_hysteresis_value(inst, start);
+  const double naive = switching_naive_gittins_value(inst, start);
+  EXPECT_EQ(opt, 0x1.8d42e2049cd3p+1) << std::hexfloat << opt;
+  EXPECT_EQ(hyst, 0x1.747594dd57d55p+1) << std::hexfloat << hyst;
+  EXPECT_EQ(naive, 0x1.63b432ed1ef54p+1) << std::hexfloat << naive;
+}
+
 }  // namespace
 }  // namespace stosched::bandit

@@ -317,5 +317,21 @@ TEST(InTree, HlfNoWorseThanFifoEligible) {
   EXPECT_LE(hlf.mean(), fifo.mean() + 2.0 * (hlf.sem() + fifo.sem()) + 0.05);
 }
 
+// Golden values of the exact realization-lattice evaluation, pinned
+// bit-exactly. Laws with one to three support points make any change in
+// the lattice order or the summation order show up here. A mismatch prints
+// the new value as a hexfloat.
+TEST(ExactGolden, DiscreteListPolicyOutcome) {
+  const Batch jobs{{1.5, two_point_dist(0.5, 0.7, 4.0)},
+                   {1.0, discrete_dist({0.3, 1.0, 6.0}, {0.3, 0.5, 0.2})},
+                   {2.0, discrete_dist({1.2}, {1.0})},
+                   {0.7, two_point_dist(0.2, 0.8, 3.0)}};
+  const auto o = exact_list_policy_discrete(jobs, {2, 0, 3, 1}, 2);
+  EXPECT_EQ(o.flowtime, 0x1.c95810624dd2ep+2) << std::hexfloat << o.flowtime;
+  EXPECT_EQ(o.weighted_flowtime, 0x1.15c28f5c28f5cp+3)
+      << std::hexfloat << o.weighted_flowtime;
+  EXPECT_EQ(o.makespan, 0x1.bf0068db8bac7p+1) << std::hexfloat << o.makespan;
+}
+
 }  // namespace
 }  // namespace stosched::batch

@@ -178,5 +178,21 @@ TEST(Orders, GeneratorsSane) {
   for (const char s : seen) EXPECT_TRUE(s);
 }
 
+// Golden values of the preemptive level DP, pinned bit-exactly. Jobs with
+// one to three support points make any change in the level layout or the
+// DP order show up here. A mismatch prints the new value as a hexfloat.
+TEST(ExactGolden, SevcikLevelDpValues) {
+  const std::vector<DiscreteJob> jobs{
+      {1.5, {0.5, 4.0}, {0.6, 0.4}},
+      {1.0, {0.3, 1.0, 6.0}, {0.3, 0.5, 0.2}},
+      {2.0, {1.2}, {1.0}},
+      {0.7, {0.2, 3.0}, {0.8, 0.2}},
+  };
+  const double opt = preemptive_optimal_value(jobs);
+  const double index = preemptive_index_policy_value(jobs);
+  EXPECT_EQ(opt, 0x1.a9aee631f8a08p+3) << std::hexfloat << opt;
+  EXPECT_EQ(index, 0x1.a9aee631f8a08p+3) << std::hexfloat << index;
+}
+
 }  // namespace
 }  // namespace stosched::batch

@@ -183,5 +183,25 @@ TEST(KlimovNetwork, ValidateCatchesBadFeedback) {
   EXPECT_THROW(net.validate(), std::invalid_argument);
 }
 
+// Golden values of the truncated exact baseline, pinned bit-exactly: any
+// change in the queue-length layout, the action order or the summation
+// order shows up here. A mismatch prints the new value as a hexfloat.
+TEST(ExactGolden, KlimovTruncatedOptimalAndPriorityCosts) {
+  KlimovNetwork net;
+  net.classes = {{0.15, exponential_dist(1.5), 2.0},
+                 {0.1, exponential_dist(2.5), 1.0},
+                 {0.05, exponential_dist(1.0), 3.0}};
+  net.feedback = {{0.0, 0.3, 0.1}, {0.2, 0.0, 0.2}, {0.0, 0.4, 0.1}};
+  const std::size_t cap = 4;
+  const double opt = truncated_optimal_cost(net, cap);
+  const auto order = klimov_indices(net).priority;
+  const double klimov = truncated_priority_cost(net, cap, order);
+  const double reverse =
+      truncated_priority_cost(net, cap, {order.rbegin(), order.rend()});
+  EXPECT_EQ(opt, 0x1.ed3bd578edb2cp-1) << std::hexfloat << opt;
+  EXPECT_EQ(klimov, 0x1.ed422e4cbd97p-1) << std::hexfloat << klimov;
+  EXPECT_EQ(reverse, 0x1.1540701bfdf2ap+0) << std::hexfloat << reverse;
+}
+
 }  // namespace
 }  // namespace stosched::queueing

@@ -170,5 +170,24 @@ TEST(RestlessInstance, ActivateBoundsChecked) {
   EXPECT_THROW(inst.validate(), std::invalid_argument);
 }
 
+// Golden values of the exact product-space solvers, pinned bit-exactly.
+// Projects of different sizes with two of three active make any change in
+// the joint-state layout, the subset order or the order of the expanded
+// joint transitions show up here. A mismatch prints the new value as a
+// hexfloat.
+TEST(ExactGolden, RestlessOptimalAndPriorityAverageReward) {
+  Rng rng(2025);
+  RestlessInstance inst;
+  for (const std::size_t states : {2, 3, 2})
+    inst.projects.push_back(random_restless_project(states, rng));
+  inst.activate = 2;
+  PriorityTable myopic;
+  for (const auto& p : inst.projects) myopic.push_back(myopic_index(p));
+  const double opt = optimal_average_reward(inst);
+  const double myo = priority_policy_average_reward(inst, myopic);
+  EXPECT_EQ(opt, 0x1.0569467ab001dp+0) << std::hexfloat << opt;
+  EXPECT_EQ(myo, 0x1.eca5d4282844ep-1) << std::hexfloat << myo;
+}
+
 }  // namespace
 }  // namespace stosched::restless

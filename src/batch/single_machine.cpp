@@ -41,24 +41,6 @@ Order best_order_exhaustive(const Batch& jobs, double* value) {
   return best;
 }
 
-double simulate_weighted_flowtime(const Batch& jobs, const Order& order,
-                                  Rng& rng) {
-  STOSCHED_REQUIRE(order.size() == jobs.size(), "order must cover the batch");
-  // One draw decouples back-to-back simulations sharing a caller Rng; job
-  // j's size then comes from the per-job substream root.stream(j) no matter
-  // where the order places it, so CRN arms (different orders, same caller
-  // state) schedule the identical realized batch.
-  const Rng root(rng());
-  double clock = 0.0;
-  double total = 0.0;
-  for (const std::size_t j : order) {
-    Rng size_rng = root.stream(j);
-    clock += jobs[j].processing->sample(size_rng);
-    total += jobs[j].weight * clock;
-  }
-  return total;
-}
-
 // ---------------------------------------------------------------------------
 // Preemptive discrete-law machinery.
 // ---------------------------------------------------------------------------

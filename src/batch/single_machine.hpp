@@ -28,12 +28,6 @@ double exact_weighted_flowtime(const Batch& jobs, const Order& order);
 /// order; `value` (if non-null) receives its objective.
 Order best_order_exhaustive(const Batch& jobs, double* value = nullptr);
 
-/// One simulated replication of a nonpreemptive sequence: draws processing
-/// times and returns realized Σ w_i C_i. Exists to validate the exact
-/// formula and to support distributions in integration tests.
-double simulate_weighted_flowtime(const Batch& jobs, const Order& order,
-                                  Rng& rng);
-
 // ---------------------------------------------------------------------------
 // Preemptive scheduling of discrete-law jobs.
 // ---------------------------------------------------------------------------

@@ -199,14 +199,10 @@ Replication replication(const RestlessScenario& s,
 }
 
 Replication replication(const BatchScenario& s, const batch::Order& order) {
-  // machines == 1 keeps the original single-machine draw sequence so
-  // existing seeds reproduce bit-for-bit.
   return [jobs = s.jobs, order, machines = s.machines](Rng& rng,
                                                        std::span<double> out) {
-    out[0] = machines == 1
-                 ? batch::simulate_weighted_flowtime(jobs, order, rng)
-                 : batch::simulate_list_policy(jobs, order, machines, rng)
-                       .weighted_flowtime;
+    out[0] = batch::simulate_list_policy(jobs, order, machines, rng)
+                 .weighted_flowtime;
   };
 }
 

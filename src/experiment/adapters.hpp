@@ -119,8 +119,8 @@ Replication replication(const FluidScenario& s,
                         const std::vector<std::size_t>& priority);
 Replication replication(const RestlessScenario& s,
                         const restless::PriorityTable& priority);
-/// Batch: list policy `order` on s.machines machines; the exact
-/// single-machine path when machines == 1.
+/// Batch: list policy `order` on s.machines machines (one machine runs the
+/// jobs in sequence).
 Replication replication(const BatchScenario& s, const batch::Order& order);
 Replication replication(const TreeScenario& s, batch::TreePolicy policy);
 /// Online: the arm must be non-null and the scenario needs an arrival

@@ -62,8 +62,7 @@ TEST(Simulation, UnbiasedForExactValue) {
   const Batch jobs = random_batch(5, rng);
   const Order order = wsept_order(jobs);
   const double exact = exact_weighted_flowtime(jobs, order);
-  // Through the experiment engine (machines == 1 keeps the original
-  // single-machine draw sequence, so this reproduces the legacy values).
+  // Through the experiment engine: the list policy on one machine.
   const experiment::BatchScenario scenario{"wsept-unbiased", "", jobs, 1};
   experiment::EngineOptions opt;
   opt.seed = 11;

@@ -387,18 +387,23 @@ TEST(CommonRandomNumbers, PairedComparisonHasLowerVariance) {
   const auto a = batch::wsept_order(jobs);
   const auto b = batch::lept_order(jobs);
 
+  // One replication of a sequence: the list policy on one machine.
+  const auto weighted_flowtime = [](const batch::Batch& batch_jobs,
+                                    const batch::Order& order, Rng& r) {
+    return batch::simulate_list_policy(batch_jobs, order, 1, r)
+        .weighted_flowtime;
+  };
   // Paired: same stream for both policies per replication.
   RunningStat paired, unpaired;
   const Rng master(23);
   for (std::size_t r = 0; r < 2000; ++r) {
     Rng s1 = master.stream(r);
     Rng s2 = master.stream(r);  // identical draws
-    paired.push(batch::simulate_weighted_flowtime(jobs, a, s1) -
-                batch::simulate_weighted_flowtime(jobs, b, s2));
+    paired.push(weighted_flowtime(jobs, a, s1) - weighted_flowtime(jobs, b, s2));
     Rng u1 = master.stream(2 * r + 100000);
     Rng u2 = master.stream(2 * r + 100001);
-    unpaired.push(batch::simulate_weighted_flowtime(jobs, a, u1) -
-                  batch::simulate_weighted_flowtime(jobs, b, u2));
+    unpaired.push(weighted_flowtime(jobs, a, u1) -
+                  weighted_flowtime(jobs, b, u2));
   }
   EXPECT_LT(paired.variance(), unpaired.variance());
   // Both estimate the same exact difference.

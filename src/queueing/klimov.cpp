@@ -6,6 +6,7 @@
 
 #include "lp/adaptive_greedy.hpp"
 #include "mdp/solve.hpp"
+#include "queueing/kernel.hpp"
 #include "util/check.hpp"
 
 namespace stosched::queueing {
@@ -13,16 +14,7 @@ namespace stosched::queueing {
 void KlimovNetwork::validate() const {
   const std::size_t n = classes.size();
   STOSCHED_REQUIRE(n >= 1, "network needs at least one class");
-  STOSCHED_REQUIRE(feedback.size() == n, "feedback matrix shape mismatch");
-  for (const auto& row : feedback) {
-    STOSCHED_REQUIRE(row.size() == n, "feedback matrix must be square");
-    double total = 0.0;
-    for (const double p : row) {
-      STOSCHED_REQUIRE(p >= 0.0, "feedback probabilities must be >= 0");
-      total += p;
-    }
-    STOSCHED_REQUIRE(total <= 1.0 + 1e-9, "feedback rows must sum to <= 1");
-  }
+  validate_feedback(feedback, n);
 }
 
 std::vector<double> exit_work(const std::vector<double>& service_means,
@@ -238,10 +230,7 @@ double truncated_cost(const KlimovNetwork& net, std::size_t cap,
     return -sol.gain;
   }
 
-  STOSCHED_REQUIRE(priority->size() == n, "priority must cover all classes");
-  std::vector<std::size_t> rank(n);
-  for (std::size_t pos = 0; pos < n; ++pos) rank[(*priority)[pos]] = pos;
-
+  const auto rank = priority_rank(*priority, n);
   std::vector<std::size_t> policy(space.total, 0);
   std::vector<std::size_t> q;
   for (std::size_t code = 0; code < space.total; ++code) {

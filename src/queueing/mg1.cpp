@@ -28,6 +28,20 @@ double traffic_intensity(const std::vector<ClassSpec>& classes) {
   return rho;
 }
 
+void validate_feedback(const std::vector<std::vector<double>>& feedback,
+                       std::size_t n) {
+  STOSCHED_REQUIRE(feedback.size() == n, "feedback matrix shape mismatch");
+  for (const auto& row : feedback) {
+    STOSCHED_REQUIRE(row.size() == n, "feedback matrix must be square");
+    double total = 0.0;
+    for (const double p : row) {
+      STOSCHED_REQUIRE(p >= 0.0, "feedback probabilities must be >= 0");
+      total += p;
+    }
+    STOSCHED_REQUIRE(total <= 1.0 + 1e-9, "feedback rows must sum to <= 1");
+  }
+}
+
 namespace {
 
 constexpr std::uint32_t kDeparture = 1;
@@ -75,16 +89,7 @@ struct Sim : Kernel {
     if (!opt.feedback.empty()) {
       STOSCHED_REQUIRE(opt.discipline == Discipline::kPriorityNonPreemptive,
                        "feedback requires the nonpreemptive discipline");
-      STOSCHED_REQUIRE(opt.feedback.size() == n, "feedback matrix shape");
-      for (const auto& row : opt.feedback) {
-        STOSCHED_REQUIRE(row.size() == n, "feedback matrix shape");
-        double total = 0.0;
-        for (const double p : row) {
-          STOSCHED_REQUIRE(p >= 0.0, "feedback probabilities must be >= 0");
-          total += p;
-        }
-        STOSCHED_REQUIRE(total <= 1.0 + 1e-9, "feedback row sums must be <= 1");
-      }
+      validate_feedback(opt.feedback, n);
     }
     queue.resize(n);
     wait_stat.resize(n);

@@ -79,6 +79,12 @@ struct SimOptions {
   std::vector<std::vector<double>> feedback;
 };
 
+/// Klimov's routing rules: throws unless `feedback` is n x n with entries
+/// >= 0 and row sums <= 1 (within 1e-9). Shared by SimOptions::feedback and
+/// KlimovNetwork.
+void validate_feedback(const std::vector<std::vector<double>>& feedback,
+                       std::size_t n);
+
 /// Per-class steady-state estimates.
 struct ClassStats {
   double mean_in_system = 0.0;  ///< E[L_j], time average

@@ -183,6 +183,15 @@ TEST(KlimovNetwork, ValidateCatchesBadFeedback) {
   EXPECT_THROW(net.validate(), std::invalid_argument);
 }
 
+TEST(KlimovNetwork, TruncatedPriorityMustBeAPermutation) {
+  const auto net = tandem_network(0.5);
+  EXPECT_THROW(truncated_priority_cost(net, 4, {0, 0}),
+               std::invalid_argument);
+  EXPECT_THROW(truncated_priority_cost(net, 4, {1, 2}),
+               std::invalid_argument);
+  EXPECT_THROW(truncated_priority_cost(net, 4, {0}), std::invalid_argument);
+}
+
 // Golden values of the truncated exact baseline, pinned bit-exactly: any
 // change in the queue-length layout, the action order or the summation
 // order shows up here. A mismatch prints the new value as a hexfloat.

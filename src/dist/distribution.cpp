@@ -22,7 +22,7 @@ bool sums_to_one(const std::vector<double>& probs) {
 class ExponentialDist final : public Distribution {
  public:
   explicit ExponentialDist(double rate) : rate_(rate) {}
-  double sample(Rng& rng) const override { return rng.exponential(rate_); }
+  double sample(Rng& rng) const override { return flat().sample(rng); }
   FlatSampler flat() const override { return FlatSampler::exponential(rate_); }
   double mean() const override { return 1.0 / rate_; }
   double second_moment() const override { return 2.0 / (rate_ * rate_); }
@@ -37,7 +37,7 @@ class ExponentialDist final : public Distribution {
 class DeterministicDist final : public Distribution {
  public:
   explicit DeterministicDist(double value) : value_(value) {}
-  double sample(Rng&) const override { return value_; }
+  double sample(Rng& rng) const override { return flat().sample(rng); }
   FlatSampler flat() const override {
     return FlatSampler::deterministic(value_);
   }
@@ -64,7 +64,7 @@ class DeterministicDist final : public Distribution {
 class UniformDist final : public Distribution {
  public:
   UniformDist(double lo, double hi) : lo_(lo), hi_(hi) {}
-  double sample(Rng& rng) const override { return rng.uniform(lo_, hi_); }
+  double sample(Rng& rng) const override { return flat().sample(rng); }
   FlatSampler flat() const override { return FlatSampler::uniform(lo_, hi_); }
   double mean() const override { return 0.5 * (lo_ + hi_); }
   double second_moment() const override { return variance() + mean() * mean(); }
@@ -84,20 +84,7 @@ class UniformDist final : public Distribution {
 class ErlangDist final : public Distribution {
  public:
   ErlangDist(unsigned k, double rate) : k_(k), rate_(rate) {}
-  double sample(Rng& rng) const override {
-    // Sum of k exponentials via logs of chunked products of uniforms:
-    // exact inversion composition, deterministic across platforms. Chunks
-    // of 8 keep every partial product normal (>= 2^-424 even if all draws
-    // hit the 2^-53 floor), so no underflow for any stage count.
-    double acc = 0.0;
-    for (unsigned i = 0; i < k_; i += 8) {
-      double prod = 1.0;
-      const unsigned end = std::min(i + 8u, k_);
-      for (unsigned j = i; j < end; ++j) prod *= rng.uniform_pos();
-      acc += std::log(prod);
-    }
-    return -acc / rate_;
-  }
+  double sample(Rng& rng) const override { return flat().sample(rng); }
   FlatSampler flat() const override { return FlatSampler::erlang(k_, rate_); }
   double mean() const override { return k_ / rate_; }
   double second_moment() const override {

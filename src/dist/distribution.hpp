@@ -35,11 +35,11 @@ class Distribution;
 /// per replication and route every hot-loop draw through it — params live
 /// inline in a 32-byte value instead of behind a shared_ptr + vtable chase.
 ///
-/// Bit-identity contract: every fast-path case consumes exactly the same
-/// Rng primitives in exactly the same order as the corresponding
-/// `Distribution::sample` override, so replacing virtual dispatch with a
-/// cached FlatSampler cannot change any sample path (regression-tested for
-/// all laws in tests/test_dist.cpp). Laws without a fast case fall back to
+/// Bit-identity contract: the laws with a fast-path case define their
+/// `Distribution::sample` as `flat().sample(rng)`, so each has one draw
+/// procedure and replacing virtual dispatch with a cached FlatSampler cannot
+/// change any sample path (regression-tested for all laws in
+/// tests/test_dist.cpp). Laws without a fast case fall back to
 /// the virtual call through a raw pointer — the sampler is only valid while
 /// the distribution it came from is alive.
 class FlatSampler {
@@ -167,8 +167,10 @@ inline double FlatSampler::sample(Rng& rng) const {
     case Kind::kUniform:
       return rng.uniform(a_, b_);
     case Kind::kErlang: {
-      // Byte-for-byte the ErlangDist::sample loop: chunked log-of-products
-      // inversion (see dist/distribution.cpp for the underflow argument).
+      // Sum of k exponentials via logs of chunked products of uniforms:
+      // exact inversion composition, deterministic across platforms. Chunks
+      // of 8 keep every partial product normal (>= 2^-424 even if all draws
+      // hit the 2^-53 floor), so no underflow for any stage count.
       double acc = 0.0;
       for (unsigned i = 0; i < k_; i += 8) {
         double prod = 1.0;

@@ -7,6 +7,7 @@
 #include "bandit/gittins.hpp"
 #include "mdp/solve.hpp"
 #include "util/check.hpp"
+#include "util/joint_space.hpp"
 
 namespace stosched::bandit {
 
@@ -27,49 +28,53 @@ IndexTable myopic_table(const BanditInstance& inst) {
   return table;
 }
 
-std::size_t encode_joint(const BanditInstance& inst,
-                         const std::vector<std::size_t>& states) {
-  STOSCHED_REQUIRE(states.size() == inst.projects.size(),
-                   "joint state must cover all projects");
-  std::size_t code = 0;
-  for (std::size_t j = states.size(); j-- > 0;) {
-    STOSCHED_REQUIRE(states[j] < inst.projects[j].num_states(),
-                     "project state out of range");
-    code = code * inst.projects[j].num_states() + states[j];
+std::size_t engaged_project(const IndexTable& table,
+                            std::span<const std::size_t> states,
+                            double switch_penalty, std::size_t incumbent) {
+  std::size_t best = 0;
+  double best_idx = -std::numeric_limits<double>::infinity();
+  for (std::size_t j = 0; j < states.size(); ++j) {
+    const double idx =
+        table[j][states[j]] - (j == incumbent ? 0.0 : switch_penalty);
+    if (idx > best_idx + 1e-14) {
+      best_idx = idx;
+      best = j;
+    }
   }
-  return code;
+  return best;
 }
 
 namespace {
 
-std::size_t joint_space_size(const BanditInstance& inst) {
-  std::size_t total = 1;
-  for (const auto& p : inst.projects) {
-    STOSCHED_REQUIRE(total < (std::size_t{1} << 22) / p.num_states(),
-                     "product MDP too large");
-    total *= p.num_states();
-  }
-  return total;
+/// Digit j is project j's state.
+JointSpace joint_space(const BanditInstance& inst) {
+  std::vector<std::size_t> radix;
+  radix.reserve(inst.projects.size());
+  for (const auto& p : inst.projects) radix.push_back(p.num_states());
+  return JointSpace(std::move(radix), std::size_t{1} << 22,
+                    "product MDP too large");
 }
 
-void decode_joint(const BanditInstance& inst, std::size_t code,
-                  std::vector<std::size_t>& states) {
-  states.resize(inst.projects.size());
-  for (std::size_t j = 0; j < inst.projects.size(); ++j) {
-    states[j] = code % inst.projects[j].num_states();
-    code /= inst.projects[j].num_states();
-  }
+/// Code of the caller's start state, checked digit by digit.
+std::size_t start_code(const BanditInstance& inst,
+                       const std::vector<std::size_t>& start) {
+  STOSCHED_REQUIRE(start.size() == inst.projects.size(),
+                   "joint state must cover all projects");
+  for (std::size_t j = 0; j < start.size(); ++j)
+    STOSCHED_REQUIRE(start[j] < inst.projects[j].num_states(),
+                     "project state out of range");
+  return joint_space(inst).encode(start);
 }
 
 }  // namespace
 
 mdp::FiniteMdp product_mdp(const BanditInstance& inst) {
   inst.validate();
-  const std::size_t total = joint_space_size(inst);
-  mdp::FiniteMdp m(total);
+  const JointSpace space = joint_space(inst);
+  mdp::FiniteMdp m(space.size());
   std::vector<std::size_t> states;
-  for (std::size_t code = 0; code < total; ++code) {
-    decode_joint(inst, code, states);
+  for (std::size_t code = 0; code < space.size(); ++code) {
+    space.decode(code, states);
     for (std::size_t j = 0; j < inst.projects.size(); ++j) {
       const auto& proj = inst.projects[j];
       mdp::Action a;
@@ -80,7 +85,7 @@ mdp::FiniteMdp product_mdp(const BanditInstance& inst) {
         if (proj.trans[s][t] == 0.0) continue;
         auto next = states;
         next[j] = t;
-        a.transitions.push_back({encode_joint(inst, next), proj.trans[s][t]});
+        a.transitions.push_back({space.encode(next), proj.trans[s][t]});
       }
       m.add_action(code, std::move(a));
     }
@@ -92,44 +97,24 @@ double optimal_value(const BanditInstance& inst,
                      const std::vector<std::size_t>& start) {
   const auto m = product_mdp(inst);
   const auto sol = mdp::value_iteration(m, inst.beta, 1e-10);
-  return sol.value[encode_joint(inst, start)];
+  return sol.value[start_code(inst, start)];
 }
-
-namespace {
-
-/// The index policy as a deterministic action map on the product MDP.
-std::vector<std::size_t> index_policy_actions(const BanditInstance& inst,
-                                              const IndexTable& table,
-                                              std::size_t total) {
-  std::vector<std::size_t> policy(total, 0);
-  std::vector<std::size_t> states;
-  for (std::size_t code = 0; code < total; ++code) {
-    decode_joint(inst, code, states);
-    std::size_t best = 0;
-    double best_idx = -std::numeric_limits<double>::infinity();
-    for (std::size_t j = 0; j < inst.projects.size(); ++j) {
-      const double idx = table[j][states[j]];
-      if (idx > best_idx + 1e-14) {
-        best_idx = idx;
-        best = j;
-      }
-    }
-    policy[code] = best;  // action order == project order in product_mdp
-    // NOLINTNEXTLINE: decode buffer reused intentionally
-  }
-  return policy;
-}
-
-}  // namespace
 
 double index_policy_value(const BanditInstance& inst, const IndexTable& table,
                           const std::vector<std::size_t>& start) {
   STOSCHED_REQUIRE(table.size() == inst.projects.size(),
                    "index table must cover all projects");
   const auto m = product_mdp(inst);
-  const auto policy = index_policy_actions(inst, table, m.num_states());
+  const JointSpace space = joint_space(inst);
+  // Action order == project order in product_mdp.
+  std::vector<std::size_t> policy(space.size(), 0);
+  std::vector<std::size_t> states;
+  for (std::size_t code = 0; code < space.size(); ++code) {
+    space.decode(code, states);
+    policy[code] = engaged_project(table, states);
+  }
   const auto values = mdp::evaluate_policy(m, inst.beta, policy);
-  return values[encode_joint(inst, start)];
+  return values[start_code(inst, start)];
 }
 
 double simulate_index_policy(const BanditInstance& inst,
@@ -150,15 +135,7 @@ double simulate_index_policy(const BanditInstance& inst,
   double discount = 1.0;
   double total = 0.0;
   while (discount >= trunc_eps) {
-    std::size_t best = 0;
-    double best_idx = -std::numeric_limits<double>::infinity();
-    for (std::size_t j = 0; j < inst.projects.size(); ++j) {
-      const double idx = table[j][states[j]];
-      if (idx > best_idx + 1e-14) {
-        best_idx = idx;
-        best = j;
-      }
-    }
+    const std::size_t best = engaged_project(table, states);
     const auto& proj = inst.projects[best];
     total += discount * proj.reward[states[best]];
     states[best] = trans_rng[best].categorical(proj.trans[states[best]].data(),

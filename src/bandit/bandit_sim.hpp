@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "bandit/project.hpp"
@@ -26,12 +27,19 @@ IndexTable gittins_table(const BanditInstance& inst);
 /// Myopic table: index = immediate reward.
 IndexTable myopic_table(const BanditInstance& inst);
 
+/// The project an index rule engages in joint state `states`: the highest
+/// index wins, and ties within 1e-14 go to the lowest project id. Every
+/// project but `incumbent` has `switch_penalty` taken off its index, which
+/// is switching.hpp's hysteresis rule; a zero penalty gives the plain rule.
+std::size_t engaged_project(const IndexTable& table,
+                            std::span<const std::size_t> states,
+                            double switch_penalty = 0.0,
+                            std::size_t incumbent = 0);
+
 /// Build the product-space MDP of the instance (actions = which project to
-/// engage). State encoding is mixed-radix over project states; use
-/// `encode_joint` to map a joint state.
+/// engage, in project order). A joint state's code is its JointSpace code
+/// (util/joint_space.hpp) with project j's state as digit j.
 mdp::FiniteMdp product_mdp(const BanditInstance& inst);
-std::size_t encode_joint(const BanditInstance& inst,
-                         const std::vector<std::size_t>& states);
 
 /// Exact optimal expected discounted reward from a joint start state.
 double optimal_value(const BanditInstance& inst,

@@ -1,156 +1,124 @@
 #include "bandit/switching.hpp"
 
-#include <limits>
+#include <span>
+#include <utility>
 
 #include "bandit/gittins.hpp"
 #include "mdp/solve.hpp"
-#include "util/check.hpp"
+#include "util/joint_space.hpp"
 
 namespace stosched::bandit {
 
 namespace {
 
-/// Augmented state: joint project state x incumbent (N == "no incumbent").
-/// Encoding: code * (N+1) + incumbent.
+/// Augmented state: digit 0 is the incumbent (N == "no incumbent") and
+/// digit 1 + j is project j's state.
 struct Augmented {
   const SwitchingInstance& inst;
-  std::size_t joint_size = 1;
   std::size_t num_projects = 0;
+  JointSpace space;
 
-  explicit Augmented(const SwitchingInstance& si) : inst(si) {
-    si.base.validate();
-    num_projects = si.base.projects.size();
-    for (const auto& p : si.base.projects) {
-      STOSCHED_REQUIRE(joint_size < (std::size_t{1} << 20) / p.num_states(),
-                       "augmented MDP too large");
-      joint_size *= p.num_states();
-    }
+  explicit Augmented(const SwitchingInstance& si)
+      : inst(si),
+        num_projects(si.base.projects.size()),
+        space(augmented_space(si.base)) {}
+
+  static JointSpace augmented_space(const BanditInstance& base) {
+    base.validate();
+    const std::size_t n = base.projects.size();
+    std::vector<std::size_t> radix{n + 1};
+    for (const auto& p : base.projects) radix.push_back(p.num_states());
+    // The cap bounds the joint project space alone. Below it, the
+    // incumbent digit keeps the augmented space under N + 1 times the cap,
+    // so the second guard never fires.
+    constexpr std::size_t kCap = std::size_t{1} << 20;
+    const JointSpace projects({radix.begin() + 1, radix.end()}, kCap,
+                              "augmented MDP too large");
+    return JointSpace(std::move(radix), (n + 1) * kCap,
+                      "augmented MDP too large");
   }
 
-  [[nodiscard]] std::size_t size() const {
-    return joint_size * (num_projects + 1);
-  }
-  [[nodiscard]] std::size_t encode(std::size_t joint,
-                                   std::size_t incumbent) const {
-    return joint * (num_projects + 1) + incumbent;
-  }
-
-  void decode_joint(std::size_t code, std::vector<std::size_t>& states) const {
-    states.resize(num_projects);
-    for (std::size_t j = 0; j < num_projects; ++j) {
-      states[j] = code % inst.base.projects[j].num_states();
-      code /= inst.base.projects[j].num_states();
-    }
-  }
-
-  [[nodiscard]] std::size_t encode_joint(
-      const std::vector<std::size_t>& states) const {
-    std::size_t code = 0;
-    for (std::size_t j = states.size(); j-- > 0;)
-      code = code * inst.base.projects[j].num_states() + states[j];
-    return code;
+  /// Code of `start` with no incumbent.
+  [[nodiscard]] std::size_t start_code(
+      const std::vector<std::size_t>& start) const {
+    std::vector<std::size_t> digits{num_projects};
+    digits.insert(digits.end(), start.begin(), start.end());
+    return space.encode(digits);
   }
 
   /// Build the augmented MDP (actions = project to engage next).
   [[nodiscard]] mdp::FiniteMdp build() const {
-    mdp::FiniteMdp m(size());
-    std::vector<std::size_t> states;
-    for (std::size_t joint = 0; joint < joint_size; ++joint) {
-      decode_joint(joint, states);
-      for (std::size_t inc = 0; inc <= num_projects; ++inc) {
-        const std::size_t code = encode(joint, inc);
-        for (std::size_t j = 0; j < num_projects; ++j) {
-          const auto& proj = inst.base.projects[j];
-          mdp::Action a;
-          a.label = static_cast<int>(j);
-          a.reward = proj.reward[states[j]] -
-                     (j == inc ? 0.0 : inst.switch_cost);
-          const std::size_t s = states[j];
-          for (std::size_t t = 0; t < proj.num_states(); ++t) {
-            if (proj.trans[s][t] == 0.0) continue;
-            auto next = states;
-            next[j] = t;
-            a.transitions.push_back(
-                {encode(encode_joint(next), j), proj.trans[s][t]});
-          }
-          m.add_action(code, std::move(a));
+    mdp::FiniteMdp m(space.size());
+    std::vector<std::size_t> digits;
+    for (std::size_t code = 0; code < space.size(); ++code) {
+      space.decode(code, digits);
+      const std::size_t inc = digits[0];
+      for (std::size_t j = 0; j < num_projects; ++j) {
+        const auto& proj = inst.base.projects[j];
+        const std::size_t s = digits[1 + j];
+        mdp::Action a;
+        a.label = static_cast<int>(j);
+        a.reward = proj.reward[s] - (j == inc ? 0.0 : inst.switch_cost);
+        for (std::size_t t = 0; t < proj.num_states(); ++t) {
+          if (proj.trans[s][t] == 0.0) continue;
+          auto next = digits;
+          next[0] = j;
+          next[1 + j] = t;
+          a.transitions.push_back({space.encode(next), proj.trans[s][t]});
         }
+        m.add_action(code, std::move(a));
       }
     }
     return m;
   }
-};
 
-/// Evaluate a deterministic augmented policy exactly.
-double evaluate(const Augmented& aug, const mdp::FiniteMdp& m,
-                const std::vector<std::size_t>& policy,
-                const std::vector<std::size_t>& start) {
-  const auto values =
-      mdp::evaluate_policy(m, aug.inst.base.beta, policy);
-  return values[aug.encode(aug.encode_joint(start), aug.num_projects)];
-}
+  /// Exact value from `start` of the deterministic policy that engages
+  /// choose(incumbent, project states) in each augmented state.
+  template <class Choose>
+  [[nodiscard]] double policy_value(const std::vector<std::size_t>& start,
+                                    Choose choose) const {
+    std::vector<std::size_t> policy(space.size(), 0);
+    std::vector<std::size_t> digits;
+    for (std::size_t code = 0; code < space.size(); ++code) {
+      space.decode(code, digits);
+      policy[code] =
+          choose(digits[0], std::span<const std::size_t>(digits).subspan(1));
+    }
+    const auto values =
+        mdp::evaluate_policy(build(), inst.base.beta, policy);
+    return values[start_code(start)];
+  }
+};
 
 }  // namespace
 
 double switching_optimal_value(const SwitchingInstance& inst,
                                const std::vector<std::size_t>& start) {
   const Augmented aug(inst);
-  const auto m = aug.build();
-  const auto sol = mdp::value_iteration(m, inst.base.beta, 1e-10);
-  return sol.value[aug.encode(aug.encode_joint(start), aug.num_projects)];
+  const auto sol = mdp::value_iteration(aug.build(), inst.base.beta, 1e-10);
+  return sol.value[aug.start_code(start)];
 }
 
 double switching_hysteresis_value(const SwitchingInstance& inst,
                                   const std::vector<std::size_t>& start) {
   const Augmented aug(inst);
-  const auto m = aug.build();
   const auto gittins = gittins_table(inst.base);
+  // Challenger index: gamma - (1-beta) c_sw; incumbent keeps raw gamma.
   const double penalty = (1.0 - inst.base.beta) * inst.switch_cost;
-
-  std::vector<std::size_t> policy(m.num_states(), 0);
-  std::vector<std::size_t> states;
-  for (std::size_t joint = 0; joint < aug.joint_size; ++joint) {
-    aug.decode_joint(joint, states);
-    for (std::size_t inc = 0; inc <= aug.num_projects; ++inc) {
-      // Challenger index: gamma - (1-beta) c_sw; incumbent keeps raw gamma.
-      std::size_t best = 0;
-      double best_idx = -std::numeric_limits<double>::infinity();
-      for (std::size_t j = 0; j < aug.num_projects; ++j) {
-        const double idx =
-            gittins[j][states[j]] - (j == inc ? 0.0 : penalty);
-        if (idx > best_idx + 1e-14) {
-          best_idx = idx;
-          best = j;
-        }
-      }
-      policy[aug.encode(joint, inc)] = best;
-    }
-  }
-  return evaluate(aug, m, policy, start);
+  return aug.policy_value(
+      start, [&](std::size_t inc, std::span<const std::size_t> states) {
+        return engaged_project(gittins, states, penalty, inc);
+      });
 }
 
 double switching_naive_gittins_value(const SwitchingInstance& inst,
                                      const std::vector<std::size_t>& start) {
   const Augmented aug(inst);
-  const auto m = aug.build();
   const auto gittins = gittins_table(inst.base);
-
-  std::vector<std::size_t> policy(m.num_states(), 0);
-  std::vector<std::size_t> states;
-  for (std::size_t joint = 0; joint < aug.joint_size; ++joint) {
-    aug.decode_joint(joint, states);
-    std::size_t best = 0;
-    double best_idx = -std::numeric_limits<double>::infinity();
-    for (std::size_t j = 0; j < aug.num_projects; ++j) {
-      if (gittins[j][states[j]] > best_idx + 1e-14) {
-        best_idx = gittins[j][states[j]];
-        best = j;
-      }
-    }
-    for (std::size_t inc = 0; inc <= aug.num_projects; ++inc)
-      policy[aug.encode(joint, inc)] = best;
-  }
-  return evaluate(aug, m, policy, start);
+  return aug.policy_value(
+      start, [&](std::size_t, std::span<const std::size_t> states) {
+        return engaged_project(gittins, states);
+      });
 }
 
 }  // namespace stosched::bandit

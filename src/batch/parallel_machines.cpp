@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 
 #include "util/check.hpp"
 #include "util/contract.hpp"
+#include "util/joint_space.hpp"
 
 namespace stosched::batch {
 
@@ -55,21 +57,23 @@ ScheduleOutcome exact_list_policy_discrete(const Batch& jobs,
                                            unsigned machines) {
   const std::size_t n = jobs.size();
   std::vector<std::vector<double>> values(n), probs(n);
-  std::size_t lattice = 1;
+  std::vector<std::size_t> radix(n);
   for (std::size_t j = 0; j < n; ++j) {
     STOSCHED_REQUIRE(discrete_support(*jobs[j].processing, &values[j], &probs[j]),
                      "exact evaluation requires discrete laws");
-    STOSCHED_REQUIRE(lattice <= (std::size_t{1} << 20) / values[j].size(),
-                     "realization lattice too large");
-    lattice *= values[j].size();
+    radix[j] = values[j].size();
   }
+  // Digit j of a realization is the index of job j's support point.
+  const JointSpace lattice(std::move(radix), std::size_t{1} << 20,
+                           "realization lattice too large");
 
   std::vector<double> times(n), weights(n);
   for (std::size_t j = 0; j < n; ++j) weights[j] = jobs[j].weight;
 
   ScheduleOutcome expected;
-  std::vector<std::size_t> digit(n, 0);
-  for (std::size_t code = 0; code < lattice; ++code) {
+  std::vector<std::size_t> digit;
+  for (std::size_t code = 0; code < lattice.size(); ++code) {
+    lattice.decode(code, digit);
     double p = 1.0;
     for (std::size_t j = 0; j < n; ++j) {
       times[j] = values[j][digit[j]];
@@ -79,11 +83,6 @@ ScheduleOutcome exact_list_policy_discrete(const Batch& jobs,
     expected.flowtime += p * o.flowtime;
     expected.weighted_flowtime += p * o.weighted_flowtime;
     expected.makespan += p * o.makespan;
-    // Mixed-radix increment.
-    for (std::size_t j = 0; j < n; ++j) {
-      if (++digit[j] < values[j].size()) break;
-      digit[j] = 0;
-    }
   }
   return expected;
 }

@@ -8,6 +8,7 @@
 #include <numeric>
 
 #include "util/check.hpp"
+#include "util/joint_space.hpp"
 
 namespace stosched::batch {
 
@@ -93,48 +94,22 @@ double sevcik_index(const DiscreteJob& job, std::size_t level) {
 
 namespace {
 
-/// Mixed-radix state over job levels; per-job digits are 0..K-1 (alive at
-/// that level) and K (completed).
-struct LevelSpace {
-  explicit LevelSpace(const std::vector<DiscreteJob>& jobs) : jobs_(&jobs) {
-    radix_.reserve(jobs.size());
-    std::size_t total = 1;
-    for (const auto& j : jobs) {
-      radix_.push_back(j.values.size() + 1);
-      STOSCHED_REQUIRE(total < (std::size_t{1} << 24) / radix_.back(),
-                       "preemptive DP state space too large");
-      total *= radix_.back();
-    }
-    size_ = total;
-  }
-
-  [[nodiscard]] std::size_t size() const { return size_; }
-
-  [[nodiscard]] std::size_t encode(const std::vector<std::size_t>& lv) const {
-    std::size_t code = 0;
-    for (std::size_t i = lv.size(); i-- > 0;) code = code * radix_[i] + lv[i];
-    return code;
-  }
-
-  void decode(std::size_t code, std::vector<std::size_t>& lv) const {
-    lv.resize(radix_.size());
-    for (std::size_t i = 0; i < radix_.size(); ++i) {
-      lv[i] = code % radix_[i];
-      code /= radix_[i];
-    }
-  }
-
-  const std::vector<DiscreteJob>* jobs_;
-  std::vector<std::size_t> radix_;
-  std::size_t size_ = 0;
-};
+/// Digit i of a level state is job i's level: 0..K-1 while alive at that
+/// level, K once completed.
+JointSpace level_space(const std::vector<DiscreteJob>& jobs) {
+  std::vector<std::size_t> radix;
+  radix.reserve(jobs.size());
+  for (const auto& j : jobs) radix.push_back(j.values.size() + 1);
+  return JointSpace(std::move(radix), std::size_t{1} << 24,
+                    "preemptive DP state space too large");
+}
 
 /// Backward induction over the level DAG. `pick` selects the job to serve in
 /// an alive configuration (or SIZE_MAX to take the min over all alive jobs).
 double level_dp(const std::vector<DiscreteJob>& jobs, bool optimal,
                 const std::function<std::size_t(
                     const std::vector<std::size_t>&)>& pick) {
-  const LevelSpace space(jobs);
+  const JointSpace space = level_space(jobs);
   std::vector<double> value(space.size(),
                             std::numeric_limits<double>::quiet_NaN());
   std::vector<std::size_t> lv;

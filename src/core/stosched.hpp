@@ -24,6 +24,7 @@
 
 #include "util/check.hpp"
 #include "util/contract.hpp"
+#include "util/joint_space.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"

@@ -8,6 +8,7 @@
 #include "mdp/solve.hpp"
 #include "queueing/kernel.hpp"
 #include "util/check.hpp"
+#include "util/joint_space.hpp"
 
 namespace stosched::queueing {
 
@@ -114,37 +115,18 @@ SimResult simulate_klimov(const KlimovNetwork& net,
 
 namespace {
 
-struct TruncSpace {
-  std::size_t n = 0, cap = 0, total = 1;
-
-  TruncSpace(std::size_t classes, std::size_t cap_) : n(classes), cap(cap_) {
-    for (std::size_t j = 0; j < n; ++j) {
-      STOSCHED_REQUIRE(total < (std::size_t{1} << 22) / (cap + 1),
-                       "truncated state space too large");
-      total *= cap + 1;
-    }
-  }
-
-  void decode(std::size_t code, std::vector<std::size_t>& q) const {
-    q.resize(n);
-    for (std::size_t j = 0; j < n; ++j) {
-      q[j] = code % (cap + 1);
-      code /= cap + 1;
-    }
-  }
-  [[nodiscard]] std::size_t encode(const std::vector<std::size_t>& q) const {
-    std::size_t code = 0;
-    for (std::size_t j = n; j-- > 0;) code = code * (cap + 1) + q[j];
-    return code;
-  }
-};
+/// Digit j of a truncated state is class j's queue length, 0..cap.
+JointSpace truncated_space(std::size_t classes, std::size_t cap) {
+  return JointSpace(std::vector<std::size_t>(classes, cap + 1),
+                    std::size_t{1} << 22, "truncated state space too large");
+}
 
 }  // namespace
 
 mdp::FiniteMdp build_truncated_mdp(const KlimovNetwork& net, std::size_t cap) {
   net.validate();
   const std::size_t n = net.num_classes();
-  const TruncSpace space(n, cap);
+  const JointSpace space = truncated_space(n, cap);
 
   std::vector<double> lambda(n), mu(n);
   double unif = 0.0;
@@ -155,9 +137,9 @@ mdp::FiniteMdp build_truncated_mdp(const KlimovNetwork& net, std::size_t cap) {
   }
   unif += *std::max_element(mu.begin(), mu.end());
 
-  mdp::FiniteMdp m(space.total);
+  mdp::FiniteMdp m(space.size());
   std::vector<std::size_t> q;
-  for (std::size_t code = 0; code < space.total; ++code) {
+  for (std::size_t code = 0; code < space.size(); ++code) {
     space.decode(code, q);
     double cost = 0.0;
     for (std::size_t j = 0; j < n; ++j)
@@ -223,7 +205,7 @@ double truncated_cost(const KlimovNetwork& net, std::size_t cap,
                       const std::vector<std::size_t>* priority) {
   const auto m = build_truncated_mdp(net, cap);
   const std::size_t n = net.num_classes();
-  const TruncSpace space(n, cap);
+  const JointSpace space = truncated_space(n, cap);
 
   if (!priority) {
     const auto sol = mdp::relative_value_iteration(m, 1e-10);
@@ -231,9 +213,9 @@ double truncated_cost(const KlimovNetwork& net, std::size_t cap,
   }
 
   const auto rank = priority_rank(*priority, n);
-  std::vector<std::size_t> policy(space.total, 0);
+  std::vector<std::size_t> policy(space.size(), 0);
   std::vector<std::size_t> q;
-  for (std::size_t code = 0; code < space.total; ++code) {
+  for (std::size_t code = 0; code < space.size(); ++code) {
     space.decode(code, q);
     // Action list order == nonempty classes in index order (or single idle).
     std::size_t best_class = n;

@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <limits>
 #include <numeric>
+#include <utility>
 
 #include "mdp/mdp.hpp"
 #include "mdp/solve.hpp"
 #include "util/check.hpp"
+#include "util/joint_space.hpp"
 
 namespace stosched::restless {
 
@@ -119,21 +121,15 @@ double simulate_random_policy(const RestlessInstance& inst,
 
 namespace {
 
-/// Product-space machinery shared by the exact solvers.
+/// Product-space machinery shared by the exact solvers. Digit j of a joint
+/// state is project j's state.
 struct ProductSpace {
   const RestlessInstance& inst;
-  std::size_t total = 1;
+  JointSpace space;
   std::vector<std::vector<std::size_t>> subsets;  // all m-subsets, fixed order
 
-  explicit ProductSpace(const RestlessInstance& i) : inst(i) {
-    inst.validate();
-    for (const auto& p : inst.projects) {
-      // Joint transition rows are dense (every project moves every epoch),
-      // so the exact product solvers are reserved for tiny instances.
-      STOSCHED_REQUIRE(total < (std::size_t{1} << 10) / p.num_states(),
-                       "restless product MDP too large");
-      total *= p.num_states();
-    }
+  explicit ProductSpace(const RestlessInstance& i)
+      : inst(i), space(joint_space(i)) {
     // Enumerate m-subsets lexicographically.
     const std::size_t n = inst.projects.size();
     std::vector<std::size_t> idx(inst.activate);
@@ -155,20 +151,23 @@ struct ProductSpace {
     }
   }
 
-  void decode(std::size_t code, std::vector<std::size_t>& s) const {
-    s.resize(inst.projects.size());
-    for (std::size_t j = 0; j < inst.projects.size(); ++j) {
-      s[j] = code % inst.projects[j].num_states();
-      code /= inst.projects[j].num_states();
-    }
+  static JointSpace joint_space(const RestlessInstance& inst) {
+    inst.validate();
+    std::vector<std::size_t> radix;
+    radix.reserve(inst.projects.size());
+    for (const auto& p : inst.projects) radix.push_back(p.num_states());
+    // Joint transition rows are dense (every project moves every epoch),
+    // so the exact product solvers are reserved for tiny instances.
+    return JointSpace(std::move(radix), std::size_t{1} << 10,
+                      "restless product MDP too large");
   }
 
   [[nodiscard]] mdp::FiniteMdp build() const {
-    mdp::FiniteMdp m(total);
+    mdp::FiniteMdp m(space.size());
     std::vector<std::size_t> s;
     std::vector<char> active(inst.projects.size(), 0);
-    for (std::size_t code = 0; code < total; ++code) {
-      decode(code, s);
+    for (std::size_t code = 0; code < space.size(); ++code) {
+      space.decode(code, s);
       for (std::size_t ai = 0; ai < subsets.size(); ++ai) {
         std::fill(active.begin(), active.end(), 0);
         for (const std::size_t j : subsets[ai]) active[j] = 1;
@@ -180,25 +179,27 @@ struct ProductSpace {
           act.reward += active[j] ? p.reward_active[s[j]]
                                   : p.reward_passive[s[j]];
         }
-        // Joint transition = product of per-project rows; expand iteratively.
-        std::vector<std::pair<std::size_t, double>> joint{{0, 1.0}};
-        std::size_t stride = 1;
+        // Joint transition = product of per-project rows, expanded one
+        // project at a time into (next joint state, probability) pairs.
+        using Branch = std::pair<std::vector<std::size_t>, double>;
+        std::vector<Branch> joint{{{}, 1.0}};
         for (std::size_t j = 0; j < inst.projects.size(); ++j) {
           const auto& p = inst.projects[j];
           const auto& row =
               active[j] ? p.trans_active[s[j]] : p.trans_passive[s[j]];
-          std::vector<std::pair<std::size_t, double>> grown;
+          std::vector<Branch> grown;
           grown.reserve(joint.size() * row.size());
-          for (const auto& [base, prob] : joint)
+          for (const auto& [next, prob] : joint)
             for (std::size_t t = 0; t < row.size(); ++t)
-              if (row[t] > 0.0)
-                grown.emplace_back(base + stride * t, prob * row[t]);
+              if (row[t] > 0.0) {
+                grown.emplace_back(next, prob * row[t]);
+                grown.back().first.push_back(t);
+              }
           joint = std::move(grown);
-          stride *= p.num_states();
         }
         act.transitions.reserve(joint.size());
-        for (const auto& [target, prob] : joint)
-          act.transitions.push_back({target, prob});
+        for (const auto& [next, prob] : joint)
+          act.transitions.push_back({space.encode(next), prob});
         m.add_action(code, std::move(act));
       }
     }
@@ -224,8 +225,8 @@ struct ProductSpace {
 }  // namespace
 
 double optimal_average_reward(const RestlessInstance& inst) {
-  const ProductSpace space(inst);
-  const auto m = space.build();
+  const ProductSpace product(inst);
+  const auto m = product.build();
   const auto sol = mdp::relative_value_iteration(m, 1e-10);
   return sol.gain;
 }
@@ -234,13 +235,13 @@ double priority_policy_average_reward(const RestlessInstance& inst,
                                       const PriorityTable& priority) {
   STOSCHED_REQUIRE(priority.size() == inst.projects.size(),
                    "priority table must cover all projects");
-  const ProductSpace space(inst);
-  const auto m = space.build();
-  std::vector<std::size_t> policy(space.total, 0);
+  const ProductSpace product(inst);
+  const auto m = product.build();
+  std::vector<std::size_t> policy(product.space.size(), 0);
   std::vector<std::size_t> s;
-  for (std::size_t code = 0; code < space.total; ++code) {
-    space.decode(code, s);
-    policy[code] = space.priority_action(priority, s);
+  for (std::size_t code = 0; code < product.space.size(); ++code) {
+    product.space.decode(code, s);
+    policy[code] = product.priority_action(priority, s);
   }
   return mdp::average_reward_of_policy_iterative(m, policy);
 }

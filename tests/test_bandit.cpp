@@ -138,6 +138,17 @@ TEST(Bandit, ProductMdpShape) {
   m.validate();
 }
 
+TEST(Bandit, ExactValuesCheckTheStartState) {
+  Rng rng(8);
+  BanditInstance inst;
+  inst.projects.push_back(random_project(2, rng));
+  inst.projects.push_back(random_project(3, rng));
+  const auto table = gittins_table(inst);
+  EXPECT_THROW(optimal_value(inst, {0}), std::invalid_argument);
+  EXPECT_THROW(optimal_value(inst, {0, 3}), std::invalid_argument);
+  EXPECT_THROW(index_policy_value(inst, table, {2, 0}), std::invalid_argument);
+}
+
 // ---------------------------------------------------------------------------
 // Switching costs.
 // ---------------------------------------------------------------------------

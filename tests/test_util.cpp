@@ -10,6 +10,7 @@
 
 #include "experiment/engine.hpp"
 #include "util/check.hpp"
+#include "util/joint_space.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -317,6 +318,40 @@ TEST(Check, RequireThrowsInvalidArgument) {
 
 TEST(Check, AssertThrowsInvariantError) {
   EXPECT_THROW(STOSCHED_ASSERT(false, "bug"), invariant_error);
+}
+
+TEST(JointSpace, DigitZeroIsLeastSignificant) {
+  const JointSpace space({2, 3}, 1024, "too large");
+  EXPECT_EQ(space.size(), 6u);
+  const std::vector<std::size_t> one{1, 0}, two{0, 1};
+  EXPECT_EQ(space.encode(one), 1u);
+  EXPECT_EQ(space.encode(two), 2u);
+  std::vector<std::size_t> digits;
+  space.decode(1, digits);
+  EXPECT_EQ(digits, one);
+  space.decode(2, digits);
+  EXPECT_EQ(digits, two);
+}
+
+TEST(JointSpace, DecodeThenEncodeRoundTrips) {
+  const JointSpace space({3, 1, 4, 2}, 1024, "too large");
+  ASSERT_EQ(space.size(), 24u);
+  std::vector<std::size_t> digits;
+  for (std::size_t code = 0; code < space.size(); ++code) {
+    space.decode(code, digits);
+    ASSERT_EQ(digits.size(), 4u);
+    EXPECT_LT(digits[2], 4u);
+    EXPECT_EQ(space.encode(digits), code);
+  }
+}
+
+TEST(JointSpace, GuardThrowsAtTheCap) {
+  // Radix r passes while the running product stays strictly below cap / r:
+  // {2, 3} needs 2 < cap / 3, so cap 9 passes and cap 8 already throws.
+  EXPECT_EQ(JointSpace({2, 3}, 9, "too large").size(), 6u);
+  EXPECT_THROW(JointSpace({2, 3}, 8, "too large"), std::invalid_argument);
+  EXPECT_THROW(JointSpace({2, 3}, 6, "too large"), std::invalid_argument);
+  EXPECT_THROW(JointSpace({4}, 4, "too large"), std::invalid_argument);
 }
 
 }  // namespace

@@ -13,10 +13,11 @@
 //     horizons (via smoke()/smoke_scale()) so CI can exercise the full
 //     experiment-engine path in seconds.
 //
-// All telemetry now flows from the obs registry (src/obs/): the "events" /
-// "lp_solves" / "lp_iterations" counters keep their historical JSON keys
-// bit-for-bit, the cross-simulator wait/sojourn histograms add
-// deterministic tail-percentile columns (p50/p90/p99/p999), and finish()
+// All telemetry is read by name from the five obs instruments (src/obs/):
+// the "events" / "lp_solves" / "lp_iterations" counters keep their
+// historical JSON keys bit-for-bit, the cross-simulator wait/sojourn
+// histograms add deterministic tail-percentile columns (p50/p90/p99/p999)
+// and, only when nonzero, a tally of invalid samples, and finish()
 // stamps a "provenance" block (git sha, compiler, flags, build type,
 // sanitizers, OpenMP width, seed, scenario hash) so tools/bench_compare.py
 // can flag apples-to-oranges comparisons instead of silently diffing them.
@@ -160,12 +161,15 @@ inline std::string scenario_hash(const Table& table,
   return buf;
 }
 
-/// Tail-percentile keys for one registry histogram, emitted only when it
+/// Tail-percentile keys for one obs histogram, emitted only when it
 /// recorded anything (so the JSON shape of benches without that histogram —
 /// and of all pre-obs history — is untouched). Percentiles are bucket
-/// boundaries: deterministic, so they join the --exact gate.
+/// boundaries: deterministic, so they join the --exact gate. The count of
+/// NaN and negative samples appears as `<prefix>_invalid` only when nonzero.
 inline void write_tails(std::ostream& os, const char* prefix,
                         const obs::HistogramSnapshot& h) {
+  if (h.invalid != 0)
+    os << "  \"" << prefix << "_invalid\": " << h.invalid << ",\n";
   if (h.total == 0) return;
   os << "  \"" << prefix << "_count\": " << h.total << ",\n"
      << "  \"" << prefix << "_p50\": " << h.percentile(0.50) << ",\n"
@@ -259,7 +263,7 @@ inline void note_seed(std::uint64_t seed) {
 /// the bench's traffic configuration and build provenance), and return the
 /// process exit code. Benches driving non-Poisson input pass an explicit
 /// ArrivalMeta so the compare tool never diffs trajectories across traffic
-/// regimes. All counts are read from the obs registry by name.
+/// regimes. All counts are read from the obs instruments by name.
 inline int finish(const Table& table, const ArrivalMeta& arrival = {}) {
   table.print(std::cout);
   const double wall =

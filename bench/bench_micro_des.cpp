@@ -1,9 +1,9 @@
 // Micro: discrete-event core — hold-model throughput of the future-event
-// set across d-ary heap arities and sizes up to 10^6, a ramp-up/drain
-// profile matching multi-replication engine runs, and the
-// random-variate dispatch ablation (virtual Distribution::sample vs the
-// devirtualized FlatSampler switch) over a mixed pool of laws. The hold
-// model (pop one, push one) is the classical FES benchmark.
+// set (the 4-ary EventQueue) at sizes up to 10^6, a ramp-up/drain profile
+// matching multi-replication engine runs, and the random-variate dispatch
+// ablation (virtual Distribution::sample vs the devirtualized FlatSampler
+// switch) over a mixed pool of laws. The hold model (pop one, push one) is
+// the classical FES benchmark.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -15,10 +15,9 @@
 
 namespace {
 
-template <class Queue>
-void bm_hold_model(benchmark::State& state) {
+void bm_hold_quad(benchmark::State& state) {
   const auto size = static_cast<std::size_t>(state.range(0));
-  Queue heap;
+  stosched::EventQueue heap;
   stosched::Rng rng(42);
   for (std::size_t i = 0; i < size; ++i)
     heap.push(rng.uniform(0.0, 100.0), 0);
@@ -30,19 +29,7 @@ void bm_hold_model(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 
-void bm_hold_binary(benchmark::State& s) {
-  bm_hold_model<stosched::DaryEventHeap<2>>(s);
-}
-void bm_hold_quad(benchmark::State& s) {
-  bm_hold_model<stosched::DaryEventHeap<4>>(s);
-}
-void bm_hold_octal(benchmark::State& s) {
-  bm_hold_model<stosched::DaryEventHeap<8>>(s);
-}
-
-BENCHMARK(bm_hold_binary)->Arg(64)->Arg(1024)->Arg(16384)->Arg(1000000);
 BENCHMARK(bm_hold_quad)->Arg(64)->Arg(1024)->Arg(16384)->Arg(1000000);
-BENCHMARK(bm_hold_octal)->Arg(64)->Arg(1024)->Arg(16384)->Arg(1000000);
 
 // Ramp-up/drain: push N events, then pop all N — the transient profile of
 // a replication's start and finish, where the hold model's steady size

@@ -102,11 +102,8 @@ Solution::Status run_simplex(Tableau& t, const std::vector<char>& eligible,
 }  // namespace
 
 void add_process_lp_solve(std::uint64_t iterations) noexcept {
-  // Resolved once: the registry lookup takes a mutex.
-  static obs::Counter& solves = obs::counter("lp_solves");
-  static obs::Counter& iters = obs::counter("lp_iterations");
-  solves.add(1);
-  iters.add(iterations);
+  obs::lp_solves_counter().add(1);
+  obs::lp_iterations_counter().add(iterations);
 }
 
 Problem Problem::maximize(std::vector<double> costs) {

@@ -92,9 +92,9 @@ enum class Solver { kDense, kRevised };
 Solution solve(const Problem& p, Solver solver,
                std::size_t max_iterations = 100000);
 
-/// Process-wide LP effort, mirroring des/event_queue.hpp's event counter:
-/// every completed solve (either engine, any thread) adds one to the obs
-/// counter "lp_solves" and its iteration count to "lp_iterations". The
+/// Process-wide LP effort, the LP layer's only recording call: every
+/// completed solve (either engine, any thread) adds one to the obs counter
+/// "lp_solves" and its iteration count to "lp_iterations". The
 /// totals are order-independent sums, so they are bit-identical across
 /// OpenMP schedules — bench_compare.py gates on lp_iterations in --exact
 /// mode while lp_solves_per_sec is the warn-only perf trajectory.

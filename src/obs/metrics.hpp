@@ -1,10 +1,18 @@
-// metrics.hpp — the process-wide metrics registry of the observability layer.
+// metrics.hpp — the process-wide instruments of the observability layer.
 //
-// Before this subsystem the repo's telemetry was three ad-hoc mechanisms
-// that grew one PR at a time: the `events` atomic in des/event_queue.cpp,
-// the `lp_solves`/`lp_iterations` pair in lp/simplex.cpp, and flat scalar
-// columns in BENCH_*.json. This header unifies them behind one registry of
-// named instruments:
+// The library records exactly five instruments, each with one recording
+// site that adds a whole run's worth at once:
+//
+//   * events        — DES events processed; added by queueing::Kernel::run
+//                     when its loop ends;
+//   * lp_solves,
+//     lp_iterations — LP effort; added by lp::add_process_lp_solve once per
+//                     completed solve;
+//   * wait_time     — per-visit waiting times; merged by Kernel::run;
+//   * sojourn_time  — per-job times in system; merged by simulate_mg1 and
+//                     online::simulate_online.
+//
+// Two instrument kinds:
 //
 //   * Counter    — monotone event tally (relaxed-atomic adds). The sums are
 //                  commutative, so totals are bit-identical under any
@@ -17,12 +25,13 @@
 //                  across thread counts and joins the bench_compare.py
 //                  --exact determinism gate.
 //
-// Hot-path policy mirrors the event counter's: simulators record into a
-// plain LocalHistogram (one array increment per sample, no atomics) and
-// merge it into the shared registry histogram once per replication.
-// Callers that need an instrument repeatedly cache the reference returned
-// by counter()/histogram(); the registry lookup itself takes a mutex and is
-// not for hot loops.
+// Hot-path policy: simulators count and record into plain locals (one
+// increment per event or sample, no atomics) and add them to the shared
+// instrument once per run. The instruments are constant-initialized,
+// trivially destructible globals, so they are usable from any static
+// initializer or destructor. Write through the typed accessors; read by
+// name with counter_value()/histogram_snapshot(), which is what
+// bench_common::finish and perfbench use.
 //
 // The repo lint rule `metrics-registry` (tools/lint_stosched.py) forbids
 // new file-scope std::atomic telemetry outside src/obs/ — all
@@ -37,8 +46,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <string>
-#include <utility>
+#include <string_view>
 
 namespace stosched::obs {
 
@@ -46,20 +54,14 @@ namespace stosched::obs {
 /// totals never depend on the thread schedule).
 class Counter {
  public:
-  explicit Counter(std::string name) : name_(std::move(name)) {}
-  Counter(const Counter&) = delete;
-  Counter& operator=(const Counter&) = delete;
-
   void add(std::uint64_t n = 1) noexcept {
     value_.fetch_add(n, std::memory_order_relaxed);
   }
   [[nodiscard]] std::uint64_t value() const noexcept {
     return value_.load(std::memory_order_relaxed);
   }
-  [[nodiscard]] const std::string& name() const noexcept { return name_; }
 
  private:
-  std::string name_;
   std::atomic<std::uint64_t> value_{0};
 };
 
@@ -68,7 +70,8 @@ class Counter {
 // ~9%): bucket (e, s) covers [2^e·(1+s/8), 2^e·(1+(s+1)/8)) for exponents
 // e in [kMinExp, kMaxExp). Index 0 is the underflow bucket (v ≤ 0,
 // subnormals, and everything below 2^kMinExp ≈ 9.5e-7 — "effectively zero"
-// at queueing time scales); the last index is the overflow bucket
+// at queueing time scales; LocalHistogram::record keeps NaN and negative
+// samples out of it); the last index is the overflow bucket
 // (v ≥ 2^kMaxExp ≈ 8.8e12). The index is computed from the value's raw
 // IEEE-754 bits, so it is exact, branch-light and identical on every
 // platform — no floating-point log whose last ulp could differ.
@@ -111,19 +114,23 @@ inline double bucket_upper(std::size_t index) noexcept {
 }  // namespace hist
 
 /// Frozen bucket counts of one histogram; value-comparable, so tests can
-/// assert bit-identity across OpenMP schedules directly.
+/// assert bit-identity across OpenMP schedules directly. `total` counts the
+/// valid samples in `counts`; `invalid` counts the NaN and negative samples
+/// that were kept out of them.
 struct HistogramSnapshot {
   std::array<std::uint64_t, hist::kBuckets> counts{};
   std::uint64_t total = 0;
+  std::uint64_t invalid = 0;
 
   bool operator==(const HistogramSnapshot&) const = default;
 
-  /// Nearest-rank percentile (q in (0, 1]): the upper edge of the bucket
-  /// holding the ceil(q·total)-th smallest sample — deterministic and
-  /// conservative (never below the true percentile by more than one bucket
-  /// width, ~9% relative). The underflow bucket reports 0 (zero waits are
-  /// zero, not 2^kMinExp) and the overflow bucket its lower edge, so the
-  /// result is always finite. Returns 0 when the histogram is empty.
+  /// Nearest-rank percentile (q in (0, 1]) of the valid samples: the upper
+  /// edge of the bucket holding the ceil(q·total)-th smallest sample —
+  /// deterministic and conservative (never below the true percentile by
+  /// more than one bucket width, ~9% relative). The underflow bucket
+  /// reports 0 (zero waits are zero, not 2^kMinExp) and the overflow bucket
+  /// its lower edge, so the result is always finite. Returns 0 when the
+  /// histogram holds no valid sample.
   [[nodiscard]] double percentile(double q) const noexcept {
     if (total == 0) return 0.0;
     const double want = std::ceil(q * static_cast<double>(total));
@@ -142,16 +149,23 @@ struct HistogramSnapshot {
 };
 
 /// Replication-local histogram: plain increments, no atomics. Record into
-/// one of these inside a simulator and merge() it into the shared registry
-/// histogram once per replication — the same flush-don't-contend pattern
-/// as the event queues' pop counters.
+/// one of these inside a simulator and merge() it into the shared
+/// histogram once per run.
 class LocalHistogram {
  public:
+  /// NaN and negative samples are not durations: they go to the invalid
+  /// tally, so they cannot pass for zero waits in the percentiles. Zero
+  /// (and -0.0, which compares equal to it) stays in bucket 0.
   void record(double v) noexcept {
+    if (!(v >= 0.0)) {
+      ++invalid_;
+      return;
+    }
     ++counts_[hist::bucket_index(v)];
     ++total_;
   }
   [[nodiscard]] std::uint64_t total() const noexcept { return total_; }
+  [[nodiscard]] std::uint64_t invalid() const noexcept { return invalid_; }
   [[nodiscard]] const std::array<std::uint64_t, hist::kBuckets>& counts()
       const noexcept {
     return counts_;
@@ -159,22 +173,22 @@ class LocalHistogram {
   void clear() noexcept {
     counts_.fill(0);
     total_ = 0;
+    invalid_ = 0;
   }
 
  private:
   std::array<std::uint64_t, hist::kBuckets> counts_{};
   std::uint64_t total_ = 0;
+  std::uint64_t invalid_ = 0;
 };
 
 /// Shared histogram: relaxed-atomic bucket counts, written by merge() (one
-/// fetch_add per nonzero bucket per replication).
+/// fetch_add per nonzero bucket per run).
 class Histogram {
  public:
-  explicit Histogram(std::string name) : name_(std::move(name)) {}
-  Histogram(const Histogram&) = delete;
-  Histogram& operator=(const Histogram&) = delete;
-
   void merge(const LocalHistogram& local) noexcept {
+    if (local.invalid() != 0)
+      invalid_.fetch_add(local.invalid(), std::memory_order_relaxed);
     if (local.total() == 0) return;
     const auto& c = local.counts();
     for (std::size_t i = 0; i < hist::kBuckets; ++i)
@@ -186,30 +200,23 @@ class Histogram {
       s.counts[i] = counts_[i].load(std::memory_order_relaxed);
       s.total += s.counts[i];
     }
+    s.invalid = invalid_.load(std::memory_order_relaxed);
     return s;
   }
-  [[nodiscard]] const std::string& name() const noexcept { return name_; }
 
  private:
-  std::string name_;
   std::array<std::atomic<std::uint64_t>, hist::kBuckets> counts_{};
+  std::atomic<std::uint64_t> invalid_{0};
 };
 
-// ---- registry --------------------------------------------------------------
-// Process-wide, name-keyed, find-or-create. Returned references are stable
-// for the process lifetime (instruments are never destroyed). Lookup takes
-// a mutex: resolve once, cache the reference.
+// ---- the five process-wide instruments -------------------------------------
 
-Counter& counter(const std::string& name);
-Histogram& histogram(const std::string& name);
-
-/// Read a counter without creating it: 0 when the name was never
-/// registered. This is what bench_common::finish uses, so a bench that
-/// popped no events or solved no LPs registers nothing.
-std::uint64_t counter_value(const std::string& name) noexcept;
-
-/// Snapshot a histogram without creating it: empty when never registered.
-HistogramSnapshot histogram_snapshot(const std::string& name) noexcept;
+/// DES events processed, added by queueing::Kernel::run at the end of a run.
+Counter& events_counter();
+/// Completed LP solves and their simplex iterations, added by
+/// lp::add_process_lp_solve.
+Counter& lp_solves_counter();
+Counter& lp_iterations_counter();
 
 /// The two cross-simulator tail histograms every event-driven simulator
 /// merges into (post-warmup per-visit waiting time; per-job time in
@@ -217,5 +224,13 @@ HistogramSnapshot histogram_snapshot(const std::string& name) noexcept;
 /// sojourn_p50..p999 columns of BENCH_*.json.
 Histogram& wait_time_histogram();
 Histogram& sojourn_time_histogram();
+
+/// Read a counter by name ("events", "lp_solves", "lp_iterations"): 0 for
+/// any other name. This is what bench_common::finish and perfbench use.
+std::uint64_t counter_value(std::string_view name) noexcept;
+
+/// Snapshot a histogram by name ("wait_time", "sojourn_time"): empty for
+/// any other name.
+HistogramSnapshot histogram_snapshot(std::string_view name) noexcept;
 
 }  // namespace stosched::obs

@@ -11,7 +11,8 @@
 //   * the effective arrival processes and the gap/service samplers, resolved
 //     once per run (see CachedGapSampler and FlatSampler);
 //   * the arrival epoch: next gap, push, batch size;
-//   * the FES loop with its warm-up hook and the wait-histogram flush.
+//   * the FES loop with its warm-up hook, which adds its event count and
+//     wait histogram to the process-wide obs instruments when it ends.
 // The loop is a template on the handler, so dispatch inlines: there is no
 // std::function and no virtual call per event.
 #pragma once
@@ -156,12 +157,15 @@ class Kernel {
 
   /// Pop every event due by `t_end` in (time, seq) order, advance `now` and
   /// pass the event to `handle`. `warm_up()` runs once, before handling the
-  /// first event at or after `warmup`. Leaves `now` at `t_end` and flushes
-  /// the wait histogram into the obs registry.
+  /// first event at or after `warmup`. Leaves `now` at `t_end`, then adds
+  /// the number of events popped to obs "events" and merges the wait
+  /// histogram into obs "wait_time". A run that throws records neither.
   template <class WarmUp, class Handle>
   void run(double t_end, double warmup, WarmUp&& warm_up, Handle&& handle) {
+    std::uint64_t popped = 0;
     while (!events.empty() && events.top().time <= t_end) {
       const Event e = events.pop();
+      ++popped;
       now = e.time;
       if (!warm && now >= warmup) {
         warm = true;
@@ -170,6 +174,7 @@ class Kernel {
       handle(e);
     }
     now = t_end;
+    obs::events_counter().add(popped);
     obs::wait_time_histogram().merge(wait_hist);
   }
 

@@ -74,7 +74,7 @@ struct Sim : Kernel {
   Population pop;
   TimeAverage busy_ta;
   std::vector<RunningStat> wait_stat, sojourn_stat;
-  // Post-warmup sojourn samples, flushed into the obs registry once per
+  // Post-warmup sojourn samples, merged into obs "sojourn_time" once per
   // run() (plain increments here, one atomic merge at the end).
   obs::LocalHistogram sojourn_hist;
   std::vector<std::size_t> completions;

@@ -1,7 +1,6 @@
 // Tests for des/: heap ordering with tie-breaking (the determinism
-// guarantee), arity-parameterized property checks, the FifoArena ring
-// buffer against a std::deque reference, and the process-wide event
-// counter.
+// guarantee), a randomized heap-property check, and the FifoArena ring
+// buffer against a std::deque reference.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,7 +10,6 @@
 
 #include "des/event_queue.hpp"
 #include "des/fifo_arena.hpp"
-#include "obs/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace stosched {
@@ -65,26 +63,29 @@ TEST(EventQueue, CapacityHintAndClearKeepCapacity) {
   EXPECT_EQ(q.top().seq, 0u);
 }
 
-template <unsigned A>
-void random_heap_property() {
-  DaryEventHeap<A> q;
-  Rng rng(42);
-  std::vector<double> times;
-  for (int i = 0; i < 5000; ++i) {
-    const double t = rng.uniform(0.0, 100.0);
-    times.push_back(t);
-    q.push(t, 0);
-  }
-  std::sort(times.begin(), times.end());
-  for (const double expected : times) {
-    ASSERT_FALSE(q.empty());
-    EXPECT_DOUBLE_EQ(q.pop().time, expected);
+TEST(EventQueue, HeapProperty) {
+  // Random times pop in sorted order, across heap sizes that fill one to
+  // several 4-ary levels and several seeds.
+  for (const int size : {1, 5, 17, 300, 5000}) {
+    for (const std::uint64_t seed : {42u, 43u, 44u}) {
+      EventQueue q;
+      Rng rng(seed);
+      std::vector<double> times;
+      for (int i = 0; i < size; ++i) {
+        const double t = rng.uniform(0.0, 100.0);
+        times.push_back(t);
+        q.push(t, 0);
+      }
+      std::sort(times.begin(), times.end());
+      for (const double expected : times) {
+        ASSERT_FALSE(q.empty()) << "size " << size << ", seed " << seed;
+        ASSERT_DOUBLE_EQ(q.pop().time, expected)
+            << "size " << size << ", seed " << seed;
+      }
+      EXPECT_TRUE(q.empty());
+    }
   }
 }
-
-TEST(EventQueue, HeapPropertyBinary) { random_heap_property<2>(); }
-TEST(EventQueue, HeapPropertyQuad) { random_heap_property<4>(); }
-TEST(EventQueue, HeapPropertyOctal) { random_heap_property<8>(); }
 
 TEST(EventQueue, InterleavedPushPop) {
   EventQueue q;
@@ -98,23 +99,6 @@ TEST(EventQueue, InterleavedPushPop) {
     last = e.time;
     q.push(e.time + rng.uniform(0.0, 5.0), 0);
   }
-}
-
-TEST(EventCounter, FlushesOnClearAndDestroy) {
-  const std::uint64_t before = obs::counter_value("events");
-  {
-    EventQueue q;
-    q.push(1.0, 0);
-    q.push(2.0, 0);
-    q.pop();
-    // Unflushed pops are not yet visible process-wide.
-    EXPECT_EQ(obs::counter_value("events"), before);
-    q.clear();
-    EXPECT_EQ(obs::counter_value("events"), before + 1);
-    q.push(1.0, 0);
-    q.pop();
-  }  // destructor flushes the second pop
-  EXPECT_EQ(obs::counter_value("events"), before + 2);
 }
 
 TEST(FifoArena, MatchesDequeReference) {

@@ -2,12 +2,13 @@
 //
 // Three fronts:
 //   * histogram determinism: the bucket of a value is exact (boundary
-//     values land where the layout says), and shared-histogram merges are
+//     values land where the layout says), NaN and negative samples are
+//     tallied apart from the buckets, and shared-histogram merges are
 //     commutative — the snapshot after an OpenMP fan-out is bit-identical
 //     to a serial fill, whatever OMP_NUM_THREADS is (1 and 8 in CI);
-//   * registry semantics: find-or-create stability, non-creating reads,
-//     and the process counters ("events", "lp_solves", "lp_iterations")
-//     that the simulators and LP engines write through their flush hooks;
+//   * the five process-wide instruments: reads by name track the typed
+//     accessors the simulators and LP engines write through, and unknown
+//     names read as 0 and empty;
 //   * provenance: every build fact is populated.
 #include "obs/metrics.hpp"
 
@@ -17,10 +18,13 @@
 #include <string>
 #include <vector>
 
-#include "des/event_queue.hpp"
+#include "dist/distribution.hpp"
 #include "experiment/engine.hpp"
 #include "lp/simplex.hpp"
 #include "obs/provenance.hpp"
+#include "online/simulate.hpp"
+#include "queueing/mg1.hpp"
+#include "util/rng.hpp"
 
 namespace stosched {
 namespace {
@@ -80,7 +84,7 @@ TEST(HistogramTest, PercentilesAreBucketUpperBounds) {
   // 90 samples in the bucket of 1.0, 10 in the bucket of 100.0.
   for (int i = 0; i < 90; ++i) h.record(1.0);
   for (int i = 0; i < 10; ++i) h.record(100.0);
-  obs::Histogram shared("test_pct");
+  obs::Histogram shared;
   shared.merge(h);
   const obs::HistogramSnapshot s = shared.snapshot();
   EXPECT_EQ(s.total, 100u);
@@ -104,7 +108,7 @@ TEST(HistogramTest, ZeroWaitMassReportsZero) {
   obs::LocalHistogram h;
   for (int i = 0; i < 60; ++i) h.record(0.0);
   for (int i = 0; i < 40; ++i) h.record(1.0);
-  obs::Histogram shared("test_pct_zero");
+  obs::Histogram shared;
   shared.merge(h);
   const obs::HistogramSnapshot s = shared.snapshot();
   EXPECT_EQ(s.percentile(0.50), 0.0);
@@ -116,9 +120,52 @@ TEST(HistogramTest, ZeroWaitMassReportsZero) {
 TEST(HistogramTest, PercentileIsAlwaysFinite) {
   obs::LocalHistogram h;
   h.record(1e300);  // overflow bucket
-  obs::Histogram shared("test_pct_inf");
+  obs::Histogram shared;
   shared.merge(h);
   EXPECT_TRUE(std::isfinite(shared.snapshot().percentile(0.999)));
+}
+
+// ---- invalid samples -------------------------------------------------------
+
+TEST(HistogramTest, NanAndNegativeSamplesCountAsInvalid) {
+  obs::LocalHistogram h;
+  h.record(std::nan(""));
+  h.record(-1.0);
+  h.record(2.0);
+  EXPECT_EQ(h.invalid(), 2u);
+  EXPECT_EQ(h.total(), 1u);
+  EXPECT_EQ(h.counts()[0], 0u);  // not passed off as zero waits
+  obs::Histogram shared;
+  shared.merge(h);
+  const obs::HistogramSnapshot s = shared.snapshot();
+  EXPECT_EQ(s.invalid, 2u);
+  EXPECT_EQ(s.total, 1u);
+  // Percentiles cover the valid sample only.
+  EXPECT_DOUBLE_EQ(s.percentile(0.01),
+                   obs::hist::bucket_upper(obs::hist::bucket_index(2.0)));
+}
+
+TEST(HistogramTest, SignedZerosAreZeroWaits) {
+  obs::LocalHistogram h;
+  h.record(0.0);
+  h.record(-0.0);
+  EXPECT_EQ(h.invalid(), 0u);
+  EXPECT_EQ(h.total(), 2u);
+  EXPECT_EQ(h.counts()[0], 2u);
+}
+
+TEST(HistogramTest, MergeAddsInvalidTallies) {
+  obs::LocalHistogram a, b;
+  a.record(-3.0);
+  b.record(std::nan(""));
+  b.record(-0.5);
+  obs::Histogram shared;
+  shared.merge(a);
+  shared.merge(b);
+  const obs::HistogramSnapshot s = shared.snapshot();
+  EXPECT_EQ(s.invalid, 3u);
+  EXPECT_EQ(s.total, 0u);
+  EXPECT_EQ(s.percentile(0.5), 0.0);
 }
 
 // ---- merge determinism -----------------------------------------------------
@@ -127,7 +174,7 @@ TEST(HistogramTest, MergeIsCommutative) {
   obs::LocalHistogram a, b;
   for (int i = 0; i < 100; ++i) a.record(0.1 * i);
   for (int i = 0; i < 50; ++i) b.record(3.0 * i);
-  obs::Histogram ab("test_merge_ab"), ba("test_merge_ba");
+  obs::Histogram ab, ba;
   ab.merge(a);
   ab.merge(b);
   ba.merge(b);
@@ -136,10 +183,10 @@ TEST(HistogramTest, MergeIsCommutative) {
 }
 
 TEST(HistogramTest, SnapshotBitIdenticalAcrossOmpSchedules) {
-  // Fill a registry histogram from inside the OpenMP replication driver —
+  // Fill a shared histogram from inside the OpenMP replication driver —
   // whatever OMP_NUM_THREADS is (the CI determinism gate runs this binary
   // under 1 and 8), the commutative bucket sums must equal a serial fill.
-  obs::Histogram& shared = obs::histogram("test_hist_omp");
+  obs::Histogram shared;
   constexpr std::size_t kReps = 256;
   auto sample = [](std::size_t r, int i) {
     return 0.37 * static_cast<double>((r * 31 + static_cast<std::size_t>(i) * 7) % 97) + 1e-3;
@@ -161,29 +208,66 @@ TEST(HistogramTest, SnapshotBitIdenticalAcrossOmpSchedules) {
   EXPECT_EQ(got.counts, serial.counts());
 }
 
-// ---- registry --------------------------------------------------------------
-
-TEST(RegistryTest, FindOrCreateReturnsStableReferences) {
-  obs::Counter& a = obs::counter("test_reg_counter");
-  obs::Counter& b = obs::counter("test_reg_counter");
-  EXPECT_EQ(&a, &b);
-  a.add(3);
-  a.add();
-  EXPECT_EQ(b.value(), 4u);
-  EXPECT_EQ(obs::counter_value("test_reg_counter"), 4u);
-}
+// ---- the five instruments ---------------------------------------------------
 
 TEST(RegistryTest, NonCreatingReadsOfAbsentNames) {
   EXPECT_EQ(obs::counter_value("test_never_registered"), 0u);
   EXPECT_EQ(obs::histogram_snapshot("test_never_registered").total, 0u);
 }
 
-// ---- process counters ------------------------------------------------------
+/// Every name-keyed read equals the typed instrument it names.
+void expect_names_match_instruments() {
+  EXPECT_EQ(obs::counter_value("events"), obs::events_counter().value());
+  EXPECT_EQ(obs::counter_value("lp_solves"),
+            obs::lp_solves_counter().value());
+  EXPECT_EQ(obs::counter_value("lp_iterations"),
+            obs::lp_iterations_counter().value());
+  EXPECT_EQ(obs::histogram_snapshot("wait_time"),
+            obs::wait_time_histogram().snapshot());
+  EXPECT_EQ(obs::histogram_snapshot("sojourn_time"),
+            obs::sojourn_time_histogram().snapshot());
+}
 
-TEST(MigrationTest, EventCounterBackedByRegistry) {
-  const std::uint64_t before = obs::counter_value("events");
-  add_process_events(42);
-  EXPECT_EQ(obs::counter_value("events"), before + 42);
+TEST(RegistryTest, NamedReadsMoveWithTypedInstruments) {
+  // bench_common::finish and perfbench read all five instruments by name.
+  expect_names_match_instruments();
+
+  const std::uint64_t events0 = obs::counter_value("events");
+  const std::uint64_t waits0 = obs::histogram_snapshot("wait_time").total;
+  queueing::SimOptions sim;
+  sim.horizon = 200.0;
+  sim.warmup = 20.0;
+  sim.priority = {0};
+  Rng rng(17);
+  queueing::simulate_mg1({{0.5, exponential_dist(1.0)}}, sim, rng);
+  EXPECT_GT(obs::counter_value("events"), events0);
+  EXPECT_GT(obs::histogram_snapshot("wait_time").total, waits0);
+  expect_names_match_instruments();
+
+  const std::uint64_t sojourns0 =
+      obs::histogram_snapshot("sojourn_time").total;
+  const auto env = online::identical_machines(1, 1);
+  const std::vector<online::JobType> types{
+      {1.0, 1.0, deterministic_dist(1.0)}};
+  online::OnlineInstance inst;
+  inst.push_back({0.0, 0, 1.0, 1.0, 1.0});
+  inst.push_back({0.5, 0, 1.0, 1.0, 1.0});
+  online::simulate_online(inst, env, types, *online::greedy_wsept_policy(),
+                          rng);
+  EXPECT_EQ(obs::histogram_snapshot("sojourn_time").total, sojourns0 + 2);
+  expect_names_match_instruments();
+
+  const std::uint64_t solves0 = obs::counter_value("lp_solves");
+  const std::uint64_t iterations0 = obs::counter_value("lp_iterations");
+  auto p = lp::Problem::maximize({1.0, 1.0});
+  p.subject_to({1.0, 2.0}, lp::Sense::kLe, 4.0);
+  p.subject_to({3.0, 1.0}, lp::Sense::kLe, 6.0);
+  const lp::Solution sol = lp::solve(p, lp::Solver::kRevised);
+  ASSERT_TRUE(sol.optimal());
+  EXPECT_EQ(obs::counter_value("lp_solves"), solves0 + 1);
+  EXPECT_EQ(obs::counter_value("lp_iterations"),
+            iterations0 + sol.iterations);
+  expect_names_match_instruments();
 }
 
 TEST(MigrationTest, LpCountersBackedByRegistry) {

@@ -31,7 +31,10 @@ the engine's fixed 16-replication merge cells make results a pure function
 of (seed, replication count). The deterministic-histogram tail keys
 (wait_count/p50/p90/p99/p999, sojourn_*) join the gate when both files
 carry them; the provenance block is excluded (thread counts legitimately
-differ across the gate's two legs).
+differ across the gate's two legs). --exact also fails when either file
+carries a nonzero wait_invalid or sojourn_invalid: NaN or negative samples
+reached a wait/sojourn histogram, which means a simulator recorded a value
+that is not a duration, whatever the other file says.
 
 Usage:
   bench_compare.py OLD.json NEW.json [--rel-tol 0.05] [--time-tol 0.25]
@@ -158,6 +161,13 @@ def compare_exact(old, new):
             if key in old and key in new and old[key] != new[key]:
                 problems.append(f"'{key}' differs: {old[key]!r} "
                                 f"!= {new[key]!r}")
+    # A NaN or negative wait/sojourn sample is a simulator defect, not a
+    # difference between runs: fail on it even when both files agree.
+    for doc, side in ((old, "old"), (new, "new")):
+        for key in ("wait_invalid", "sojourn_invalid"):
+            if doc.get(key, 0) != 0:
+                problems.append(f"{side} file has '{key}': {doc[key]!r} "
+                                f"invalid samples")
     if old["verdicts"] != new["verdicts"]:
         problems.append(f"verdicts differ: {old['verdicts']!r} "
                         f"!= {new['verdicts']!r}")

@@ -344,9 +344,9 @@ def rule_metrics_registry(root):
                 out.append(Violation(
                     rel(root, path), line_of(code, m.start()),
                     "metrics-registry",
-                    f"{what} — telemetry goes through the obs registry "
-                    f"(obs::counter/gauge/histogram), not ad-hoc atomics: "
-                    f"the registry is what bench JSON export and the "
+                    f"{what} — telemetry goes through the obs registry's "
+                    f"fixed instruments (obs/metrics.hpp), not ad-hoc "
+                    f"atomics: they are what bench JSON export and the "
                     f"determinism gate see"))
     return out
 

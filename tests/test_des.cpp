@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <initializer_list>
 #include <utility>
 #include <vector>
 
@@ -63,10 +64,10 @@ TEST(EventQueue, CapacityHintAndClearKeepCapacity) {
   EXPECT_EQ(q.top().seq, 0u);
 }
 
-TEST(EventQueue, HeapProperty) {
-  // Random times pop in sorted order, across heap sizes that fill one to
-  // several 4-ary levels and several seeds.
-  for (const int size : {1, 5, 17, 300, 5000}) {
+// Random times pop in sorted order, for each heap size and seed. The three
+// tests below share this check and differ only in the size family swept.
+void random_heap_property(std::initializer_list<int> sizes) {
+  for (const int size : sizes) {
     for (const std::uint64_t seed : {42u, 43u, 44u}) {
       EventQueue q;
       Rng rng(seed);
@@ -85,6 +86,21 @@ TEST(EventQueue, HeapProperty) {
       EXPECT_TRUE(q.empty());
     }
   }
+}
+
+// Sizes around powers of two.
+TEST(EventQueue, HeapPropertyBinary) {
+  random_heap_property({1, 2, 3, 7, 8, 9, 255, 256, 257, 4095, 4096, 4097});
+}
+
+// Sizes that fill whole 4-ary levels, and one past or short of them.
+TEST(EventQueue, HeapPropertyQuad) {
+  random_heap_property({4, 5, 6, 20, 21, 22, 85, 86, 340, 341, 342, 5461});
+}
+
+// Sizes around powers of eight, which end levels mid-node in a 4-ary heap.
+TEST(EventQueue, HeapPropertyOctal) {
+  random_heap_property({17, 63, 64, 65, 300, 511, 512, 513, 5000});
 }
 
 TEST(EventQueue, InterleavedPushPop) {

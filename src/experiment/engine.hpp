@@ -11,6 +11,8 @@
 //     `kCellSize`; cells run concurrently under OpenMP (serially otherwise)
 //     and are merged in cell order with the exact Chan–Golub–LeVeque
 //     combination, so the aggregate is bit-identical for 1 or N threads.
+//     A cell body that throws does not abort the fan-out: the exception is
+//     rethrown on the calling thread when merging reaches that cell.
 //   * *Common random numbers* (`run_paired`): K policy arms replay the
 //     *same* substream per replication, turning a policy comparison into a
 //     paired-difference estimate whose variance drops by the (usually
@@ -22,8 +24,20 @@
 //     per arm.
 //   * *Sequential stopping*: instead of guessing a replication count, run
 //     batches until every tracked metric's (1-alpha) CI half-width falls
-//     below `rel_precision * |mean|`, with a hard cap. Deterministic in
-//     (options, body) because substreams are indexed, not consumed.
+//     below `rel_precision * |mean|`, with a hard cap. So that a batch of
+//     one cell still keeps every thread busy, each pass runs a window of
+//     whole batches, at least `engine_threads()` cells, *speculatively*
+//     past the next stop check, then merges it in cell order and applies
+//     the stop test at every batch boundary inside it, as a
+//     one-batch-per-pass loop would. Cells past the stopping point are
+//     dropped unmerged. Since a cell's result depends only on its
+//     substreams and the stop test sees the same left-fold of the same
+//     cells at the same boundaries, the outcome is a pure function of
+//     (options, body) at any thread count: at one thread the window is one
+//     batch and the schedule is the serial one. Speculative cells record
+//     their telemetry into their own obs::Telemetry, committed to the
+//     instruments only when the cell is merged, so discarded work is never
+//     counted.
 //
 // The body parameter is a template, not a std::function: the hot loop
 // inlines the replication call.
@@ -32,10 +46,13 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
+#include <mutex>
 #include <span>
 #include <utility>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -140,6 +157,17 @@ void for_each_cell(std::size_t ncells, CellBody&& cell_body) {
 /// that fixed left-fold is the determinism guarantee); `stop()` reports
 /// whether the tracked statistics meet the precision target. Returns
 /// (replications run, converged).
+///
+/// A sequential run executes a window of whole batches per pass, at least
+/// `engine_threads()` cells, and merges it cell by cell, applying the stop
+/// test at each batch boundary exactly as a one-batch-per-pass loop would.
+/// Cells past the first boundary that can stop the run are speculative:
+/// each records its telemetry into its own obs::Telemetry, committed when
+/// the cell is merged and dropped with the cell if the run stops first.
+/// An exception from a cell body is rethrown on the calling thread when
+/// merging reaches that cell (after the cells before it are merged and its
+/// own partial telemetry committed); a failing cell that the stop test
+/// discards never throws.
 template <class CellBody, class Merge, class Stop>
 std::pair<std::size_t, bool> drive(const EngineOptions& opt,
                                    std::size_t slots, CellBody&& cell_body,
@@ -147,32 +175,73 @@ std::pair<std::size_t, bool> drive(const EngineOptions& opt,
   STOSCHED_REQUIRE(opt.max_replications > 0, "need at least one replication");
   STOSCHED_REQUIRE(opt.rel_precision >= 0.0, "rel_precision must be >= 0");
   const bool sequential = opt.rel_precision > 0.0;
-  const std::size_t batch = sequential
-                                ? cells_per_batch(opt.batch) * kCellSize
-                                : opt.max_replications;
+  const std::size_t batch_cells = cells_per_batch(opt.batch);
+  const std::size_t batch =
+      sequential ? batch_cells * kCellSize : opt.max_replications;
+  // Replications per pass: whole batches covering at least one cell per
+  // thread (one batch at one thread).
+  const std::size_t window =
+      sequential
+          ? (std::max<std::size_t>(engine_threads(), batch_cells) +
+             batch_cells - 1) / batch_cells * batch
+          : opt.max_replications;
   std::size_t done = 0;
-  bool converged = true;
   for (;;) {
-    const std::size_t want = std::min(batch, opt.max_replications - done);
+    const std::size_t base = done;
+    const std::size_t want = std::min(window, opt.max_replications - base);
     const std::size_t ncells = (want + kCellSize - 1) / kCellSize;
+    // The first boundary whose stop test can end the run; the cells after
+    // it are speculative.
+    std::size_t first_check = base + want;
+    if (sequential) {
+      const std::size_t need =
+          opt.min_replications > base ? opt.min_replications - base : 0;
+      const std::size_t batches = std::max<std::size_t>(
+          1, (need + batch - 1) / batch);
+      first_check = std::min(first_check, base + batches * batch);
+    }
+    const std::size_t speculative =
+        (first_check - base + kCellSize - 1) / kCellSize;
     std::vector<std::vector<RunningStat>> cell(
         ncells, std::vector<RunningStat>(slots));
+    std::vector<obs::Telemetry> sink(ncells - speculative);
+    std::mutex failure_mutex;
+    std::size_t failed = ncells;  // first failing cell, guarded by the mutex
+    std::exception_ptr failure;   // its exception, likewise
     for_each_cell(ncells, [&](std::size_t c) {
-      const std::size_t lo = done + c * kCellSize;
-      const std::size_t hi = std::min(lo + kCellSize, done + want);
-      cell_body(lo, hi, cell[c]);
+      {
+        // A cell after a failed one is never merged.
+        const std::lock_guard<std::mutex> lock(failure_mutex);
+        if (c > failed) return;
+      }
+      // Cells that always merge record wherever their thread records.
+      obs::Telemetry* const prev = obs::set_telemetry_sink(
+          c < speculative ? obs::telemetry_sink() : &sink[c - speculative]);
+      const std::size_t lo = base + c * kCellSize;
+      const std::size_t hi = std::min(lo + kCellSize, base + want);
+      try {
+        cell_body(lo, hi, cell[c]);
+      } catch (...) {
+        const std::lock_guard<std::mutex> lock(failure_mutex);
+        if (c < failed) {
+          failed = c;
+          failure = std::current_exception();
+        }
+      }
+      obs::set_telemetry_sink(prev);
     });
-    for (const auto& acc : cell) merge_cell(acc);
-    done += want;
-
-    if (!sequential) break;
-    if (done >= opt.min_replications && stop()) break;
-    if (done >= opt.max_replications) {
-      converged = false;
-      break;
+    for (std::size_t c = 0; done < base + want;) {
+      done = std::min(done + batch, base + want);
+      for (; base + c * kCellSize < done; ++c) {
+        if (c >= speculative) obs::commit(sink[c - speculative]);
+        if (c == failed) std::rethrow_exception(failure);
+        merge_cell(cell[c]);
+      }
+      if (!sequential) return {done, true};
+      if (done >= opt.min_replications && stop()) return {done, true};
+      if (done >= opt.max_replications) return {done, false};
     }
   }
-  return {done, converged};
 }
 
 }  // namespace detail

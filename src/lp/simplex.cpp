@@ -102,8 +102,7 @@ Solution::Status run_simplex(Tableau& t, const std::vector<char>& eligible,
 }  // namespace
 
 void add_process_lp_solve(std::uint64_t iterations) noexcept {
-  obs::lp_solves_counter().add(1);
-  obs::lp_iterations_counter().add(iterations);
+  obs::record_lp_solve(iterations);
 }
 
 Problem Problem::maximize(std::vector<double> costs) {

@@ -94,7 +94,8 @@ Solution solve(const Problem& p, Solver solver,
 
 /// Process-wide LP effort, the LP layer's only recording call: every
 /// completed solve (either engine, any thread) adds one to the obs counter
-/// "lp_solves" and its iteration count to "lp_iterations". The
+/// "lp_solves" and its iteration count to "lp_iterations", through
+/// obs::record_lp_solve (so into the thread's telemetry sink, if any). The
 /// totals are order-independent sums, so they are bit-identical across
 /// OpenMP schedules — bench_compare.py gates on lp_iterations in --exact
 /// mode while lp_solves_per_sec is the warn-only perf trajectory.

@@ -1,16 +1,23 @@
 // metrics.hpp — the process-wide instruments of the observability layer.
 //
-// The library records exactly five instruments, each with one recording
-// site that adds a whole run's worth at once:
+// The library records exactly five instruments, each through one
+// obs::record_* call that adds a whole run's worth at once:
 //
-//   * events        — DES events processed; added by queueing::Kernel::run
-//                     when its loop ends;
+//   * events        — DES events processed; record_events from
+//                     queueing::Kernel::run when its loop ends;
 //   * lp_solves,
-//     lp_iterations — LP effort; added by lp::add_process_lp_solve once per
-//                     completed solve;
-//   * wait_time     — per-visit waiting times; merged by Kernel::run;
-//   * sojourn_time  — per-job times in system; merged by simulate_mg1 and
-//                     online::simulate_online.
+//     lp_iterations — LP effort; record_lp_solve from
+//                     lp::add_process_lp_solve once per completed solve;
+//   * wait_time     — per-visit waiting times; record_wait from
+//                     Kernel::run;
+//   * sojourn_time  — per-job times in system; record_sojourn from
+//                     simulate_mg1 and online::simulate_online.
+//
+// A record_* call writes to the calling thread's Telemetry sink when one
+// is installed, and to the instrument otherwise. The experiment engine
+// gives each speculative cell (one that a stop check may discard) its own
+// sink and commits it to the instruments when it merges the cell, so
+// discarded work is never counted.
 //
 // Two instrument kinds:
 //
@@ -26,12 +33,11 @@
 //                  --exact determinism gate.
 //
 // Hot-path policy: simulators count and record into plain locals (one
-// increment per event or sample, no atomics) and add them to the shared
-// instrument once per run. The instruments are constant-initialized,
-// trivially destructible globals, so they are usable from any static
-// initializer or destructor. Write through the typed accessors; read by
-// name with counter_value()/histogram_snapshot(), which is what
-// bench_common::finish and perfbench use.
+// increment per event or sample, no atomics) and hand them to record_*
+// once per run. The instruments are constant-initialized, trivially
+// destructible globals, so they are usable from any static initializer or
+// destructor. Read by name with counter_value()/histogram_snapshot(),
+// which is what bench_common::finish and perfbench use.
 //
 // The repo lint rule `metrics-registry` (tools/lint_stosched.py) forbids
 // new file-scope std::atomic telemetry outside src/obs/ — all
@@ -149,8 +155,8 @@ struct HistogramSnapshot {
 };
 
 /// Replication-local histogram: plain increments, no atomics. Record into
-/// one of these inside a simulator and merge() it into the shared
-/// histogram once per run.
+/// one of these inside a simulator and hand it to obs::record_wait or
+/// obs::record_sojourn once per run.
 class LocalHistogram {
  public:
   /// NaN and negative samples are not durations: they go to the invalid
@@ -169,6 +175,13 @@ class LocalHistogram {
   [[nodiscard]] const std::array<std::uint64_t, hist::kBuckets>& counts()
       const noexcept {
     return counts_;
+  }
+  /// Add another local histogram's counts (integer sums: order-free).
+  void merge(const LocalHistogram& other) noexcept {
+    for (std::size_t i = 0; i < hist::kBuckets; ++i)
+      counts_[i] += other.counts_[i];
+    total_ += other.total_;
+    invalid_ += other.invalid_;
   }
   void clear() noexcept {
     counts_.fill(0);
@@ -211,16 +224,15 @@ class Histogram {
 
 // ---- the five process-wide instruments -------------------------------------
 
-/// DES events processed, added by queueing::Kernel::run at the end of a run.
+/// DES events processed (record_events).
 Counter& events_counter();
-/// Completed LP solves and their simplex iterations, added by
-/// lp::add_process_lp_solve.
+/// Completed LP solves and their simplex iterations (record_lp_solve).
 Counter& lp_solves_counter();
 Counter& lp_iterations_counter();
 
-/// The two cross-simulator tail histograms every event-driven simulator
-/// merges into (post-warmup per-visit waiting time; per-job time in
-/// system). bench_common::finish turns them into the wait_p50..p999 /
+/// The two cross-simulator tail histograms (post-warmup per-visit waiting
+/// time, record_wait; per-job time in system, record_sojourn).
+/// bench_common::finish turns them into the wait_p50..p999 /
 /// sojourn_p50..p999 columns of BENCH_*.json.
 Histogram& wait_time_histogram();
 Histogram& sojourn_time_histogram();
@@ -232,5 +244,36 @@ std::uint64_t counter_value(std::string_view name) noexcept;
 /// Snapshot a histogram by name ("wait_time", "sojourn_time"): empty for
 /// any other name.
 HistogramSnapshot histogram_snapshot(std::string_view name) noexcept;
+
+// ---- per-thread telemetry sink ---------------------------------------------
+
+/// The five instruments' worth of recordings held back from them: what a
+/// stretch of work on one thread recorded while this was its sink.
+/// Integer sums throughout, so committing values in any order yields the
+/// same totals.
+struct Telemetry {
+  std::uint64_t events = 0;
+  std::uint64_t lp_solves = 0;
+  std::uint64_t lp_iterations = 0;
+  LocalHistogram wait;
+  LocalHistogram sojourn;
+};
+
+/// The calling thread's sink; null (the default) means record_* writes to
+/// the instruments.
+Telemetry* telemetry_sink() noexcept;
+/// Install `sink` (null to remove it) on the calling thread; returns the
+/// sink it replaces, so callers can restore it.
+Telemetry* set_telemetry_sink(Telemetry* sink) noexcept;
+
+/// The recording calls: into the calling thread's sink if one is
+/// installed, into the instruments otherwise.
+void record_events(std::uint64_t n) noexcept;
+void record_lp_solve(std::uint64_t iterations) noexcept;
+void record_wait(const LocalHistogram& local) noexcept;
+void record_sojourn(const LocalHistogram& local) noexcept;
+
+/// Record all of `t` as the record_* calls would on the calling thread.
+void commit(const Telemetry& t) noexcept;
 
 }  // namespace stosched::obs

@@ -121,7 +121,7 @@ OnlineResult simulate_online(const OnlineInstance& inst,
     res.makespan = std::max(res.makespan, completion[j]);
     flow_hist.record(completion[j] - inst[j].release);
   }
-  obs::sojourn_time_histogram().merge(flow_hist);
+  obs::record_sojourn(flow_hist);
   return res;
 }
 

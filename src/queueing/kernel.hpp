@@ -157,9 +157,9 @@ class Kernel {
 
   /// Pop every event due by `t_end` in (time, seq) order, advance `now` and
   /// pass the event to `handle`. `warm_up()` runs once, before handling the
-  /// first event at or after `warmup`. Leaves `now` at `t_end`, then adds
-  /// the number of events popped to obs "events" and merges the wait
-  /// histogram into obs "wait_time". A run that throws records neither.
+  /// first event at or after `warmup`. Leaves `now` at `t_end`, then
+  /// records the number of events popped (obs::record_events) and the wait
+  /// histogram (obs::record_wait). A run that throws records neither.
   template <class WarmUp, class Handle>
   void run(double t_end, double warmup, WarmUp&& warm_up, Handle&& handle) {
     std::uint64_t popped = 0;
@@ -174,8 +174,8 @@ class Kernel {
       handle(e);
     }
     now = t_end;
-    obs::events_counter().add(popped);
-    obs::wait_time_histogram().merge(wait_hist);
+    obs::record_events(popped);
+    obs::record_wait(wait_hist);
   }
 
   std::vector<Rng> arrival_rng;  ///< substream 2j

@@ -238,7 +238,7 @@ struct Sim : Kernel {
     }
     out.cost_rate = holding_cost_rate(classes, mean_in_system);
     out.utilization = busy_ta.finish(t_end);
-    obs::sojourn_time_histogram().merge(sojourn_hist);
+    obs::record_sojourn(sojourn_hist);
     return out;
   }
 };

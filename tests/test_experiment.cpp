@@ -7,13 +7,20 @@
 #include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 #include "experiment/adapters.hpp"
 #include "experiment/engine.hpp"
 #include "experiment/scenario.hpp"
+#include "obs/metrics.hpp"
 #include "queueing/mg1_analytic.hpp"
 
 using namespace stosched;
@@ -311,6 +318,282 @@ TEST(Engine, PairedSequentialStoppingConverges) {
   ASSERT_TRUE(res.converged);
   const double hw = res.diff[0][0].ci_halfwidth(opt.alpha);
   EXPECT_LE(hw, opt.rel_precision * std::abs(res.diff[0][0].mean()) + 1e-12);
+}
+
+// ---------------------------------------------------------------------------
+// Speculative cell scheduling: a sequential run executes cells past the
+// next stop check on idle threads, so a result must not depend on the
+// thread count — neither its statistics nor the telemetry it commits.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// Call `f()` with the engine fanned out over `threads` threads (a no-op
+/// without OpenMP), restoring the previous count afterwards.
+template <class F>
+decltype(auto) with_threads(int threads, F&& f) {
+#ifdef _OPENMP
+  struct Restore {
+    int threads;
+    ~Restore() { omp_set_num_threads(threads); }
+  } restore{omp_get_max_threads()};
+  omp_set_num_threads(threads);
+#else
+  (void)threads;
+#endif
+  return f();
+}
+
+/// Every field of an accumulator, so EXPECT_EQ compares them bit-exactly.
+std::vector<double> stat_bits(const RunningStat& s) {
+  return {static_cast<double>(s.count()), s.mean(), s.variance(), s.min(),
+          s.max()};
+}
+
+void expect_same(const EngineResult& a, const EngineResult& b) {
+  EXPECT_EQ(a.replications, b.replications);
+  EXPECT_EQ(a.converged, b.converged);
+  ASSERT_EQ(a.metrics.size(), b.metrics.size());
+  for (std::size_t d = 0; d < a.metrics.size(); ++d)
+    EXPECT_EQ(stat_bits(a.metrics[d]), stat_bits(b.metrics[d]))
+        << "metric " << d;
+}
+
+void expect_same(const PairedResult& a, const PairedResult& b) {
+  EXPECT_EQ(a.replications, b.replications);
+  EXPECT_EQ(a.converged, b.converged);
+  for (const auto member : {&PairedResult::arm, &PairedResult::diff}) {
+    ASSERT_EQ((a.*member).size(), (b.*member).size());
+    for (std::size_t k = 0; k < (a.*member).size(); ++k) {
+      ASSERT_EQ((a.*member)[k].size(), (b.*member)[k].size());
+      for (std::size_t d = 0; d < (a.*member)[k].size(); ++d)
+        EXPECT_EQ(stat_bits((a.*member)[k][d]), stat_bits((b.*member)[k][d]))
+            << "row " << k << " metric " << d;
+    }
+  }
+}
+
+/// The five instruments, read together.
+struct Instruments {
+  std::uint64_t events, lp_solves, lp_iterations;
+  obs::HistogramSnapshot wait, sojourn;
+
+  static Instruments now() {
+    return {obs::counter_value("events"), obs::counter_value("lp_solves"),
+            obs::counter_value("lp_iterations"),
+            obs::histogram_snapshot("wait_time"),
+            obs::histogram_snapshot("sojourn_time")};
+  }
+};
+
+/// What the instruments gained from `before` to `after`.
+Instruments delta(const Instruments& before, const Instruments& after) {
+  Instruments d{after.events - before.events,
+                after.lp_solves - before.lp_solves,
+                after.lp_iterations - before.lp_iterations,
+                {},
+                {}};
+  for (const auto member : {&Instruments::wait, &Instruments::sojourn}) {
+    for (std::size_t i = 0; i < obs::hist::kBuckets; ++i)
+      (d.*member).counts[i] =
+          (after.*member).counts[i] - (before.*member).counts[i];
+    (d.*member).total = (after.*member).total - (before.*member).total;
+    (d.*member).invalid = (after.*member).invalid - (before.*member).invalid;
+  }
+  return d;
+}
+
+/// Run `f()` at `threads` threads and return what it added to the
+/// instruments.
+template <class F>
+Instruments recorded_at(int threads, F&& f) {
+  const Instruments before = Instruments::now();
+  with_threads(threads, f);
+  return delta(before, Instruments::now());
+}
+
+void expect_same(const Instruments& a, const Instruments& b) {
+  EXPECT_EQ(a.events, b.events);
+  EXPECT_EQ(a.lp_solves, b.lp_solves);
+  EXPECT_EQ(a.lp_iterations, b.lp_iterations);
+  EXPECT_EQ(a.wait, b.wait);
+  EXPECT_EQ(a.sojourn, b.sojourn);
+}
+
+}  // namespace
+
+TEST(Engine, SpeculativeScheduleMatchesOneThread) {
+  // Windows of 3, 4 and 8 cells rounded up to whole batches of 1, 2 and 3
+  // cells; min_replications (40) is no multiple of any window, and the cap
+  // (1000) is no multiple of a cell. The loose target stops mid-run, the
+  // tight one runs into the cap.
+  const auto two_dims = [](std::size_t, Rng& rng, std::span<double> out) {
+    out[0] = rng.exponential(1.0);
+    out[1] = rng.uniform();
+  };
+  const auto paired = [](std::size_t, std::size_t arm, Rng& rng,
+                         std::span<double> out) {
+    out[0] = rng.exponential(1.0) + static_cast<double>(arm) * rng.uniform();
+  };
+  const auto prepare = [](std::size_t, Rng& rng) {
+    return rng.exponential(1.0);
+  };
+  const auto evaluate = [](double x, std::size_t arm, std::span<double> out) {
+    out[0] = x * (1.0 + 0.25 * static_cast<double>(arm));
+  };
+  for (const std::size_t batch : {16u, 32u, 48u}) {
+    for (const double rel : {0.08, 1e-3}) {
+      EngineOptions opt;
+      opt.seed = 31 + batch;
+      opt.rel_precision = rel;
+      opt.min_replications = 40;
+      opt.batch = batch;
+      opt.max_replications = 1000;
+      const auto run_all = [&] {
+        return std::tuple{
+            run(opt, 2, two_dims),
+            run_paired(opt, 3, 1, Pairing::kCommonRandomNumbers, paired),
+            run_paired(opt, 2, 1, Pairing::kIndependentStreams, paired),
+            run_paired(opt, 3, 1, Pairing::kCommonRandomNumbers, prepare,
+                       evaluate)};
+      };
+      const auto serial = with_threads(1, run_all);
+      EXPECT_EQ(std::get<0>(serial).converged, rel > 0.01);
+      for (const int threads : {3, 4, 8}) {
+        SCOPED_TRACE("batch " + std::to_string(batch) + ", rel " +
+                     std::to_string(rel) + ", threads " +
+                     std::to_string(threads));
+        const auto spec = with_threads(threads, run_all);
+        expect_same(std::get<0>(serial), std::get<0>(spec));
+        expect_same(std::get<1>(serial), std::get<1>(spec));
+        expect_same(std::get<2>(serial), std::get<2>(spec));
+        expect_same(std::get<3>(serial), std::get<3>(spec));
+      }
+    }
+  }
+}
+
+TEST(Engine, DiscardedCellsLeaveNoTelemetry) {
+  // Both comparisons stop at the first check (16 replications), so at 8
+  // threads the seven speculative cells of the first window are discarded:
+  // the instruments must move exactly as at one thread.
+  EngineOptions opt;
+  opt.seed = 41;
+  opt.rel_precision = 1.0;
+  opt.abs_floor = std::numeric_limits<double>::infinity();
+  opt.min_replications = 16;
+  opt.batch = 16;
+  opt.max_replications = 512;
+  opt.tracked = {0};
+
+  const auto s = short_t9();
+  PairedResult queue;
+  const auto compare_queue = [&] {
+    queue = compare_queue_policies(s, {fcfs_arm(), cmu_arm(s)}, opt,
+                                   Pairing::kCommonRandomNumbers);
+  };
+  const Instruments serial = recorded_at(1, compare_queue);
+  EXPECT_EQ(queue.replications, 16u);
+  EXPECT_GT(serial.events, 0u);
+  EXPECT_GT(serial.wait.total, 0u);
+  EXPECT_GT(serial.sojourn.total, 0u);
+  expect_same(serial, recorded_at(8, compare_queue));
+  EXPECT_EQ(queue.replications, 16u);
+
+  OnlineScenario o = online_scenario("online-bernoulli");
+  o.horizon = 8.0;
+  o.bound.use_lp = true;
+  PairedResult online;
+  const auto compare_online = [&] {
+    online = compare_online_policies(o, online_policy_arms(), opt,
+                                     Pairing::kCommonRandomNumbers);
+  };
+  const Instruments online_serial = recorded_at(1, compare_online);
+  EXPECT_EQ(online.replications, 16u);
+  EXPECT_GT(online_serial.lp_solves, 0u);
+  EXPECT_GT(online_serial.lp_iterations, 0u);
+  expect_same(online_serial, recorded_at(8, compare_online));
+  EXPECT_EQ(online.replications, 16u);
+}
+
+TEST(Engine, FailingCellRethrowsInMergeOrder) {
+  // A sequential run that never converges; reps 40 and 90 throw (cells 2
+  // and 5). The first failing cell in merge order is rethrown after cells
+  // 0 and 1 are merged, with its own telemetry up to the throw and none
+  // from the cells after it.
+  EngineOptions opt;
+  opt.seed = 51;
+  opt.rel_precision = 1e-6;
+  opt.min_replications = 16;
+  opt.batch = 16;
+  opt.max_replications = 256;
+  const auto body = [](std::size_t lo, std::size_t hi,
+                       std::vector<RunningStat>& acc) {
+    for (std::size_t r = lo; r < hi; ++r) {
+      obs::record_events(1);
+      if (r == 40 || r == 90)
+        throw std::runtime_error("rep " + std::to_string(r));
+      acc[0].push(static_cast<double>(r));
+    }
+  };
+  for (const int threads : {1, 4}) {
+    std::vector<std::size_t> merged;
+    std::string what;
+    const Instruments got = recorded_at(threads, [&] {
+      try {
+        experiment::detail::drive(
+            opt, 1, body,
+            [&](const std::vector<RunningStat>& acc) {
+              merged.push_back(static_cast<std::size_t>(acc[0].min()));
+            },
+            [] { return false; });
+      } catch (const std::runtime_error& e) {
+        what = e.what();
+      }
+    });
+    EXPECT_EQ(what, "rep 40") << threads << " threads";
+    EXPECT_EQ(merged, (std::vector<std::size_t>{0, 16})) << threads;
+    EXPECT_EQ(got.events, 41u) << threads << " threads";
+  }
+
+  // Through run(), and in a fixed run, whose cells all run in one pass.
+  const auto throwing = [](std::size_t r, Rng& rng, std::span<double> out) {
+    if (r == 20 || r == 40)
+      throw std::runtime_error("rep " + std::to_string(r));
+    out[0] = rng.uniform();
+  };
+  for (const double rel : {0.05, 0.0}) {
+    opt.rel_precision = rel;
+    with_threads(4, [&] {
+      try {
+        run(opt, 1, throwing);
+        ADD_FAILURE() << "no exception";
+      } catch (const std::runtime_error& e) {
+        EXPECT_STREQ(e.what(), "rep 20");
+      }
+    });
+  }
+}
+
+TEST(Engine, DiscardedFailingCellNeverThrows) {
+  // A constant metric converges at the first check; at 4 threads the cells
+  // after it run speculatively, throw, and are discarded unseen.
+  EngineOptions opt;
+  opt.seed = 52;
+  opt.rel_precision = 0.1;
+  opt.min_replications = 16;
+  opt.batch = 16;
+  opt.max_replications = 256;
+  EngineResult res;
+  const Instruments got = recorded_at(4, [&] {
+    res = run(opt, 1, [](std::size_t r, Rng&, std::span<double>) {
+      obs::record_events(1);
+      if (r >= 16) throw std::runtime_error("past the stopping point");
+    });
+  });
+  EXPECT_TRUE(res.converged);
+  EXPECT_EQ(res.replications, 16u);
+  EXPECT_EQ(got.events, 16u);
 }
 
 TEST(Scenarios, RegistryLookupAndUnknownName) {

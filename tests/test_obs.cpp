@@ -5,10 +5,11 @@
 //     values land where the layout says), NaN and negative samples are
 //     tallied apart from the buckets, and shared-histogram merges are
 //     commutative — the snapshot after an OpenMP fan-out is bit-identical
-//     to a serial fill, whatever OMP_NUM_THREADS is (1 and 8 in CI);
+//     to a serial fill, whatever OMP_NUM_THREADS is;
 //   * the five process-wide instruments: reads by name track the typed
-//     accessors the simulators and LP engines write through, and unknown
-//     names read as 0 and empty;
+//     instruments the simulators and LP engines record into, the record_*
+//     calls honour the thread's telemetry sink, and unknown names read as
+//     0 and empty;
 //   * provenance: every build fact is populated.
 #include "obs/metrics.hpp"
 
@@ -16,6 +17,7 @@
 
 #include <cmath>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "dist/distribution.hpp"
@@ -184,8 +186,8 @@ TEST(HistogramTest, MergeIsCommutative) {
 
 TEST(HistogramTest, SnapshotBitIdenticalAcrossOmpSchedules) {
   // Fill a shared histogram from inside the OpenMP replication driver —
-  // whatever OMP_NUM_THREADS is (the CI determinism gate runs this binary
-  // under 1 and 8), the commutative bucket sums must equal a serial fill.
+  // whatever OMP_NUM_THREADS is, the commutative bucket sums must equal a
+  // serial fill.
   obs::Histogram shared;
   constexpr std::size_t kReps = 256;
   auto sample = [](std::size_t r, int i) {
@@ -268,6 +270,73 @@ TEST(RegistryTest, NamedReadsMoveWithTypedInstruments) {
   EXPECT_EQ(obs::counter_value("lp_iterations"),
             iterations0 + sol.iterations);
   expect_names_match_instruments();
+}
+
+TEST(RegistryTest, RecordCallsFollowTheThreadSink) {
+  obs::LocalHistogram local;
+  local.record(2.0);
+  local.record(-1.0);  // invalid
+  const auto read_all = [] {
+    return std::tuple{obs::counter_value("events"),
+                      obs::counter_value("lp_solves"),
+                      obs::counter_value("lp_iterations"),
+                      obs::histogram_snapshot("wait_time"),
+                      obs::histogram_snapshot("sojourn_time")};
+  };
+  const auto record_all = [&] {
+    obs::record_events(5);
+    obs::record_lp_solve(7);
+    obs::record_wait(local);
+    obs::record_sojourn(local);
+    obs::record_sojourn(local);
+  };
+
+  // With a sink installed, every call lands in it and nothing else moves.
+  const auto before = read_all();
+  obs::Telemetry sink;
+  ASSERT_EQ(obs::set_telemetry_sink(&sink), nullptr);
+  EXPECT_EQ(obs::telemetry_sink(), &sink);
+  record_all();
+  EXPECT_EQ(obs::set_telemetry_sink(nullptr), &sink);
+  EXPECT_EQ(read_all(), before);
+  EXPECT_EQ(sink.events, 5u);
+  EXPECT_EQ(sink.lp_solves, 1u);
+  EXPECT_EQ(sink.lp_iterations, 7u);
+  EXPECT_EQ(sink.wait.total(), 1u);
+  EXPECT_EQ(sink.wait.invalid(), 1u);
+  EXPECT_EQ(sink.sojourn.total(), 2u);
+  EXPECT_EQ(sink.sojourn.invalid(), 2u);
+  EXPECT_EQ(sink.sojourn.counts()[obs::hist::bucket_index(2.0)], 2u);
+
+  // Without one, the same calls land in the instruments.
+  record_all();
+  const auto direct = read_all();
+  EXPECT_EQ(std::get<0>(direct), std::get<0>(before) + 5);
+  EXPECT_EQ(std::get<1>(direct), std::get<1>(before) + 1);
+  EXPECT_EQ(std::get<2>(direct), std::get<2>(before) + 7);
+  EXPECT_EQ(std::get<3>(direct).total, std::get<3>(before).total + 1);
+  EXPECT_EQ(std::get<3>(direct).invalid, std::get<3>(before).invalid + 1);
+  EXPECT_EQ(std::get<4>(direct).total, std::get<4>(before).total + 2);
+  EXPECT_EQ(std::get<4>(direct).invalid, std::get<4>(before).invalid + 2);
+
+  // Committing the sink records it as the calls did, into the
+  // instruments, or into the sink installed on the committing thread.
+  obs::Telemetry outer;
+  obs::set_telemetry_sink(&outer);
+  obs::commit(sink);
+  obs::set_telemetry_sink(nullptr);
+  EXPECT_EQ(read_all(), direct);
+  EXPECT_EQ(outer.events, sink.events);
+  EXPECT_EQ(outer.lp_iterations, sink.lp_iterations);
+  EXPECT_EQ(outer.sojourn.counts(), sink.sojourn.counts());
+  obs::commit(sink);
+  const auto committed = read_all();
+  EXPECT_EQ(std::get<0>(committed), std::get<0>(direct) + 5);
+  EXPECT_EQ(std::get<1>(committed), std::get<1>(direct) + 1);
+  EXPECT_EQ(std::get<2>(committed), std::get<2>(direct) + 7);
+  EXPECT_EQ(std::get<3>(committed).total, std::get<3>(direct).total + 1);
+  EXPECT_EQ(std::get<4>(committed).total, std::get<4>(direct).total + 2);
+  EXPECT_EQ(std::get<4>(committed).invalid, std::get<4>(direct).invalid + 2);
 }
 
 TEST(MigrationTest, LpCountersBackedByRegistry) {

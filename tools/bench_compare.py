@@ -26,12 +26,13 @@ With --exact the tool instead enforces bit-identical results: any numeric
 cell difference (at all), any verdict difference, or any row/column shape
 difference is fatal (exit 1). Wall-clock is ignored — it is the one field
 allowed to vary. This is the thread-count determinism gate: the same bench
-run under OMP_NUM_THREADS=1 and =8 must produce byte-equal metrics, because
-the engine's fixed 16-replication merge cells make results a pure function
-of (seed, replication count). The deterministic-histogram tail keys
+run under OMP_NUM_THREADS=1, =3 and =8 must produce byte-equal metrics,
+because the engine's fixed 16-replication merge cells and its serial-order
+merge of speculative cells make results a pure function of
+(seed, replication count). The deterministic-histogram tail keys
 (wait_count/p50/p90/p99/p999, sojourn_*) join the gate when both files
 carry them; the provenance block is excluded (thread counts legitimately
-differ across the gate's two legs). --exact also fails when either file
+differ across the gate's legs). --exact also fails when either file
 carries a nonzero wait_invalid or sojourn_invalid: NaN or negative samples
 reached a wait/sojourn histogram, which means a simulator recorded a value
 that is not a duration, whatever the other file says.

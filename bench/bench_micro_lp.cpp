@@ -10,6 +10,9 @@
 // where consecutive replications share a constraint matrix. Large interval
 // instances (n >= 192) are revised-only: the dense tableau is quadratic in
 // rows + cols and exists below that scale purely as the auditable reference.
+// The last row is F11's audited instance itself (online-bernoulli, horizon
+// 48, first replication of seed 111), and us/iter is the revised engine's
+// time per pivot on each row.
 //
 // Table-driven (not Google Benchmark) so the bench-smoke CI job can build and
 // run it and bench_history.jsonl tracks lp_solves_per_sec across commits.
@@ -19,6 +22,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "experiment/scenario.hpp"
 #include "lp/revised_simplex.hpp"
 #include "lp/simplex.hpp"
 #include "online/lower_bound.hpp"
@@ -65,6 +69,24 @@ lp::Problem whittle_problem(std::size_t projects, std::size_t states,
   return restless::relaxation_lp(inst);
 }
 
+/// F11's LP-audited cell: the interval LP of the first replication's
+/// instance, drawn the way the online replication draws it.
+lp::Problem f11_audited_problem() {
+  experiment::OnlineScenario s =
+      experiment::online_scenario("online-bernoulli");
+  s.horizon = 48.0;
+  s.bound.use_lp = true;
+  const Rng root = Rng(111).stream(0);
+  Rng arrival_rng = root.stream(0);
+  Rng type_rng = root.stream(1);
+  Rng size_rng = root.stream(2);
+  Rng sample_rng = root.stream(3);
+  const online::OnlineInstance inst = online::generate_online_instance(
+      *s.arrival, s.types, s.horizon, arrival_rng, type_rng, size_rng,
+      sample_rng);
+  return online::interval_indexed_lp(inst, s.env, s.bound);
+}
+
 /// Mean per-solve milliseconds over `reps` identical solves.
 template <class Fn>
 double solve_ms(std::size_t reps, Fn&& fn) {
@@ -86,8 +108,8 @@ struct Shape {
 
 int main() {
   Table table("micro-LP: dense tableau vs revised simplex (per-solve ms)");
-  table.columns({"instance", "rows", "cols", "dense-ms", "rev-ms", "speedup",
-                 "cold-it", "warm-it"});
+  table.columns({"instance", "rows", "cols", "dense-ms", "rev-ms", "us/iter",
+                 "speedup", "cold-it", "warm-it"});
 
   Rng rng(2024);
   std::vector<Shape> shapes;
@@ -108,6 +130,7 @@ int main() {
                                                                        32})
     shapes.push_back({"whittle J=" + std::to_string(j) + " S=8",
                       whittle_problem(j, 8, rng), true});
+  shapes.push_back({"f11 audited h=48", f11_audited_problem(), false});
 
   bool objectives_agree = true;
   bool warm_cheaper = true;
@@ -124,7 +147,7 @@ int main() {
         solve_ms(reps, [&] { revised_sol = lp::solve_revised(p); });
     if (!revised_sol.optimal()) {
       table.add_row({shape.label, std::to_string(rows), std::to_string(cols),
-                     "-", "-", "-", "-", "-"});
+                     "-", "-", "-", "-", "-", "-"});
       objectives_agree = false;
       continue;
     }
@@ -163,14 +186,21 @@ int main() {
                        1e-6 * wscale &&
                    warm.iterations < cold.iterations;
 
+    const double us_per_iter =
+        revised_sol.iterations > 0
+            ? 1e3 * rev_ms / static_cast<double>(revised_sol.iterations)
+            : 0.0;
     table.add_row({shape.label, std::to_string(rows), std::to_string(cols),
-                   dense_cell, fmt(rev_ms, 3), speedup_cell,
+                   dense_cell, fmt(rev_ms, 3), fmt(us_per_iter, 2),
+                   speedup_cell,
                    std::to_string(cold.iterations),
                    std::to_string(warm.iterations)});
   }
 
   table.note("generators: production HSSW interval-indexed and Whittle "
              "occupation-measure builders (real sparsity patterns)");
+  table.note("us/iter: revised rev-ms per pivot of that solve, in "
+             "microseconds");
   table.note("warm-it: iterations to re-optimality after a per-row rhs "
              "drift, warm-started from the undrifted optimal basis (cold-it: "
              "same resolve from the all-slack basis)");

@@ -29,6 +29,9 @@ struct Engine {
   std::size_t total = 0;  ///< n + m columns
   double dir = 1.0;       ///< +1 minimize, -1 maximize
   SparseColumns cols;     ///< all columns, slacks included
+  /// The same matrix by rows: the Problem's own constraints, read in place
+  /// for pricing (the Problem outlives the solve).
+  const std::vector<Constraint>* rows = nullptr;
   std::vector<double> lower, upper;
   std::vector<double> chat;  ///< internal min costs (slacks 0)
   std::vector<double> b;
@@ -41,9 +44,10 @@ struct Engine {
   std::size_t pivots_since_refactor = 0;
   static constexpr std::size_t kRefactorInterval = 64;
 
-  // Scratch, sized m.
-  std::vector<double> w;       ///< FTRAN of the entering column
-  std::vector<double> y;       ///< BTRAN duals of the current phase cost
+  // Scratch.
+  IndexedVector w;             ///< FTRAN of the entering column (m)
+  std::vector<double> y;       ///< BTRAN duals of the current phase cost (m)
+  std::vector<double> z;       ///< Aᵀy per column, slacks included (total)
   std::vector<std::int8_t> d;  ///< -1 below lower / +1 above upper / 0 ok
 
   // Ghost state for the phase-2 monotonicity contract.
@@ -54,6 +58,8 @@ struct Engine {
     m = p.constraints.size();
     total = n + m;
     STOSCHED_REQUIRE(n > 0, "LP needs at least one variable");
+    p.require_finite();
+    rows = &p.constraints;
     dir = p.objective == Problem::Objective::kMinimize ? 1.0 : -1.0;
 
     lower.assign(total, 0.0);
@@ -105,8 +111,9 @@ struct Engine {
           break;
       }
     }
-    w.assign(m, 0.0);
+    w = IndexedVector(m);
     y.assign(m, 0.0);
+    z.assign(total, 0.0);
     d.assign(m, 0);
   }
 
@@ -115,11 +122,29 @@ struct Engine {
       v[cols.row[k]] += scale * cols.value[k];
   }
 
-  double dot_column(std::size_t j, const std::vector<double>& v) const {
-    double s = 0.0;
+  /// v ← B⁻¹ a_j, pattern tracked.
+  void ftran_column(std::size_t j, IndexedVector& v) const {
+    v.clear();
     for (std::size_t k = cols.start[j]; k < cols.start[j + 1]; ++k)
-      s += v[cols.row[k]] * cols.value[k];
-    return s;
+      v.add(cols.row[k], cols.value[k]);
+    file.ftran(v);
+  }
+
+  /// z = Aᵀy for every column: the structural part row by row over the
+  /// nonzero duals, slack n+i is y[i]. Column j's CSC entries are in
+  /// ascending row order (a row's duplicates in its own order), so z[j] sums
+  /// the same products in the same order as a dot down column j; the rows
+  /// skipped would only add ±0 to a sum that starts at +0.
+  void compute_z() {
+    std::fill(z.begin(), z.begin() + static_cast<std::ptrdiff_t>(n), 0.0);
+    for (std::size_t i = 0; i < m; ++i) {
+      const double yi = y[i];
+      if (yi == 0.0) continue;
+      const Constraint& row = (*rows)[i];
+      for (std::size_t k = 0; k < row.idx.size(); ++k)
+        z[row.idx[k]] += yi * row.val[k];
+    }
+    std::copy(y.begin(), y.end(), z.begin() + static_cast<std::ptrdiff_t>(n));
   }
 
   /// Value a nonbasic variable rests at (always one of its finite bounds).
@@ -172,14 +197,12 @@ struct Engine {
     file.clear();
     std::vector<char> assigned(m, 0);
     std::vector<std::uint32_t> new_basic(m, 0);
-    std::vector<double> v(m);
+    IndexedVector v(m);
     for (const std::uint32_t var : order) {
-      std::fill(v.begin(), v.end(), 0.0);
-      add_column(var, 1.0, v);
-      file.ftran(v);
+      ftran_column(var, v);
       std::size_t r = m;
       double best = tol::kPivot;
-      for (std::size_t i = 0; i < m; ++i) {
+      for (const std::uint32_t i : v.pattern()) {
         if (assigned[i]) continue;
         const double mag = std::abs(v[i]);
         if (mag > best) {
@@ -304,6 +327,7 @@ struct Engine {
       for (std::size_t r = 0; r < m; ++r)
         y[r] = phase1 ? static_cast<double>(d[r]) : chat[basic[r]];
       file.btran(y);
+      compute_z();
 
       // Pricing: Dantzig over all nonbasic columns (Bland once a degenerate
       // streak suggests cycling). slope = σ_j·ẑ_j is the objective's rate of
@@ -316,9 +340,9 @@ struct Engine {
       for (std::size_t j = 0; j < total; ++j) {
         if (status[j] == VarStatus::kBasic) continue;
         if (lower[j] == upper[j]) continue;
-        const double z = (phase1 ? 0.0 : chat[j]) - dot_column(j, y);
+        const double zhat = (phase1 ? 0.0 : chat[j]) - z[j];
         const double sigma = status[j] == VarStatus::kAtLower ? 1.0 : -1.0;
-        const double slope = sigma * z;
+        const double slope = sigma * zhat;
         if (bland) {
           if (slope < -tol::kPivot) {
             enter = j;
@@ -344,15 +368,14 @@ struct Engine {
       // basics block where they reach a bound (infeasible basics at the
       // bound they violate — the first breakpoint of the piecewise-linear
       // phase-1 objective); the entering variable itself blocks at its
-      // opposite bound (a bound flip, no pivot).
-      std::fill(w.begin(), w.end(), 0.0);
-      add_column(enter, 1.0, w);
-      file.ftran(w);
+      // opposite bound (a bound flip, no pivot). Rows outside w's pattern
+      // hold +0 and never block, so only the pattern is scanned.
+      ftran_column(enter, w);
 
       double alpha = upper[enter] - lower[enter];  // flip step, often ∞
       std::size_t leave = m;                       // m = bound flip
       bool leave_at_upper = false;
-      for (std::size_t r = 0; r < m; ++r) {
+      for (const std::uint32_t r : w.pattern()) {
         const double delta = esign * w[r];  // −d(x_B[r])/d(step)
         if (delta < tol::kPivot && delta > -tol::kPivot) continue;
         const std::uint32_t bv = basic[r];
@@ -409,8 +432,11 @@ struct Engine {
           alpha < tol::kDegenerateStep ? degenerate_run + 1 : 0;
       if (degenerate_run > 2 * m + 20) bland = true;
 
+      // Rows outside w's pattern would subtract ±0, which changes no basic
+      // value (a −0 one aside: it would turn +0, and none arises here).
       if (alpha != 0.0)
-        for (std::size_t r = 0; r < m; ++r) xb[r] -= esign * alpha * w[r];
+        for (const std::uint32_t r : w.pattern())
+          xb[r] -= esign * alpha * w[r];
 
       if (leave == m) {
         // Bound flip: the entering variable traversed to its other bound.
@@ -435,8 +461,9 @@ struct Engine {
     }
   }
 
-  /// Fill the caller-facing Solution from an optimal iterate. `y` must hold
-  /// the phase-2 duals (B⁻ᵀĉ_B), which run() guarantees at kOptimal exit.
+  /// Fill the caller-facing Solution from an optimal iterate. `y` and `z`
+  /// must hold the phase-2 duals (B⁻ᵀĉ_B) and Aᵀy, which run() guarantees
+  /// at kOptimal exit.
   void extract(const Problem& p, Solution& sol) const {
     sol.x.assign(n, 0.0);
     for (std::size_t j = 0; j < n; ++j)
@@ -452,7 +479,7 @@ struct Engine {
     sol.reduced_costs.assign(n, 0.0);
     for (std::size_t j = 0; j < n; ++j) {
       if (status[j] == VarStatus::kBasic) continue;  // 0, as dense reports
-      sol.reduced_costs[j] = dir * (chat[j] - dot_column(j, y));
+      sol.reduced_costs[j] = dir * (chat[j] - z[j]);
     }
   }
 

@@ -3,10 +3,16 @@
 //
 // Where the dense tableau (simplex.hpp) updates an (m+1)×(n+1) matrix per
 // pivot, the revised method keeps only the basis inverse — as an eta file
-// (lp/sparse.hpp) — and works column-wise over the CSC constraint matrix:
-//   * pricing: one BTRAN (y = B⁻ᵀ·cost_B) plus a sparse dot per nonbasic
-//     column, O(nnz(A)) instead of O(m·n);
-//   * ratio test / update: one FTRAN of the entering column and one new eta.
+// (lp/sparse.hpp) — and touches the constraint matrix only where it is
+// nonzero:
+//   * pricing: one BTRAN (y = B⁻ᵀ·cost_B), then Aᵀy row-wise over the rows
+//     with a nonzero dual, read straight from the Problem's sparse rows;
+//     this costs the nonzeros of those rows instead of O(m·n);
+//   * ratio test / update: one pattern-tracked FTRAN of the entering column
+//     (CSC), a ratio test and basic-value update over its nonzero rows, and
+//     one new eta.
+// Both engines reject a non-finite cost, coefficient or rhs up front
+// (Problem::require_finite).
 // Bounded variables are native: every variable carries [lower, upper], so
 // kGe/kEq rows need slack bounds ((-∞,0] / [0,0]) instead of artificial
 // columns, and phase 1 minimizes the total bound violation of the basic

@@ -147,6 +147,16 @@ Problem& Problem::subject_to_sparse(std::vector<std::size_t> idx,
   return *this;
 }
 
+void Problem::require_finite() const {
+  for (const double c : costs)
+    STOSCHED_REQUIRE(std::isfinite(c), "LP cost is not finite");
+  for (const Constraint& row : constraints) {
+    STOSCHED_REQUIRE(std::isfinite(row.rhs), "LP rhs is not finite");
+    for (const double a : row.val)
+      STOSCHED_REQUIRE(std::isfinite(a), "LP coefficient is not finite");
+  }
+}
+
 std::string to_string(Solution::Status s) {
   switch (s) {
     case Solution::Status::kOptimal:
@@ -165,6 +175,7 @@ Solution solve(const Problem& p, std::size_t max_iterations) {
   const std::size_t n = p.costs.size();
   const std::size_t m = p.constraints.size();
   STOSCHED_REQUIRE(n > 0, "LP needs at least one variable");
+  p.require_finite();
 
   // Maximization sign: internally we always maximize sign * c.
   const double sign =

@@ -62,6 +62,11 @@ struct Problem {
   /// Sparse row: indices must be in range (duplicates add up).
   Problem& subject_to_sparse(std::vector<std::size_t> idx,
                              std::vector<double> val, Sense sense, double rhs);
+
+  /// Throws std::invalid_argument unless every cost, coefficient and rhs is
+  /// finite. The fields are public, so both engines check once per solve
+  /// rather than trusting the builders.
+  void require_finite() const;
 };
 
 /// Outcome of a solve.

@@ -1,18 +1,26 @@
 // Tests for lp/revised_simplex: known-optimum instances, a randomized
 // differential suite against the dense tableau (objective agreement within
 // 1e-6, dual/reduced-cost consistency, identical infeasible/unbounded
-// verdicts), and warm-start behavior (rhs/cost-perturbed resolves reuse the
-// previous basis and take strictly fewer iterations than a cold solve).
+// verdicts, duplicate column indices within a row), rejection of non-finite
+// input, warm-start behavior (rhs/cost-perturbed resolves reuse the previous
+// basis and take strictly fewer iterations than a cold solve), and a bitwise
+// golden pin of F11's interval LP.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
+#include "experiment/scenario.hpp"
 #include "lp/revised_simplex.hpp"
 #include "lp/simplex.hpp"
 #include "obs/metrics.hpp"
+#include "online/lower_bound.hpp"
+#include "online/model.hpp"
 #include "util/rng.hpp"
 
 namespace stosched::lp {
@@ -242,6 +250,106 @@ TEST_P(RevisedVerdicts, InfeasibleAndUnboundedMatchDense) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RevisedVerdicts, ::testing::Range(0, 10));
 
+/// Split about half of each row's entries into two parts at the same column
+/// index, appended at the row's end so the repeats are not adjacent. The
+/// summed matrix is unchanged up to one rounding per split entry.
+Problem with_duplicate_indices(Problem p, Rng& rng) {
+  for (Constraint& c : p.constraints) {
+    const std::size_t len = c.idx.size();
+    for (std::size_t k = 0; k < len; ++k) {
+      if (rng.uniform() < 0.5) continue;
+      const double part = c.val[k] * rng.uniform(0.2, 0.8);
+      c.idx.push_back(c.idx[k]);
+      c.val.push_back(c.val[k] - part);
+      c.val[k] = part;
+    }
+  }
+  return p;
+}
+
+class RevisedDuplicateIndices : public ::testing::TestWithParam<int> {};
+
+TEST_P(RevisedDuplicateIndices, AgreesWithDenseOnEveryVerdict) {
+  // Constraint allows repeated column indices that add up. The revised
+  // engine meets them twice, in its CSC columns (FTRAN, ratio test) and in
+  // the rows it prices from, so both must sum them the way the dense
+  // tableau does.
+  Rng rng(9300 + GetParam());
+  {
+    const std::size_t n = 3 + rng.below(12);
+    const std::size_t m = 2 + rng.below(10);
+    const Problem p = with_duplicate_indices(random_feasible_lp(rng, n, m),
+                                             rng);
+    const auto dense = solve(p);
+    const auto revised = solve_revised(p);
+    ASSERT_TRUE(dense.optimal());
+    ASSERT_TRUE(revised.optimal());
+    const double scale = 1.0 + std::abs(dense.objective);
+    EXPECT_NEAR(revised.objective, dense.objective, 1e-6 * scale);
+    check_certificates(p, revised);
+  }
+  const std::size_t n = 2 + rng.below(6);
+  std::vector<std::size_t> all(n);
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  {
+    // Σ a_j x_j <= lo and the same sum >= hi > lo.
+    auto p = Problem::maximize(std::vector<double>(n, 1.0));
+    std::vector<double> row(n);
+    for (auto& a : row) a = rng.uniform(0.5, 1.5);
+    const double lo = rng.uniform(1.0, 2.0);
+    p.subject_to_sparse(all, row, Sense::kLe, lo)
+        .subject_to_sparse(all, row, Sense::kGe, lo + rng.uniform(1.0, 3.0));
+    p = with_duplicate_indices(std::move(p), rng);
+    EXPECT_EQ(solve(p).status, Solution::Status::kInfeasible);
+    EXPECT_EQ(solve_revised(p).status, Solution::Status::kInfeasible);
+  }
+  {
+    // Maximize x_0, which every row bounds only from below; each row
+    // repeats an index.
+    std::vector<double> costs(n, 0.0);
+    costs[0] = 1.0;
+    auto p = Problem::maximize(costs);
+    for (std::size_t j = 1; j < n; ++j)
+      p.subject_to_sparse({j, 0, j}, {0.5, -0.25, 0.5}, Sense::kLe,
+                          rng.uniform(1.0, 4.0));
+    p.subject_to_sparse({0, 0}, {0.5, 0.5}, Sense::kGe,
+                        rng.uniform(0.5, 1.0));
+    EXPECT_EQ(solve(p).status, Solution::Status::kUnbounded);
+    EXPECT_EQ(solve_revised(p).status, Solution::Status::kUnbounded);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RevisedDuplicateIndices,
+                         ::testing::Range(0, 10));
+
+TEST(RevisedSimplex, NonFiniteInputThrowsInBothEngines) {
+  // The fields are public, so a NaN or an infinity can reach a solve
+  // without passing a builder. Without a check a NaN rhs makes every bound
+  // test false and the solve can report kOptimal with a NaN objective.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto base = [] {
+    auto p = Problem::maximize({3.0, 5.0});
+    p.subject_to({1.0, 0.0}, Sense::kLe, 4.0)
+        .subject_to({3.0, 2.0}, Sense::kLe, 18.0);
+    return p;
+  };
+  std::vector<std::pair<const char*, Problem>> bad;
+  bad.emplace_back("NaN cost", base());
+  bad.back().second.costs[1] = nan;
+  bad.emplace_back("+inf coefficient", base());
+  bad.back().second.constraints[1].val[0] = inf;
+  bad.emplace_back("-inf coefficient", base());
+  bad.back().second.constraints[0].val[0] = -inf;
+  bad.emplace_back("NaN rhs", base());
+  bad.back().second.constraints[0].rhs = nan;
+  for (const auto& [what, p] : bad)
+    for (const Solver solver : {Solver::kDense, Solver::kRevised})
+      EXPECT_THROW(solve(p, solver), std::invalid_argument)
+          << what << (solver == Solver::kDense ? " (dense)" : " (revised)");
+  ASSERT_TRUE(solve(base(), Solver::kRevised).optimal());
+}
+
 TEST(RevisedSimplex, SolverSelectorDispatches) {
   auto p = Problem::maximize({3.0, 5.0});
   p.subject_to({1.0, 0.0}, Sense::kLe, 4.0)
@@ -330,6 +438,74 @@ TEST(RevisedSimplex, CountsProcessLpEffort) {
   ASSERT_TRUE(solve(p).optimal());
   EXPECT_EQ(obs::counter_value("lp_solves"), solves + 2);
   EXPECT_GE(obs::counter_value("lp_iterations"), iterations + 1);
+}
+
+double ordered_sum(const std::vector<double>& v) {
+  double s = 0.0;
+  for (const double x : v) s += x;
+  return s;
+}
+
+TEST(RevisedSimplex, IntervalLpF11Golden) {
+  // F11's audited cell (online-bernoulli, horizon 48, LP engaged, seed 111):
+  // the first four instances, each solved cold and then re-solved warm from
+  // the optimal basis after a per-row rhs drift (load_basis → refactorize).
+  // Iteration counts and the hexfloat objective, dual sum and reduced-cost
+  // sum are pinned bit for bit: a change to the engine's arithmetic must
+  // leave the pivot sequence and every output bit alone.
+  struct Pin {
+    std::size_t iterations;
+    double objective, dual_sum, reduced_cost_sum;
+  };
+  const Pin golden[4][2] = {
+      {{566, 0x1.2e3ef81fbe4cbp+12, 0x1.1623d70a3d707p+8,
+        0x1.8d3a06d3a06bap+10},
+       {8, 0x1.32023d7d5fc7fp+12, 0x1.a4a3d70a3d706p+8,
+        0x1.d1e58bf258bebp+11}},
+      {{643, 0x1.4bab67083560fp+12, 0x1.1466666666661p+8,
+        0x1.7c0da740da746p+10},
+       {3, 0x1.5224dfe3541fap+12, 0x1.3d570a3d70a38p+8,
+        0x1.f6dd0369d0372p+10}},
+      {{493, 0x1.17dc3c1f518f4p+12, 0x1.0da3d70a3d709p+8,
+        0x1.cbda740da73dap+10},
+       {5, 0x1.1c1a607a3ef9dp+12, 0x1.35cccccccccc8p+8,
+        0x1.21f7777777772p+11}},
+      {{467, 0x1.42d54cf43a7eap+12, 0x1.29e6666666666p+8,
+        0x1.01e740da740afp+11},
+       {2, 0x1.4803a19e7af23p+12, 0x1.85f5c28f5c29p+8,
+        0x1.e06ccccccccep+11}}};
+  const auto expect_pin = [](const Solution& sol, const Pin& pin,
+                             std::size_t r, const char* which) {
+    ASSERT_TRUE(sol.optimal()) << which << " instance " << r;
+    EXPECT_EQ(sol.iterations, pin.iterations) << which << " instance " << r;
+    EXPECT_EQ(sol.objective, pin.objective) << which << " instance " << r;
+    EXPECT_EQ(ordered_sum(sol.duals), pin.dual_sum)
+        << which << " instance " << r;
+    EXPECT_EQ(ordered_sum(sol.reduced_costs), pin.reduced_cost_sum)
+        << which << " instance " << r;
+  };
+
+  experiment::OnlineScenario s =
+      experiment::online_scenario("online-bernoulli");
+  s.horizon = 48.0;
+  s.bound.use_lp = true;
+  const Rng master(111);
+  for (std::size_t r = 0; r < 4; ++r) {
+    const Rng root = master.stream(r);
+    Rng arrival_rng = root.stream(0);
+    Rng type_rng = root.stream(1);
+    Rng size_rng = root.stream(2);
+    Rng sample_rng = root.stream(3);
+    const online::OnlineInstance inst = online::generate_online_instance(
+        *s.arrival, s.types, s.horizon, arrival_rng, type_rng, size_rng,
+        sample_rng);
+    Problem p = online::interval_indexed_lp(inst, s.env, s.bound);
+    Basis basis;
+    expect_pin(solve_revised(p, basis), golden[r][0], r, "cold");
+    Rng drift = root.stream(4);
+    for (auto& c : p.constraints) c.rhs *= drift.uniform(0.97, 1.06);
+    expect_pin(solve_revised(p, basis), golden[r][1], r, "warm");
+  }
 }
 
 }  // namespace

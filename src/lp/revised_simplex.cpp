@@ -70,7 +70,7 @@ struct Engine {
 
     // CSC assembly, two passes over the sparse rows; slack column n+i is
     // the single entry (i, 1). Duplicate row indices stay as separate
-    // entries — every consumer (scatter/dot) is additive.
+    // entries — every consumer (scatter, row-wise pricing) adds them up.
     std::vector<std::size_t> count(total, 0);
     for (std::size_t i = 0; i < m; ++i) {
       const Constraint& row = p.constraints[i];
@@ -131,10 +131,11 @@ struct Engine {
   }
 
   /// z = Aᵀy for every column: the structural part row by row over the
-  /// nonzero duals, slack n+i is y[i]. Column j's CSC entries are in
-  /// ascending row order (a row's duplicates in its own order), so z[j] sums
-  /// the same products in the same order as a dot down column j; the rows
-  /// skipped would only add ±0 to a sum that starts at +0.
+  /// nonzero duals, slack n+i is y[i]. Walking the rows in ascending order
+  /// adds column j's products in the order its CSC entries list them (a
+  /// row's duplicates in the row's own order), and a skipped row would add
+  /// only ±0 to a sum that starts at +0, so z[j] is bit-for-bit column j's
+  /// dot with y.
   void compute_z() {
     std::fill(z.begin(), z.begin() + static_cast<std::ptrdiff_t>(n), 0.0);
     for (std::size_t i = 0; i < m; ++i) {
@@ -433,7 +434,7 @@ struct Engine {
       if (degenerate_run > 2 * m + 20) bland = true;
 
       // Rows outside w's pattern would subtract ±0, which changes no basic
-      // value (a −0 one aside: it would turn +0, and none arises here).
+      // value other than a −0 one.
       if (alpha != 0.0)
         for (const std::uint32_t r : w.pattern())
           xb[r] -= esign * alpha * w[r];

@@ -7,12 +7,16 @@
 //   * *Substreams*: replication r always draws from `Rng(seed).stream(r)`,
 //     so an experiment is a pure function of (seed, replication count) —
 //     independent of thread count, scheduling and batch boundaries.
-//   * *Fan-out*: replications are grouped into fixed-size cells of
-//     `kCellSize`; cells run concurrently under OpenMP (serially otherwise)
-//     and are merged in cell order with the exact Chan–Golub–LeVeque
-//     combination, so the aggregate is bit-identical for 1 or N threads.
-//     A cell body that throws does not abort the fan-out: the exception is
-//     rethrown on the calling thread when merging reaches that cell.
+//   * *Fan-out*: the replication is the unit of parallel work. Every
+//     OpenMP thread (when available) claims chunks of replications in
+//     order, and each replication writes its metric row into a shared
+//     buffer. The merge folds the rows of each fixed-size cell of
+//     `kCellSize` replications into a cell accumulator in replication
+//     order and combines the cells in cell order with the exact
+//     Chan–Golub–LeVeque merge, so the aggregate is bit-identical for 1 or
+//     N threads. A replication that throws does not abort the fan-out: the
+//     exception is rethrown on the calling thread when merging reaches its
+//     cell.
 //   * *Common random numbers* (`run_paired`): K policy arms replay the
 //     *same* substream per replication, turning a policy comparison into a
 //     paired-difference estimate whose variance drops by the (usually
@@ -21,32 +25,38 @@
 //     replication into `prepare` (what every arm shares, such as the
 //     realized workload and its offline bound) and `evaluate` (one arm);
 //     under CRN the shared half then runs once per replication, not once
-//     per arm.
+//     per arm. One task covers all K arms of a replication.
 //   * *Sequential stopping*: instead of guessing a replication count, run
 //     batches until every tracked metric's (1-alpha) CI half-width falls
-//     below `rel_precision * |mean|`, with a hard cap. So that a batch of
-//     one cell still keeps every thread busy, each pass runs a window of
-//     whole batches, at least `engine_threads()` cells, *speculatively*
-//     past the next stop check, then merges it in cell order and applies
-//     the stop test at every batch boundary inside it, as a
-//     one-batch-per-pass loop would. Cells past the stopping point are
-//     dropped unmerged. Since a cell's result depends only on its
-//     substreams and the stop test sees the same left-fold of the same
+//     below `rel_precision * |mean|`, with a hard cap. The thread that
+//     completes a batch merges it and applies the stop test at its
+//     boundary, as a one-batch-at-a-time loop would, while the other
+//     threads run on *speculatively* into the batches past it (once a
+//     stop test has let the run go on: whole batches holding at least
+//     `engine_threads()` replications), so no thread waits for a stop test
+//     that lets the run go on. Replications past the stopping point are
+//     dropped unmerged. Since a replication's result depends only on its
+//     substream and the stop test sees the same left-fold of the same
 //     cells at the same boundaries, the outcome is a pure function of
-//     (options, body) at any thread count: at one thread the window is one
-//     batch and the schedule is the serial one. Speculative cells record
-//     their telemetry into their own obs::Telemetry, committed to the
-//     instruments only when the cell is merged, so discarded work is never
-//     counted.
+//     (options, body) at any thread count; one thread never runs past a
+//     stop check.
+//   * *Telemetry*: every chunk records into its own obs::Telemetry from a
+//     pool. Sinks are committed in replication order as the prefix of
+//     finished chunks grows, never past a stop check that could discard
+//     them nor past the first failing replication, so the instruments count
+//     exactly the replications a one-thread run would have run.
 //
 // The body parameter is a template, not a std::function: the hot loop
 // inlines the replication call.
 #pragma once
 
 #include <algorithm>
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <exception>
+#include <memory>
 #include <mutex>
 #include <span>
 #include <utility>
@@ -59,11 +69,10 @@
 
 namespace stosched::experiment {
 
-/// Replications per merge cell. A cell is the unit of parallel work *and*
-/// of deterministic merging: results never depend on how cells map onto
-/// threads, only on the (fixed) cell boundaries. 16 is small enough that
-/// even a 32-replication run of an expensive simulator fans out, and large
-/// enough to amortize the per-cell accumulator over cheap bodies.
+/// Replications per merge cell, the unit of deterministic merging: a cell's
+/// rows are folded in replication order into one accumulator, and results
+/// depend only on the (fixed) cell boundaries, never on how replications
+/// map onto threads. Batches are whole cells.
 inline constexpr std::size_t kCellSize = 16;
 
 /// Controls for a replication run. With `rel_precision == 0` the engine
@@ -136,112 +145,183 @@ bool paired_precision_met(
 /// Round `batch` up to a whole number of cells (at least one).
 std::size_t cells_per_batch(std::size_t batch);
 
-/// Run `cell_body(c)` for c in [0, ncells), concurrently when OpenMP is
-/// available. Each cell writes only its own slot, so no synchronization is
-/// needed beyond the implicit barrier.
-template <class CellBody>
-void for_each_cell(std::size_t ncells, CellBody&& cell_body) {
-#ifdef _OPENMP
-#pragma omp parallel for schedule(dynamic)
-  for (long long c = 0; c < static_cast<long long>(ncells); ++c)
-    cell_body(static_cast<std::size_t>(c));
-#else
-  for (std::size_t c = 0; c < ncells; ++c) cell_body(c);
-#endif
-}
-
-/// The shared batching/cell/merge/stopping orchestration behind run() and
-/// run_paired(). `cell_body(lo, hi, acc)` executes replications [lo, hi)
-/// into a cell accumulator of `slots` stats; `merge_cell(acc)` folds a
-/// finished cell into the caller's cumulative state (called in cell order —
-/// that fixed left-fold is the determinism guarantee); `stop()` reports
-/// whether the tracked statistics meet the precision target. Returns
-/// (replications run, converged).
+/// The shared state of one `drive` call: which chunks of replications are
+/// handed out, which have finished, which batch boundary is ready to merge,
+/// and where each chunk's telemetry goes. Every member function but row()
+/// takes one mutex.
 ///
-/// A sequential run executes a window of whole batches per pass, at least
-/// `engine_threads()` cells, and merges it cell by cell, applying the stop
-/// test at each batch boundary exactly as a one-batch-per-pass loop would.
-/// Cells past the first boundary that can stop the run are speculative:
-/// each records its telemetry into its own obs::Telemetry, committed when
-/// the cell is merged and dropped with the cell if the run stops first.
-/// An exception from a cell body is rethrown on the calling thread when
-/// merging reaches that cell (after the cells before it are merged and its
-/// own partial telemetry committed); a failing cell that the stop test
-/// discards never throws.
-template <class CellBody, class Merge, class Stop>
+/// Replications below the first stop check that can end the run are
+/// *sure* to merge; more are handed out *speculatively* past it, so threads
+/// need not wait for the stop test. Once a stop test has let the run go on,
+/// that is whole batches holding one replication per thread; before, a
+/// batch less (nothing unless a batch is shorter than the thread count),
+/// since a first check often ends a run and in-flight speculative work
+/// delays the end. A chunk is a quarter of a batch per thread, and of
+/// what is left of the run near its end (as in guided scheduling), so
+/// cheap bodies in long batches go out in long chunks while small batches
+/// and the tail of a fixed run go out one by one. A chunk never straddles
+/// a batch boundary, and none is handed out past the first failing
+/// replication or while four per thread are in flight, which bounds the
+/// sinks held back. Each chunk records into its own sink from a pool. As
+/// the prefix of finished chunks grows, a sink is committed to where the
+/// calling thread records when its chunk is sure, folded into its batch's
+/// held sink when speculative (committed once the stop test lets that
+/// batch merge, dropped when the run stops first), and dropped past the
+/// first failure. So the instruments see exactly the replications a
+/// one-thread run would have run.
+class Schedule {
+ public:
+  /// A claimed chunk: replications [lo, hi) and the sink they record into
+  /// (null when no chunk is held).
+  struct Chunk {
+    std::size_t seq = 0, lo = 0, hi = 0;
+    std::unique_ptr<obs::Telemetry> sink;
+  };
+  /// A batch boundary to merge: every replication in [from, to) has
+  /// finished, or every one up to `failed`, which lies below `to`. `to` is
+  /// 0 when there is none.
+  struct Ready {
+    std::size_t from = 0, to = 0, failed = SIZE_MAX;
+  };
+
+  Schedule(const EngineOptions& opt, std::size_t slots);
+
+  /// Replication r's row of the buffer, `slots` doubles.
+  [[nodiscard]] std::span<double> row(std::size_t r) noexcept {
+    return {rows_.data() + (r % capacity_) * slots_, slots_};
+  }
+  /// Hand back `chunk` if it holds a finished one. Then either return a
+  /// boundary the caller must merge (one thread merges at a time), or wait
+  /// for the next chunk and claim it into `chunk`; `chunk.sink` is null
+  /// once no chunk is left to hand out (the threads still running chunks
+  /// merge what is left).
+  Ready next(Chunk& chunk);
+  /// Note that replication `rep` threw `error`; the first one is kept.
+  void fail(std::size_t rep, std::exception_ptr error);
+  /// The merging thread's verdict on boundary `to`: end the run there, or
+  /// go on. Returns the next boundary for it to merge, if any.
+  Ready decide(std::size_t to, bool end, bool converged);
+  /// End the run with `error` (the first failure when null), rethrown by
+  /// result(); the merging thread calls this when the merge reaches a
+  /// failure or its callbacks throw.
+  void abort(std::exception_ptr error);
+  /// The replications merged and whether the run converged; rethrows the
+  /// failure that ended the run. Call once every thread is done.
+  [[nodiscard]] std::pair<std::size_t, bool> result() const;
+
+ private:
+  struct Slot {
+    std::size_t lo = 0, hi = 0;
+    bool done = false;
+    std::unique_ptr<obs::Telemetry> sink;
+  };
+  [[nodiscard]] std::size_t limit() const noexcept;  // issue no further
+  std::unique_ptr<obs::Telemetry> fresh_sink();  // from the pool, cleared
+  void retire(Slot& s);  // route the oldest finished chunk's telemetry
+  Ready ready();         // the boundary to merge now, if any
+
+  const std::size_t max_, min_, batch_, threads_, ahead_, slots_, capacity_;
+  obs::Telemetry* const outer_;  // where the calling thread records
+  std::vector<double> rows_;     // ring buffer of capacity_ rows
+  std::vector<Slot> flight_;     // ring of the chunks in flight, by seq
+  mutable std::mutex mutex_;
+  std::condition_variable more_;  // signalled when a claim may proceed
+  std::size_t oldest_ = 0;    // seq of the oldest chunk in flight
+  std::size_t seq_ = 0;       // seq of the next chunk
+  std::size_t issued_ = 0;    // replications handed out
+  std::size_t finished_ = 0;  // prefix of finished replications
+  std::size_t merged_ = 0;    // replications merged (a boundary)
+  std::size_t sure_;          // first stop check that can end the run
+  bool merging_ = false, over_ = false, converged_ = true;
+  bool went_on_ = false;  // a stop test has let the run go on
+  std::size_t failed_ = SIZE_MAX;  // first failing replication
+  std::exception_ptr failure_, error_;
+  // Telemetry of the speculative batches from sure_ on, in order.
+  std::deque<std::unique_ptr<obs::Telemetry>> held_;
+  std::vector<std::unique_ptr<obs::Telemetry>> pool_;
+};
+
+/// The shared scheduling/merge/stopping orchestration behind run() and
+/// run_paired(). `rep_body(r, row)` runs replication r into `row`, a zeroed
+/// span of `slots` doubles; `merge_cell(acc)` folds a finished cell — its
+/// rows pushed in replication order into `slots` accumulators — into the
+/// caller's cumulative state (called in cell order: that fixed left-fold
+/// is the determinism guarantee); `stop()` reports whether the tracked
+/// statistics meet the precision target. Returns (replications run,
+/// converged).
+///
+/// Every thread claims chunks of replications from a `Schedule` and runs
+/// them. The thread that completes a batch merges it cell by cell and
+/// applies the stop test at its boundary, exactly as a one-batch loop
+/// would, while the others run on into the next batch; the merge and the
+/// stop test run on one thread at a time, in boundary order. Replications
+/// past the stopping point are dropped with their telemetry. An exception
+/// from `rep_body` is rethrown on the calling thread when merging reaches
+/// its cell, after the cells before it are merged and the telemetry of
+/// the replications up to and including it committed; a failure that the
+/// stop test discards never throws. An exception from `merge_cell` or
+/// `stop` is rethrown likewise.
+template <class RepBody, class Merge, class Stop>
 std::pair<std::size_t, bool> drive(const EngineOptions& opt,
-                                   std::size_t slots, CellBody&& cell_body,
+                                   std::size_t slots, RepBody&& rep_body,
                                    Merge&& merge_cell, Stop&& stop) {
-  STOSCHED_REQUIRE(opt.max_replications > 0, "need at least one replication");
-  STOSCHED_REQUIRE(opt.rel_precision >= 0.0, "rel_precision must be >= 0");
-  const bool sequential = opt.rel_precision > 0.0;
-  const std::size_t batch_cells = cells_per_batch(opt.batch);
-  const std::size_t batch =
-      sequential ? batch_cells * kCellSize : opt.max_replications;
-  // Replications per pass: whole batches covering at least one cell per
-  // thread (one batch at one thread).
-  const std::size_t window =
-      sequential
-          ? (std::max<std::size_t>(engine_threads(), batch_cells) +
-             batch_cells - 1) / batch_cells * batch
-          : opt.max_replications;
-  std::size_t done = 0;
-  for (;;) {
-    const std::size_t base = done;
-    const std::size_t want = std::min(window, opt.max_replications - base);
-    const std::size_t ncells = (want + kCellSize - 1) / kCellSize;
-    // The first boundary whose stop test can end the run; the cells after
-    // it are speculative.
-    std::size_t first_check = base + want;
-    if (sequential) {
-      const std::size_t need =
-          opt.min_replications > base ? opt.min_replications - base : 0;
-      const std::size_t batches = std::max<std::size_t>(
-          1, (need + batch - 1) / batch);
-      first_check = std::min(first_check, base + batches * batch);
-    }
-    const std::size_t speculative =
-        (first_check - base + kCellSize - 1) / kCellSize;
-    std::vector<std::vector<RunningStat>> cell(
-        ncells, std::vector<RunningStat>(slots));
-    std::vector<obs::Telemetry> sink(ncells - speculative);
-    std::mutex failure_mutex;
-    std::size_t failed = ncells;  // first failing cell, guarded by the mutex
-    std::exception_ptr failure;   // its exception, likewise
-    for_each_cell(ncells, [&](std::size_t c) {
-      {
-        // A cell after a failed one is never merged.
-        const std::lock_guard<std::mutex> lock(failure_mutex);
-        if (c > failed) return;
-      }
-      // Cells that always merge record wherever their thread records.
-      obs::Telemetry* const prev = obs::set_telemetry_sink(
-          c < speculative ? obs::telemetry_sink() : &sink[c - speculative]);
-      const std::size_t lo = base + c * kCellSize;
-      const std::size_t hi = std::min(lo + kCellSize, base + want);
-      try {
-        cell_body(lo, hi, cell[c]);
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock(failure_mutex);
-        if (c < failed) {
-          failed = c;
-          failure = std::current_exception();
+  Schedule schedule(opt, slots);
+  std::vector<RunningStat> acc(slots);  // the merging thread's
+  // Merge from boundary to boundary while this thread has one to merge.
+  const auto merge = [&](Schedule::Ready ready) {
+    try {
+      while (ready.to != 0) {
+        for (std::size_t lo = ready.from; lo < ready.to; lo += kCellSize) {
+          const std::size_t hi = std::min(lo + kCellSize, ready.to);
+          if (ready.failed < hi) return schedule.abort(nullptr);
+          std::fill(acc.begin(), acc.end(), RunningStat{});
+          for (std::size_t r = lo; r < hi; ++r) {
+            const std::span<const double> row = schedule.row(r);
+            for (std::size_t d = 0; d < slots; ++d) acc[d].push(row[d]);
+          }
+          merge_cell(acc);
         }
+        const bool sequential = opt.rel_precision > 0.0;
+        const bool converged =
+            !sequential || (ready.to >= opt.min_replications && stop());
+        ready = schedule.decide(
+            ready.to, converged || ready.to >= opt.max_replications,
+            converged);
+      }
+    } catch (...) {
+      schedule.abort(std::current_exception());
+    }
+  };
+  const auto work = [&] {
+    Schedule::Chunk chunk;
+    for (;;) {
+      const Schedule::Ready ready = schedule.next(chunk);
+      if (ready.to != 0) {
+        merge(ready);
+        continue;
+      }
+      if (!chunk.sink) return;
+      obs::Telemetry* const prev = obs::set_telemetry_sink(chunk.sink.get());
+      std::size_t r = chunk.lo;
+      try {
+        for (; r < chunk.hi; ++r) {
+          const std::span<double> row = schedule.row(r);
+          std::fill(row.begin(), row.end(), 0.0);
+          rep_body(r, row);
+        }
+      } catch (...) {
+        schedule.fail(r, std::current_exception());
       }
       obs::set_telemetry_sink(prev);
-    });
-    for (std::size_t c = 0; done < base + want;) {
-      done = std::min(done + batch, base + want);
-      for (; base + c * kCellSize < done; ++c) {
-        if (c >= speculative) obs::commit(sink[c - speculative]);
-        if (c == failed) std::rethrow_exception(failure);
-        merge_cell(cell[c]);
-      }
-      if (!sequential) return {done, true};
-      if (done >= opt.min_replications && stop()) return {done, true};
-      if (done >= opt.max_replications) return {done, false};
     }
-  }
+  };
+#ifdef _OPENMP
+#pragma omp parallel
+  work();
+#else
+  work();
+#endif
+  return schedule.result();
 }
 
 }  // namespace detail
@@ -257,14 +337,9 @@ EngineResult run(const EngineOptions& opt, std::size_t dims, Body&& body) {
   res.metrics.assign(dims, RunningStat{});
   const auto [done, converged] = detail::drive(
       opt, dims,
-      [&](std::size_t lo, std::size_t hi, std::vector<RunningStat>& acc) {
-        std::vector<double> out(dims, 0.0);
-        for (std::size_t r = lo; r < hi; ++r) {
-          Rng rng = master.stream(r);
-          std::fill(out.begin(), out.end(), 0.0);
-          body(r, rng, std::span<double>(out));
-          for (std::size_t d = 0; d < dims; ++d) acc[d].push(out[d]);
-        }
+      [&](std::size_t r, std::span<double> row) {
+        Rng rng = master.stream(r);
+        body(r, rng, row);
       },
       [&](const std::vector<RunningStat>& acc) {
         for (std::size_t d = 0; d < dims; ++d) res.metrics[d].merge(acc[d]);
@@ -273,17 +348,6 @@ EngineResult run(const EngineOptions& opt, std::size_t dims, Body&& body) {
   res.replications = done;
   res.converged = converged;
   return res;
-}
-
-/// Fixed-length convenience: exactly `replications` runs, no stopping rule.
-template <class Body>
-EngineResult run_fixed(std::size_t replications, std::uint64_t seed,
-                       std::size_t dims, Body&& body) {
-  EngineOptions opt;
-  opt.seed = seed;
-  opt.max_replications = replications;
-  opt.rel_precision = 0.0;
-  return run(opt, dims, static_cast<Body&&>(body));
 }
 
 /// K-arm comparison split into the part of a replication every arm shares
@@ -307,35 +371,27 @@ PairedResult run_paired(const EngineOptions& opt, std::size_t arms,
   res.arm.assign(arms, std::vector<RunningStat>(dims));
   res.diff.assign(arms - 1, std::vector<RunningStat>(dims));
 
-  // Flat per-cell accumulators: arms*dims arm stats then (arms-1)*dims
-  // difference stats.
+  // A replication's row: arms*dims arm metrics, then (arms-1)*dims
+  // differences against arm 0.
   const std::size_t slots = arms * dims + (arms - 1) * dims;
   const auto [done, converged] = detail::drive(
       opt, slots,
-      [&](std::size_t lo, std::size_t hi, std::vector<RunningStat>& acc) {
-        std::vector<double> out(dims, 0.0);
-        std::vector<double> base(dims, 0.0);
+      [&](std::size_t r, std::span<double> row) {
         const auto run_arm = [&](const auto& shared, std::size_t k) {
-          std::fill(out.begin(), out.end(), 0.0);
-          evaluate(shared, k, std::span<double>(out));
-          for (std::size_t d = 0; d < dims; ++d) {
-            acc[k * dims + d].push(out[d]);
-            if (k == 0)
-              base[d] = out[d];
-            else
-              acc[arms * dims + (k - 1) * dims + d].push(out[d] - base[d]);
-          }
+          const std::span<double> out = row.subspan(k * dims, dims);
+          evaluate(shared, k, out);
+          if (k > 0)
+            for (std::size_t d = 0; d < dims; ++d)
+              row[arms * dims + (k - 1) * dims + d] = out[d] - row[d];
         };
-        for (std::size_t r = lo; r < hi; ++r) {
-          if (pairing == Pairing::kCommonRandomNumbers) {
-            Rng rng = master.stream(r);
-            const auto shared = prepare(r, rng);
-            for (std::size_t k = 0; k < arms; ++k) run_arm(shared, k);
-          } else {
-            for (std::size_t k = 0; k < arms; ++k) {
-              Rng rng = master.stream(r * arms + k);
-              run_arm(prepare(r, rng), k);
-            }
+        if (pairing == Pairing::kCommonRandomNumbers) {
+          Rng rng = master.stream(r);
+          const auto shared = prepare(r, rng);
+          for (std::size_t k = 0; k < arms; ++k) run_arm(shared, k);
+        } else {
+          for (std::size_t k = 0; k < arms; ++k) {
+            Rng rng = master.stream(r * arms + k);
+            run_arm(prepare(r, rng), k);
           }
         }
       },

@@ -15,9 +15,9 @@
 //
 // A record_* call writes to the calling thread's Telemetry sink when one
 // is installed, and to the instrument otherwise. The experiment engine
-// gives each speculative cell (one that a stop check may discard) its own
-// sink and commits it to the instruments when it merges the cell, so
-// discarded work is never counted.
+// gives each chunk of replications a sink and commits it once the
+// replications are sure to be merged, so work that a stop check discards,
+// or that ran after a failing replication, is never counted.
 //
 // Two instrument kinds:
 //

@@ -5,11 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -42,6 +44,14 @@ QueueScenario short_t9() {
   return s;
 }
 
+/// A fixed-length run: exactly `replications`, no stopping rule.
+EngineOptions fixed_run(std::size_t replications, std::uint64_t seed) {
+  EngineOptions opt;
+  opt.seed = seed;
+  opt.max_replications = replications;
+  return opt;
+}
+
 QueuePolicy fcfs_arm() { return {"fcfs", queueing::Discipline::kFcfs, {}}; }
 
 QueuePolicy cmu_arm(const QueueScenario& s) {
@@ -52,8 +62,8 @@ QueuePolicy cmu_arm(const QueueScenario& s) {
 }  // namespace
 
 TEST(Engine, FixedRunDeterministicAndCounted) {
-  const auto a = run_fixed(1000, 99, 1, exp_body);
-  const auto b = run_fixed(1000, 99, 1, exp_body);
+  const auto a = run(fixed_run(1000, 99), 1, exp_body);
+  const auto b = run(fixed_run(1000, 99), 1, exp_body);
   EXPECT_EQ(a.replications, 1000u);
   EXPECT_TRUE(a.converged);
   EXPECT_DOUBLE_EQ(a.metrics[0].mean(), b.metrics[0].mean());
@@ -61,8 +71,8 @@ TEST(Engine, FixedRunDeterministicAndCounted) {
 }
 
 TEST(Engine, FixedRunCountsAreExact) {
-  // Pin run_fixed's count/min/max bookkeeping on a known body.
-  const auto engine = run_fixed(1000, 99, 1, exp_body);
+  // Pin a fixed run's count/min/max bookkeeping on a known body.
+  const auto engine = run(fixed_run(1000, 99), 1, exp_body);
   EXPECT_EQ(engine.metrics[0].count(), 1000u);
   EXPECT_GT(engine.metrics[0].min(), 0.0);
   EXPECT_GT(engine.metrics[0].max(), engine.metrics[0].mean());
@@ -321,9 +331,10 @@ TEST(Engine, PairedSequentialStoppingConverges) {
 }
 
 // ---------------------------------------------------------------------------
-// Speculative cell scheduling: a sequential run executes cells past the
-// next stop check on idle threads, so a result must not depend on the
-// thread count — neither its statistics nor the telemetry it commits.
+// Replication scheduling: replications run as parallel tasks, and a
+// sequential run executes replications past the next stop check instead
+// of waiting for it. A result must not depend on the thread count —
+// neither its statistics nor the telemetry it commits.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -423,10 +434,12 @@ void expect_same(const Instruments& a, const Instruments& b) {
 }  // namespace
 
 TEST(Engine, SpeculativeScheduleMatchesOneThread) {
-  // Windows of 3, 4 and 8 cells rounded up to whole batches of 1, 2 and 3
-  // cells; min_replications (40) is no multiple of any window, and the cap
-  // (1000) is no multiple of a cell. The loose target stops mid-run, the
-  // tight one runs into the cap.
+  // Once a stop test lets a run go on, threads run speculatively one batch
+  // (of 16, 32 or 48) past the next check at 3, 4 and 8 threads; at 24
+  // threads a batch of 16 holds too few replications, so they run two
+  // batches past it, and one past the first check. min_replications (40)
+  // is no multiple of any batch, and the cap (1000) is no multiple of a
+  // cell. The loose target stops mid-run, the tight one runs into the cap.
   const auto two_dims = [](std::size_t, Rng& rng, std::span<double> out) {
     out[0] = rng.exponential(1.0);
     out[1] = rng.uniform();
@@ -459,7 +472,7 @@ TEST(Engine, SpeculativeScheduleMatchesOneThread) {
       };
       const auto serial = with_threads(1, run_all);
       EXPECT_EQ(std::get<0>(serial).converged, rel > 0.01);
-      for (const int threads : {3, 4, 8}) {
+      for (const int threads : {3, 4, 8, 24}) {
         SCOPED_TRACE("batch " + std::to_string(batch) + ", rel " +
                      std::to_string(rel) + ", threads " +
                      std::to_string(threads));
@@ -474,9 +487,10 @@ TEST(Engine, SpeculativeScheduleMatchesOneThread) {
 }
 
 TEST(Engine, DiscardedCellsLeaveNoTelemetry) {
-  // Both comparisons stop at the first check (16 replications), so at 8
-  // threads the seven speculative cells of the first window are discarded:
-  // the instruments must move exactly as at one thread.
+  // Both comparisons stop at the first check (16 replications). At 8
+  // threads the 16 replications of that batch run in parallel; at 24,
+  // too many threads for one batch, a speculative second batch runs and is
+  // discarded. The instruments must move exactly as at one thread.
   EngineOptions opt;
   opt.seed = 41;
   opt.rel_precision = 1.0;
@@ -497,8 +511,10 @@ TEST(Engine, DiscardedCellsLeaveNoTelemetry) {
   EXPECT_GT(serial.events, 0u);
   EXPECT_GT(serial.wait.total, 0u);
   EXPECT_GT(serial.sojourn.total, 0u);
-  expect_same(serial, recorded_at(8, compare_queue));
-  EXPECT_EQ(queue.replications, 16u);
+  for (const int threads : {8, 24}) {
+    expect_same(serial, recorded_at(threads, compare_queue));
+    EXPECT_EQ(queue.replications, 16u);
+  }
 
   OnlineScenario o = online_scenario("online-bernoulli");
   o.horizon = 8.0;
@@ -512,29 +528,30 @@ TEST(Engine, DiscardedCellsLeaveNoTelemetry) {
   EXPECT_EQ(online.replications, 16u);
   EXPECT_GT(online_serial.lp_solves, 0u);
   EXPECT_GT(online_serial.lp_iterations, 0u);
-  expect_same(online_serial, recorded_at(8, compare_online));
-  EXPECT_EQ(online.replications, 16u);
+  for (const int threads : {8, 24}) {
+    expect_same(online_serial, recorded_at(threads, compare_online));
+    EXPECT_EQ(online.replications, 16u);
+  }
 }
 
 TEST(Engine, FailingCellRethrowsInMergeOrder) {
   // A sequential run that never converges; reps 40 and 90 throw (cells 2
-  // and 5). The first failing cell in merge order is rethrown after cells
-  // 0 and 1 are merged, with its own telemetry up to the throw and none
-  // from the cells after it.
+  // and 5). The first failure in merge order is rethrown after cells 0 and
+  // 1 are merged, with the telemetry of every replication up to and
+  // including the throwing one and none from the replications after it,
+  // though at 4 threads they run while rep 40 stalls before its throw.
   EngineOptions opt;
   opt.seed = 51;
   opt.rel_precision = 1e-6;
   opt.min_replications = 16;
   opt.batch = 16;
   opt.max_replications = 256;
-  const auto body = [](std::size_t lo, std::size_t hi,
-                       std::vector<RunningStat>& acc) {
-    for (std::size_t r = lo; r < hi; ++r) {
-      obs::record_events(1);
-      if (r == 40 || r == 90)
-        throw std::runtime_error("rep " + std::to_string(r));
-      acc[0].push(static_cast<double>(r));
-    }
+  const auto body = [](std::size_t r, std::span<double> row) {
+    obs::record_events(1);
+    if (r == 40) std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    if (r == 40 || r == 90)
+      throw std::runtime_error("rep " + std::to_string(r));
+    row[0] = static_cast<double>(r);
   };
   for (const int threads : {1, 4}) {
     std::vector<std::size_t> merged;
@@ -556,7 +573,7 @@ TEST(Engine, FailingCellRethrowsInMergeOrder) {
     EXPECT_EQ(got.events, 41u) << threads << " threads";
   }
 
-  // Through run(), and in a fixed run, whose cells all run in one pass.
+  // Through run(), and in a fixed run, which has no stop check.
   const auto throwing = [](std::size_t r, Rng& rng, std::span<double> out) {
     if (r == 20 || r == 40)
       throw std::runtime_error("rep " + std::to_string(r));
@@ -576,24 +593,65 @@ TEST(Engine, FailingCellRethrowsInMergeOrder) {
 }
 
 TEST(Engine, DiscardedFailingCellNeverThrows) {
-  // A constant metric converges at the first check; at 4 threads the cells
-  // after it run speculatively, throw, and are discarded unseen.
+  // A constant metric converges at the first check; at 24 threads the
+  // batch after it runs speculatively, throws, and is discarded unseen (at
+  // 4 threads nothing runs past a first check).
   EngineOptions opt;
   opt.seed = 52;
   opt.rel_precision = 0.1;
   opt.min_replications = 16;
   opt.batch = 16;
   opt.max_replications = 256;
-  EngineResult res;
-  const Instruments got = recorded_at(4, [&] {
-    res = run(opt, 1, [](std::size_t r, Rng&, std::span<double>) {
-      obs::record_events(1);
-      if (r >= 16) throw std::runtime_error("past the stopping point");
+  for (const int threads : {4, 24}) {
+    EngineResult res;
+    const Instruments got = recorded_at(threads, [&] {
+      res = run(opt, 1, [](std::size_t r, Rng&, std::span<double>) {
+        obs::record_events(1);
+        if (r >= 16) throw std::runtime_error("past the stopping point");
+      });
     });
-  });
-  EXPECT_TRUE(res.converged);
-  EXPECT_EQ(res.replications, 16u);
-  EXPECT_EQ(got.events, 16u);
+    EXPECT_TRUE(res.converged) << threads << " threads";
+    EXPECT_EQ(res.replications, 16u) << threads << " threads";
+    EXPECT_EQ(got.events, 16u) << threads << " threads";
+  }
+}
+
+TEST(Engine, NestedRunSchedulesForOneThread) {
+  // A run inside an engine body gets a team of one (nesting off), so
+  // engine_threads() must say one there, whatever omp_get_max_threads()
+  // says, and the nested run must call its body exactly as often as at one
+  // thread: its batch of 16 converges at the first check, and a team of
+  // one never runs past a stop check.
+#ifdef _OPENMP
+  struct Restore {
+    int levels;
+    ~Restore() { omp_set_max_active_levels(levels); }
+  } restore{omp_get_max_active_levels()};
+  omp_set_max_active_levels(1);
+#endif
+  EngineOptions inner;
+  inner.seed = 53;
+  inner.rel_precision = 0.1;
+  inner.min_replications = 16;
+  inner.batch = 16;
+  inner.max_replications = 256;
+  std::atomic<std::size_t> calls{0};
+  const auto nested = [&] {
+    calls = 0;
+    const EngineResult outer =
+        run(fixed_run(4, 54), 1, [&](std::size_t, Rng&, std::span<double> out) {
+          run(inner, 1, [&](std::size_t, Rng&, std::span<double> x) {
+            ++calls;
+            x[0] = 1.0;
+          });
+          out[0] = static_cast<double>(engine_threads());
+        });
+    EXPECT_EQ(outer.metrics[0].max(), 1.0);
+    return calls.load();
+  };
+  const std::size_t serial = with_threads(1, nested);
+  EXPECT_EQ(serial, 4u * 16u);
+  EXPECT_EQ(with_threads(24, nested), serial);
 }
 
 TEST(Scenarios, RegistryLookupAndUnknownName) {

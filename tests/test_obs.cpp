@@ -193,15 +193,16 @@ TEST(HistogramTest, SnapshotBitIdenticalAcrossOmpSchedules) {
   auto sample = [](std::size_t r, int i) {
     return 0.37 * static_cast<double>((r * 31 + static_cast<std::size_t>(i) * 7) % 97) + 1e-3;
   };
-  experiment::run_fixed(kReps, 20260807, 1,
-                        [&](std::size_t r, Rng& rng, std::span<double> out) {
-                          (void)rng;
-                          obs::LocalHistogram local;
-                          for (int i = 0; i < 64; ++i)
-                            local.record(sample(r, i));
-                          shared.merge(local);
-                          out[0] = 0.0;
-                        });
+  experiment::EngineOptions opt;
+  opt.seed = 20260807;
+  opt.max_replications = kReps;
+  experiment::run(opt, 1, [&](std::size_t r, Rng& rng, std::span<double> out) {
+    (void)rng;
+    obs::LocalHistogram local;
+    for (int i = 0; i < 64; ++i) local.record(sample(r, i));
+    shared.merge(local);
+    out[0] = 0.0;
+  });
   obs::LocalHistogram serial;
   for (std::size_t r = 0; r < kReps; ++r)
     for (int i = 0; i < 64; ++i) serial.record(sample(r, i));

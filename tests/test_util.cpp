@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <span>
 #include <sstream>
 #include <vector>
@@ -233,14 +234,27 @@ TEST(Estimate, Covers) {
   EXPECT_FALSE(e.covers(10.6));
 }
 
-// run_fixed, the fixed-length replication driver: determinism in seed, seed
-// sensitivity, statistical correctness, vector metrics.
+// Fixed-length engine runs: determinism in seed, seed sensitivity,
+// statistical correctness, vector metrics.
+namespace {
+
+/// Exactly `replications` runs from `seed`, no stopping rule.
+experiment::EngineOptions fixed_run(std::size_t replications,
+                                    std::uint64_t seed) {
+  experiment::EngineOptions opt;
+  opt.seed = seed;
+  opt.max_replications = replications;
+  return opt;
+}
+
+}  // namespace
+
 TEST(RunFixed, DeterministicGivenSeed) {
   auto body = [](std::size_t, Rng& rng, std::span<double> out) {
     out[0] = rng.exponential(1.0);
   };
-  const auto a = experiment::run_fixed(1000, 99, 1, body);
-  const auto b = experiment::run_fixed(1000, 99, 1, body);
+  const auto a = experiment::run(fixed_run(1000, 99), 1, body);
+  const auto b = experiment::run(fixed_run(1000, 99), 1, body);
   EXPECT_DOUBLE_EQ(a.metrics[0].mean(), b.metrics[0].mean());
   EXPECT_DOUBLE_EQ(a.metrics[0].variance(), b.metrics[0].variance());
 }
@@ -249,8 +263,8 @@ TEST(RunFixed, SeedChangesResult) {
   auto body = [](std::size_t, Rng& rng, std::span<double> out) {
     out[0] = rng.exponential(1.0);
   };
-  const auto a = experiment::run_fixed(1000, 99, 1, body);
-  const auto b = experiment::run_fixed(1000, 100, 1, body);
+  const auto a = experiment::run(fixed_run(1000, 99), 1, body);
+  const auto b = experiment::run(fixed_run(1000, 100), 1, body);
   EXPECT_NE(a.metrics[0].mean(), b.metrics[0].mean());
 }
 
@@ -258,7 +272,7 @@ TEST(RunFixed, EstimatesExponentialMean) {
   auto body = [](std::size_t, Rng& rng, std::span<double> out) {
     out[0] = rng.exponential(0.5);
   };
-  const auto res = experiment::run_fixed(20000, 7, 1, body);
+  const auto res = experiment::run(fixed_run(20000, 7), 1, body);
   const auto est = make_estimate(res.metrics[0]);
   EXPECT_NEAR(est.value, 2.0, 0.1);
   EXPECT_TRUE(est.covers(2.0));
@@ -269,7 +283,7 @@ TEST(RunFixed, VectorMetrics) {
     out[0] = rng.uniform();
     out[1] = 2.0 * out[0];
   };
-  const auto res = experiment::run_fixed(20000, 5, 2, body);
+  const auto res = experiment::run(fixed_run(20000, 5), 2, body);
   EXPECT_NEAR(res.metrics[0].mean(), 0.5, 0.02);
   EXPECT_NEAR(res.metrics[1].mean(), 1.0, 0.04);
   EXPECT_NEAR(res.metrics[1].mean(), 2.0 * res.metrics[0].mean(), 1e-12);

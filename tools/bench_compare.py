@@ -26,9 +26,10 @@ With --exact the tool instead enforces bit-identical results: any numeric
 cell difference (at all), any verdict difference, or any row/column shape
 difference is fatal (exit 1). Wall-clock is ignored — it is the one field
 allowed to vary. This is the thread-count determinism gate: the same bench
-run under OMP_NUM_THREADS=1, =3 and =8 must produce byte-equal metrics,
-because the engine's fixed 16-replication merge cells and its serial-order
-merge of speculative cells make results a pure function of
+run under OMP_NUM_THREADS=1, =3, =8 and =24 must produce byte-equal
+metrics, because the engine's fixed 16-replication merge cells, folded in
+replication order whatever thread ran each replication, make results a
+pure function of
 (seed, replication count). The deterministic-histogram tail keys
 (wait_count/p50/p90/p99/p999, sojourn_*) join the gate when both files
 carry them; the provenance block is excluded (thread counts legitimately

@@ -22,8 +22,7 @@ int main() {
       experiment::batch_scenario("quickstart-four-jobs").jobs;
 
   // 2. Rank with the WSEPT (Smith/Rothkopf) index rule.
-  const core::IndexRule rule = core::wsept_rule(jobs);
-  const batch::Order order = rule.priority_order();
+  const batch::Order order = batch::wsept_order(jobs);
   std::cout << "WSEPT order:";
   for (const auto j : order) std::cout << ' ' << j;
   std::cout << '\n';

@@ -51,6 +51,8 @@ double index_policy_value(const BanditInstance& inst, const IndexTable& table,
 
 /// One simulated discounted-reward replication of an index policy, truncated
 /// when beta^t < trunc_eps (bias < trunc_eps * Rmax / (1-beta)).
+// caller-audit: test-only(Integration.GittinsPipelineFromProjectsToSimulation: a
+// simulation that index_policy_value's exact value is checked against)
 double simulate_index_policy(const BanditInstance& inst,
                              const IndexTable& table,
                              const std::vector<std::size_t>& start, Rng& rng,

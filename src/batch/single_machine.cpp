@@ -46,20 +46,6 @@ Order best_order_exhaustive(const Batch& jobs, double* value) {
 // Preemptive discrete-law machinery.
 // ---------------------------------------------------------------------------
 
-std::vector<DiscreteJob> to_discrete_jobs(const Batch& jobs) {
-  std::vector<DiscreteJob> out;
-  out.reserve(jobs.size());
-  for (const auto& j : jobs) {
-    DiscreteJob dj;
-    dj.weight = j.weight;
-    STOSCHED_REQUIRE(
-        discrete_support(*j.processing, &dj.values, &dj.probs),
-        "preemptive machinery requires discrete processing-time laws");
-    out.push_back(std::move(dj));
-  }
-  return out;
-}
-
 double sevcik_index(const DiscreteJob& job, std::size_t level) {
   const std::size_t K = job.values.size();
   STOSCHED_REQUIRE(level < K, "job already past its last support point");

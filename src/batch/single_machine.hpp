@@ -42,9 +42,6 @@ struct DiscreteJob {
   std::vector<double> probs;   ///< probabilities, sum to 1
 };
 
-/// Convert a Batch whose laws are all discrete; throws otherwise.
-std::vector<DiscreteJob> to_discrete_jobs(const Batch& jobs);
-
 /// Sevcik's index of a job at a given attained-service level:
 ///   sigma(level) = w * max_{t in later support points}
 ///                  P(finish by t | survived to level) / E[min(P, t) - a | survived].

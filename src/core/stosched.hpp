@@ -13,7 +13,7 @@
 //     related / unrelated machines, greedy & index assignment policies,
 //     offline lower bounds and empirical competitive ratios;
 //   * unifying machinery: conservation laws, achievable regions, adaptive
-//     greedy indices, priority-rule catalog;
+//     greedy indices;
 //   * observability: metrics registry (counters and deterministic
 //     latency histograms) and run provenance;
 //   * the experiment engine: replication driver, CRN paired comparisons,
@@ -78,7 +78,6 @@
 
 #include "core/conservation.hpp"
 #include "core/achievable_region.hpp"
-#include "core/policy.hpp"
 
 #include "experiment/engine.hpp"
 #include "experiment/scenario.hpp"

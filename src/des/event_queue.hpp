@@ -57,6 +57,8 @@ class EventQueue {
 
   [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
   [[nodiscard]] std::size_t size() const noexcept { return heap_.size(); }
+  // caller-audit: test-only(EventQueue.CapacityHintAndClearKeepCapacity: it
+  // observes that a cleared heap is reused without reallocating)
   [[nodiscard]] std::size_t capacity() const noexcept {
     return heap_.capacity();
   }

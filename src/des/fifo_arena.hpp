@@ -35,6 +35,8 @@ class FifoArena {
 
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  // caller-audit: test-only(FifoArena.ReserveKeepsClearAllocationFree: it
+  // observes that a reserved, cleared arena does not reallocate)
   [[nodiscard]] std::size_t capacity() const noexcept { return buf_.size(); }
 
   void reserve(std::size_t n) {

@@ -165,10 +165,14 @@ ArrivalPtr mmpp_arrivals(double rate0, double rate1, double switch01,
 ArrivalPtr bursty_arrivals(double rate, double burstiness);
 
 /// Renewal epochs delivering a fixed batch of `size` >= 1 simultaneous jobs.
+// caller-audit: test-only(NetworkGolden.Fcfs: an arrival stream of the pinned
+// golden workloads; dropping it means re-pinning them)
 ArrivalPtr batch_arrivals(DistPtr interarrival, std::size_t size);
 
 /// Renewal epochs delivering Geometric batches on {1, 2, ...} with mean
 /// `mean_size` >= 1 (P[B = k] = (1-q) q^(k-1), q = 1 - 1/mean_size).
+// caller-audit: test-only(Mg1Golden.FcfsBatchAndMmppArrivals: an arrival
+// stream of the pinned golden workloads; dropping it means re-pinning them)
 ArrivalPtr batch_arrivals_geometric(DistPtr interarrival, double mean_size);
 
 }  // namespace stosched

@@ -101,40 +101,6 @@ class ErlangDist final : public Distribution {
   double rate_;
 };
 
-class HyperExpDist final : public Distribution {
- public:
-  HyperExpDist(std::vector<double> probs, std::vector<double> rates)
-      : probs_(std::move(probs)), rates_(std::move(rates)) {}
-  double sample(Rng& rng) const override {
-    const std::size_t i = rng.categorical(probs_.data(), probs_.size());
-    return rng.exponential(rates_[i]);
-  }
-  double mean() const override {
-    double m = 0.0;
-    for (std::size_t i = 0; i < probs_.size(); ++i) m += probs_[i] / rates_[i];
-    return m;
-  }
-  double second_moment() const override {
-    double m2 = 0.0;
-    for (std::size_t i = 0; i < probs_.size(); ++i)
-      m2 += 2.0 * probs_[i] / (rates_[i] * rates_[i]);
-    return m2;
-  }
-  double variance() const override {
-    const double m = mean();
-    return second_moment() - m * m;
-  }
-  HazardClass hazard_class() const override {
-    for (const double r : rates_)
-      if (r != rates_.front()) return HazardClass::kDecreasing;
-    return HazardClass::kConstant;
-  }
-  const char* name() const noexcept override { return "hyperexp"; }
-
- private:
-  std::vector<double> probs_, rates_;
-};
-
 /// Balanced-means two-branch fit: p1/mu1 == p2/mu2, hitting a requested
 /// (mean, SCV). Reports the requested moments exactly.
 class HyperExp2Dist final : public Distribution {
@@ -189,31 +155,6 @@ class TwoPointDist final : public Distribution {
 
  private:
   double a_, b_, pa_;
-};
-
-class WeibullDist final : public Distribution {
- public:
-  WeibullDist(double shape, double scale)
-      : shape_(shape),
-        scale_(scale),
-        mean_(scale * std::tgamma(1.0 + 1.0 / shape)),
-        m2_(scale * scale * std::tgamma(1.0 + 2.0 / shape)) {}
-  double sample(Rng& rng) const override {
-    // Inversion: F^{-1}(u) = scale * (-log(1-u))^{1/shape}.
-    return scale_ * std::pow(-std::log(rng.uniform_pos()), 1.0 / shape_);
-  }
-  double mean() const override { return mean_; }
-  double second_moment() const override { return m2_; }
-  double variance() const override { return m2_ - mean_ * mean_; }
-  HazardClass hazard_class() const override {
-    if (shape_ > 1.0) return HazardClass::kIncreasing;
-    if (shape_ < 1.0) return HazardClass::kDecreasing;
-    return HazardClass::kConstant;
-  }
-  const char* name() const noexcept override { return "weibull"; }
-
- private:
-  double shape_, scale_, mean_, m2_;
 };
 
 class LognormalDist final : public Distribution {
@@ -360,8 +301,8 @@ class ErlangMixDist final : public Distribution {
         long_(std::make_shared<ErlangDist>(k, rate)),
         p_(p_short) {}
   double sample(Rng& rng) const override {
-    // One Bernoulli then the chosen branch's stage draws; same primitive
-    // sequence pattern as HyperExpDist, deterministic across platforms.
+    // One Bernoulli then the chosen branch's stage draws: a fixed primitive
+    // sequence, deterministic across platforms.
     return rng.bernoulli(p_) ? short_->sample(rng) : long_->sample(rng);
   }
   double mean() const override {
@@ -427,20 +368,6 @@ DistPtr erlang_dist(unsigned k, double rate) {
   return std::make_shared<ErlangDist>(k, rate);
 }
 
-DistPtr hyperexp_dist(std::vector<double> probs, std::vector<double> rates) {
-  STOSCHED_REQUIRE(!probs.empty() && probs.size() == rates.size(),
-                   "hyperexp needs matching, nonempty probs and rates");
-  for (const double p : probs)
-    STOSCHED_REQUIRE(p > 0.0 && p <= 1.0,
-                     "hyperexp branch probabilities must lie in (0,1]");
-  for (const double r : rates)
-    STOSCHED_REQUIRE(r > 0.0 && std::isfinite(r),
-                     "hyperexp branch rates must be positive and finite");
-  STOSCHED_REQUIRE(sums_to_one(probs),
-                   "hyperexp branch probabilities must sum to 1");
-  return std::make_shared<HyperExpDist>(std::move(probs), std::move(rates));
-}
-
 DistPtr hyperexp2_dist(double mean, double scv) {
   STOSCHED_REQUIRE(mean > 0.0 && std::isfinite(mean),
                    "hyperexp2 mean must be positive and finite");
@@ -455,14 +382,6 @@ DistPtr two_point_dist(double a, double pa, double b) {
   STOSCHED_REQUIRE(pa > 0.0 && pa < 1.0,
                    "two-point probability must lie in (0,1)");
   return std::make_shared<TwoPointDist>(a, pa, b);
-}
-
-DistPtr weibull_dist(double shape, double scale) {
-  STOSCHED_REQUIRE(shape > 0.0 && std::isfinite(shape),
-                   "Weibull shape must be positive and finite");
-  STOSCHED_REQUIRE(scale > 0.0 && std::isfinite(scale),
-                   "Weibull scale must be positive and finite");
-  return std::make_shared<WeibullDist>(shape, scale);
 }
 
 DistPtr lognormal_dist(double mu, double sigma) {

@@ -214,11 +214,6 @@ DistPtr uniform_dist(double lo, double hi);
 /// Mean k/rate, SCV 1/k; constant hazard for k == 1, increasing for k >= 2.
 DistPtr erlang_dist(unsigned k, double rate);
 
-/// General hyperexponential mixture: with probability probs[i], an
-/// exponential of rate rates[i]. Decreasing hazard (constant when all
-/// branch rates coincide).
-DistPtr hyperexp_dist(std::vector<double> probs, std::vector<double> rates);
-
 /// Two-branch balanced-means hyperexponential calibrated to a target mean
 /// and SCV >= 1 — the standard two-moment fit for high-variability service.
 DistPtr hyperexp2_dist(double mean, double scv);
@@ -227,11 +222,9 @@ DistPtr hyperexp2_dist(double mean, double scv);
 /// The counterexample family of the survey's §1 (nonmonotone hazard).
 DistPtr two_point_dist(double a, double pa, double b);
 
-/// Weibull with shape `k` and scale `lambda`; increasing hazard for k > 1,
-/// decreasing for k < 1, exponential at k == 1.
-DistPtr weibull_dist(double shape, double scale);
-
 /// Lognormal: exp(mu + sigma Z), Z standard normal; nonmonotone hazard.
+// caller-audit: test-only(Mg1Golden.FcfsBatchAndMmppArrivals: a service law
+// of the pinned golden workloads; dropping it means re-pinning them)
 DistPtr lognormal_dist(double mu, double sigma);
 
 /// Pareto with scale x_m and tail index alpha > 1 (finite mean); second

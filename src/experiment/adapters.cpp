@@ -90,18 +90,6 @@ std::vector<online::OnlinePolicyPtr> online_policy_arms() {
           online::single_sample_policy(), online::random_assignment_policy()};
 }
 
-std::vector<NetworkPolicy> reentrant_policies(
-    const queueing::NetworkConfig& config) {
-  // Group each station's classes in buffer (= class index) order; FBFS is
-  // that order, LBFS its reverse.
-  std::vector<std::vector<std::size_t>> fbfs(config.num_stations);
-  for (std::size_t c = 0; c < config.classes.size(); ++c)
-    fbfs[config.classes[c].station].push_back(c);
-  std::vector<std::vector<std::size_t>> lbfs = fbfs;
-  for (auto& station : lbfs) std::reverse(station.begin(), station.end());
-  return {{"LBFS", std::move(lbfs)}, {"FBFS", std::move(fbfs)}, {"FCFS", {}}};
-}
-
 std::size_t metric_count(const QueueScenario& s) {
   return queueing::mg1_metric_count(s.classes.size());
 }

@@ -71,13 +71,6 @@ std::vector<NetworkPolicy> lu_kumar_policies();
 /// for the "rybko-stolyar" scenario.
 std::vector<NetworkPolicy> rybko_stolyar_policies();
 
-/// Buffer-order policy arms for a re-entrant line (single route, class
-/// index = buffer position): LBFS (last buffer first served, arm 0), FBFS
-/// (first buffer first), and FCFS. Derived generically from the config's
-/// station/class layout, so any reentrant_line_network instance works.
-std::vector<NetworkPolicy> reentrant_policies(
-    const queueing::NetworkConfig& config);
-
 /// The canonical online-scheduling arms, in bench F11 order: greedy WSEPT
 /// (arm 0, the baseline paired differences are taken against),
 /// MinIncrease, single-sample SEPT, and random assignment.

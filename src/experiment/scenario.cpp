@@ -35,10 +35,6 @@ restless::RestlessInstance RestlessScenario::instance() const {
   return restless::symmetric_instance(prototype, projects, activate);
 }
 
-std::vector<double> NetworkScenario::intensities() const {
-  return queueing::station_intensities(config);
-}
-
 double MmmScenario::load() const {
   return queueing::traffic_intensity(classes) / servers;
 }
@@ -280,8 +276,7 @@ Registry<NetworkScenario> build_network_registry() {
   rs.samples = 80;
   reg.add(std::move(rs));
   // A Dai–Wang-style re-entrant line: one route visiting the two stations
-  // alternately (0,1,0,1,0), both stations subcritical; FBFS/LBFS/FCFS are
-  // the policy arms (reentrant_policies()).
+  // alternately (0,1,0,1,0), both stations subcritical.
   NetworkScenario dw;
   dw.name = "dai-wang-reentrant";
   dw.description =
@@ -312,7 +307,7 @@ Registry<MmmScenario> build_mmm_registry() {
   Registry<MmmScenario> reg;
   // The F5 instance: two classes carrying 60%/40% of the offered load of an
   // M/M/2, distinct c-mu indices. Sweeps derive variants via
-  // mmm_scale_to_load (heavy traffic) and with_servers (pool size).
+  // mmm_scale_to_load (heavy traffic).
   MmmScenario pooling;
   pooling.name = "parallel-pooling";
   pooling.description =
@@ -351,14 +346,6 @@ Registry<FluidScenario> build_fluid_registry() {
   f7.horizon_factor = 2.0;
   f7.cost_samples = 60;
   reg.add(std::move(f7));
-  return reg;
-}
-
-Registry<TreeScenario> build_tree_registry() {
-  Registry<TreeScenario> reg;
-  TreeScenario t = intree_scenario(100);
-  t.name = "intree";
-  reg.add(std::move(t));
   return reg;
 }
 
@@ -472,11 +459,6 @@ const Registry<FluidScenario>& fluid_registry() {
   return reg;
 }
 
-const Registry<TreeScenario>& tree_registry() {
-  static const Registry<TreeScenario> reg = build_tree_registry();
-  return reg;
-}
-
 const Registry<OnlineScenario>& online_registry() {
   static const Registry<OnlineScenario> reg = build_online_registry();
   return reg;
@@ -510,10 +492,6 @@ const MmmScenario& mmm_scenario(std::string_view name) {
 
 const FluidScenario& fluid_scenario(std::string_view name) {
   return fluid_registry().get(name, "fluid");
-}
-
-const TreeScenario& tree_scenario(std::string_view name) {
-  return tree_registry().get(name, "tree");
 }
 
 const OnlineScenario& online_scenario(std::string_view name) {
@@ -611,15 +589,6 @@ MmmScenario mmm_scale_to_load(MmmScenario s, double rho) {
   return s;
 }
 
-MmmScenario with_servers(MmmScenario s, unsigned m) {
-  STOSCHED_REQUIRE(m >= 1, "need at least one server");
-  const double factor = static_cast<double>(m) / s.servers;
-  for (auto& c : s.classes) scale_class_rate(c, factor);
-  s.servers = m;
-  s.name += "-m" + std::to_string(m);
-  return s;
-}
-
 BatchScenario turnpike_scenario(std::size_t n) {
   STOSCHED_REQUIRE(n >= 1, "need at least one job");
   // Deterministic family seed: matches the F1 scaling panel's historical
@@ -690,6 +659,7 @@ OnlineScenario with_burstiness(OnlineScenario s, double burstiness) {
 
 OnlineScenario with_machines(OnlineScenario s, std::size_t m) {
   STOSCHED_REQUIRE(m >= 1, "need at least one machine");
+  (void)s.load();  // validates the arrival process, the types and the env
   const double old_capacity = s.env.mix_capacity(s.types);
   std::vector<std::vector<double>> rows;
   rows.reserve(m);

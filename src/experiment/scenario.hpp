@@ -31,7 +31,7 @@
 //                        lower bound (empirical competitive ratios).
 //
 // Helpers derive swept variants (scale_to_load, with_switchover,
-// with_servers, with_arrival_scv, with_burstiness, turnpike_scenario(n),
+// with_machines, with_arrival_scv, with_burstiness, turnpike_scenario(n),
 // intree_scenario(n), ...) without mutating the registered base scenario.
 // Arrival-process variants (bursty MMPP, interarrival-SCV renewal) ride on
 // the same ClassSpec/NetworkClass fields, so every simulator family and
@@ -121,9 +121,6 @@ struct NetworkScenario {
   queueing::NetworkConfig config;
   double horizon = 4e4;
   std::size_t samples = 80;  ///< trace snapshots per run
-
-  /// Nominal per-station traffic intensities of the workload.
-  [[nodiscard]] std::vector<double> intensities() const;
 };
 
 /// A multiclass M/M/m workload; the priority order is the policy arm.
@@ -200,7 +197,6 @@ const BatchScenario& batch_scenario(std::string_view name);
 const NetworkScenario& network_scenario(std::string_view name);
 const MmmScenario& mmm_scenario(std::string_view name);
 const FluidScenario& fluid_scenario(std::string_view name);
-const TreeScenario& tree_scenario(std::string_view name);
 const OnlineScenario& online_scenario(std::string_view name);
 
 /// Rescale every arrival rate by a common factor so the base traffic
@@ -238,10 +234,6 @@ PollingScenario with_switchover(PollingScenario s, DistPtr law);
 /// traffic sweep of experiment F5).
 MmmScenario mmm_scale_to_load(MmmScenario s, double rho);
 
-/// Server-count sweep: set the pool size to `m`, scaling arrival rates so
-/// the per-server load is unchanged.
-MmmScenario with_servers(MmmScenario s, unsigned m);
-
 /// The F1 turnpike batch of size n on 3 machines: exponential jobs with
 /// U(0.5, 4) means and U(0.5, 3) weights, generated deterministically from
 /// the registered family seed (the registry's "turnpike" entry is this at
@@ -252,8 +244,7 @@ BatchScenario turnpike_scenario(std::size_t n);
 /// registry's "t5-twopoint" entry is instance 0).
 BatchScenario twopoint_scenario(std::size_t instance);
 
-/// The F8 random in-tree on n nodes, 3 machines, Exp(1) tasks (the
-/// registry's "intree" entry is this at n = 100).
+/// The F8 random in-tree on n nodes, 3 machines, Exp(1) tasks.
 TreeScenario intree_scenario(std::size_t n);
 
 /// Rescale the arrival process in time (ArrivalProcess::scaled, preserving

@@ -57,6 +57,8 @@ struct Problem {
   static Problem maximize(std::vector<double> costs);
   static Problem minimize(std::vector<double> costs);
   /// Dense row: width must equal the variable count; zeros are compacted.
+  // caller-audit: test-only(RevisedSimplex.TextbookMaximize: the hand-written
+  // LPs that pin both engines' optima are dense rows)
   Problem& subject_to(const std::vector<double>& coeffs, Sense sense,
                       double rhs);
   /// Sparse row: indices must be in range (duplicates add up).

@@ -42,7 +42,6 @@ struct SparseColumns {
   [[nodiscard]] std::size_t cols() const {
     return start.empty() ? 0 : start.size() - 1;
   }
-  [[nodiscard]] std::size_t nnz() const { return value.size(); }
 };
 
 /// A dense vector of m entries that lists the rows it has touched (a marker
@@ -104,11 +103,6 @@ class EtaFile {
  public:
   void clear() { etas_.clear(); }
   [[nodiscard]] std::size_t size() const { return etas_.size(); }
-  [[nodiscard]] std::size_t nnz() const {
-    std::size_t total = 0;
-    for (const Eta& e : etas_) total += 1 + e.off.size();
-    return total;
-  }
 
   /// Append the eta that maps the column w, as ftran() left it, to e_pivot.
   /// Entries below drop_tol are discarded; a column that is already e_pivot

@@ -32,6 +32,8 @@ DiscountedSolution value_iteration(const FiniteMdp& mdp, double beta,
                                    double tol = 1e-10,
                                    std::size_t max_iter = 100000);
 
+// caller-audit: test-only(PolicyIteration.AgreesWithValueIteration: Howard's
+// algorithm is the independent optimum value_iteration is checked against)
 DiscountedSolution policy_iteration(const FiniteMdp& mdp, double beta,
                                     std::size_t max_iter = 1000);
 
@@ -54,6 +56,9 @@ AverageSolution relative_value_iteration(const FiniteMdp& mdp,
 /// Long-run average reward of a fixed stationary policy (unichain), via the
 /// evaluation equations h + g·1 = r + P h solved with a dense system.
 /// O(n^3); prefer the iterative variant beyond a few hundred states.
+// caller-audit: test-only(AverageRewardOfPolicy.IterativeAgreesWithDense: the
+// dense O(n^3) solve that the production iterative evaluator is checked
+// against)
 double average_reward_of_policy(const FiniteMdp& mdp,
                                 const std::vector<std::size_t>& policy);
 

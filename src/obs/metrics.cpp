@@ -1,5 +1,7 @@
 #include "obs/metrics.hpp"
 
+#include "util/check.hpp"
+
 namespace stosched::obs {
 namespace {
 
@@ -15,23 +17,19 @@ constinit thread_local Telemetry* t_sink = nullptr;
 
 }  // namespace
 
-Counter& events_counter() { return g_events; }
-Counter& lp_solves_counter() { return g_lp_solves; }
-Counter& lp_iterations_counter() { return g_lp_iterations; }
-Histogram& wait_time_histogram() { return g_wait_time; }
-Histogram& sojourn_time_histogram() { return g_sojourn_time; }
-
-std::uint64_t counter_value(std::string_view name) noexcept {
+std::uint64_t counter_value(std::string_view name) {
   if (name == "events") return g_events.value();
   if (name == "lp_solves") return g_lp_solves.value();
-  if (name == "lp_iterations") return g_lp_iterations.value();
-  return 0;
+  STOSCHED_REQUIRE(name == "lp_iterations",
+                   "unknown counter (events, lp_solves, lp_iterations)");
+  return g_lp_iterations.value();
 }
 
-HistogramSnapshot histogram_snapshot(std::string_view name) noexcept {
+HistogramSnapshot histogram_snapshot(std::string_view name) {
   if (name == "wait_time") return g_wait_time.snapshot();
-  if (name == "sojourn_time") return g_sojourn_time.snapshot();
-  return {};
+  STOSCHED_REQUIRE(name == "sojourn_time",
+                   "unknown histogram (wait_time, sojourn_time)");
+  return g_sojourn_time.snapshot();
 }
 
 Telemetry* telemetry_sink() noexcept { return t_sink; }

@@ -224,26 +224,19 @@ class Histogram {
 
 // ---- the five process-wide instruments -------------------------------------
 
-/// DES events processed (record_events).
-Counter& events_counter();
-/// Completed LP solves and their simplex iterations (record_lp_solve).
-Counter& lp_solves_counter();
-Counter& lp_iterations_counter();
+/// Read a counter by name: "events" (DES events processed, record_events),
+/// "lp_solves" and "lp_iterations" (completed LP solves and their simplex
+/// iterations, record_lp_solve). Any other name throws
+/// std::invalid_argument, so a misspelt name cannot read as zero. This is
+/// what bench_common::finish and perfbench use.
+std::uint64_t counter_value(std::string_view name);
 
-/// The two cross-simulator tail histograms (post-warmup per-visit waiting
-/// time, record_wait; per-job time in system, record_sojourn).
+/// Snapshot a histogram by name: "wait_time" (post-warmup per-visit waiting
+/// time, record_wait) or "sojourn_time" (per-job time in system,
+/// record_sojourn); any other name throws std::invalid_argument.
 /// bench_common::finish turns them into the wait_p50..p999 /
 /// sojourn_p50..p999 columns of BENCH_*.json.
-Histogram& wait_time_histogram();
-Histogram& sojourn_time_histogram();
-
-/// Read a counter by name ("events", "lp_solves", "lp_iterations"): 0 for
-/// any other name. This is what bench_common::finish and perfbench use.
-std::uint64_t counter_value(std::string_view name) noexcept;
-
-/// Snapshot a histogram by name ("wait_time", "sojourn_time"): empty for
-/// any other name.
-HistogramSnapshot histogram_snapshot(std::string_view name) noexcept;
+HistogramSnapshot histogram_snapshot(std::string_view name);
 
 // ---- per-thread telemetry sink ---------------------------------------------
 

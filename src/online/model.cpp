@@ -56,20 +56,6 @@ Environment identical_machines(std::size_t m, std::size_t num_types) {
   return env;
 }
 
-Environment related_machines(const std::vector<double>& speeds,
-                             std::size_t num_types) {
-  STOSCHED_REQUIRE(!speeds.empty() && num_types >= 1,
-                   "need at least one machine and one type");
-  Environment env;
-  env.speed.reserve(speeds.size());
-  for (const double s : speeds) {
-    STOSCHED_REQUIRE(s > 0.0 && std::isfinite(s),
-                     "machine speeds must be positive and finite");
-    env.speed.emplace_back(num_types, s);
-  }
-  return env;
-}
-
 Environment unrelated_machines(std::vector<std::vector<double>> speed) {
   Environment env;
   env.speed = std::move(speed);

@@ -14,7 +14,8 @@
 //     a type-t job of base size S runs for S / speed[i][t] on machine i.
 //     Identical machines (all 1), uniformly related machines (rows constant
 //     per machine) and unrelated machines (general matrix) are the three
-//     classical environments, built by the factories below;
+//     classical environments; `identical_machines` builds the first and
+//     `unrelated_machines` takes any speed matrix;
 //   * `OnlineJob` / `OnlineInstance` — one realized sample path: arrival
 //     epochs driven by any `dist::ArrivalProcess` (Poisson, renewal, bursty
 //     MMPP, batch), a type per job, a realized base size, and one extra
@@ -75,10 +76,6 @@ struct Environment {
 
 /// m identical unit-speed machines.
 Environment identical_machines(std::size_t m, std::size_t num_types);
-
-/// Uniformly related machines: machine i runs every type at speed speeds[i].
-Environment related_machines(const std::vector<double>& speeds,
-                             std::size_t num_types);
 
 /// General unrelated machines from an explicit (machine x type) speed matrix.
 Environment unrelated_machines(std::vector<std::vector<double>> speed);

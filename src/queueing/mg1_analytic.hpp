@@ -41,6 +41,8 @@ std::vector<double> cobham_waits(const std::vector<ClassSpec>& classes,
 /// Preemptive-resume priority mean *sojourn* times (time in system):
 ///   T_j = [ E[S_j] (1 - σ_{j-}) + W0_j ] / ((1 - σ_{j-})(1 - σ_j)),
 /// with W0_j counting residual work of classes at or above j only.
+// caller-audit: test-only(Mg1Sim.PreemptiveResumeSojourns: the closed form
+// that simulate_mg1's preemptive-resume discipline is checked against)
 std::vector<double> preemptive_resume_sojourns(
     const std::vector<ClassSpec>& classes,
     const std::vector<std::size_t>& priority);

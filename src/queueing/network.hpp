@@ -146,6 +146,8 @@ NetworkConfig reentrant_line_network(double lambda,
                                      const std::vector<double>& means);
 
 /// Nominal per-station traffic intensities (ρ_A, ρ_B, ...) of a config.
+// caller-audit: test-only(Scenarios.LuKumarIntensitiesSubcritical: checks
+// that the registered networks are nominally stable at every station)
 std::vector<double> station_intensities(const NetworkConfig& config);
 
 }  // namespace stosched::queueing

@@ -62,7 +62,6 @@ class TimeAverage {
   void reset(double t) noexcept;
   /// Close the path at time t_end and return the time average.
   [[nodiscard]] double finish(double t_end) noexcept;
-  [[nodiscard]] double integral() const noexcept { return integral_; }
 
  private:
   double integral_ = 0.0;

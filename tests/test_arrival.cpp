@@ -321,7 +321,7 @@ TEST(CachedGapSampler, FlatPathIsBitIdenticalForStatelessProcesses) {
   const ArrivalPtr processes[] = {
       poisson_arrivals(0.7),
       renewal_arrivals(uniform_dist(0.5, 1.5)),
-      renewal_arrivals(weibull_dist(1.7, 2.0)),  // via virtual-fallback case
+      renewal_arrivals(pareto_dist(1.0, 2.5)),  // via virtual-fallback case
       batch_arrivals(erlang_dist(2, 3.0), 4),
   };
   for (const auto& p : processes) {

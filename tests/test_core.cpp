@@ -1,17 +1,14 @@
 // Tests for core/: the adaptive-greedy engine against its closed-form
-// specializations, the M/G/1 achievable region (polymatroid geometry), the
-// conservation-law audit, and the policy catalog.
+// specializations, the M/G/1 achievable region (polymatroid geometry) and
+// the conservation-law audit.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 
-#include "bandit/gittins.hpp"
 #include "core/achievable_region.hpp"
 #include "core/conservation.hpp"
-#include "core/policy.hpp"
 #include "queueing/mg1_analytic.hpp"
-#include "restless/whittle.hpp"
 #include "util/rng.hpp"
 
 namespace stosched::core {
@@ -138,64 +135,6 @@ TEST(Region, AdaptiveGreedyOnRegionRecoversCmu) {
   const auto res = adaptive_greedy(
       3, [&](const std::vector<char>&) { return means; }, costs);
   EXPECT_EQ(res.priority, queueing::cmu_order(classes));
-}
-
-// ---------------------------------------------------------------------------
-// Policy catalog.
-// ---------------------------------------------------------------------------
-
-TEST(PolicyCatalog, WseptMatchesBatchOrder) {
-  stosched::Rng rng(3);
-  const auto jobs = batch::random_batch(6, rng);
-  const auto rule = wsept_rule(jobs);
-  EXPECT_EQ(rule.priority_order(), batch::wsept_order(jobs));
-  EXPECT_EQ(rule.name, "WSEPT");
-}
-
-TEST(PolicyCatalog, SeptLeptAreReverses) {
-  stosched::Rng rng(4);
-  const auto jobs = batch::random_batch(5, rng);
-  const auto sept = sept_rule(jobs).priority_order();
-  const auto lept = lept_rule(jobs).priority_order();
-  // With distinct means, SEPT and LEPT are exact reverses.
-  std::vector<std::size_t> rev(lept.rbegin(), lept.rend());
-  EXPECT_EQ(sept, rev);
-}
-
-TEST(PolicyCatalog, CmuMatchesAnalytic) {
-  const auto classes = three_classes();
-  EXPECT_EQ(cmu_rule(classes).priority_order(),
-            queueing::cmu_order(classes));
-}
-
-TEST(PolicyCatalog, KlimovRuleMatchesIndices) {
-  queueing::KlimovNetwork net;
-  net.classes = three_classes();
-  net.feedback = {{0.0, 0.3, 0.0}, {0.0, 0.0, 0.2}, {0.0, 0.0, 0.0}};
-  const auto rule = klimov_rule(net);
-  const auto direct = queueing::klimov_indices(net);
-  EXPECT_EQ(rule.priority_order(), direct.priority);
-}
-
-TEST(PolicyCatalog, GittinsRuleWrapsLargestIndex) {
-  stosched::Rng rng(5);
-  const auto p = bandit::random_project(4, rng);
-  const auto rule = gittins_rule(p, 0.9);
-  const auto direct = bandit::gittins_largest_index(p, 0.9);
-  ASSERT_EQ(rule.index.size(), direct.size());
-  for (std::size_t s = 0; s < direct.size(); ++s)
-    EXPECT_DOUBLE_EQ(rule.index[s], direct[s]);
-  EXPECT_EQ(rule.name, "Gittins");
-}
-
-TEST(PolicyCatalog, WhittleRuleRequiresIndexability) {
-  restless::RestlessProject p;
-  p.reward_passive = {0.0, 0.0};
-  p.reward_active = {0.6, 0.2};
-  p.trans_passive = {{0.7, 0.3}, {0.4, 0.6}};
-  p.trans_active = p.trans_passive;
-  const auto rule = whittle_rule(p);  // constant-dynamics: indexable
-  EXPECT_GT(rule.index[0], rule.index[1]);
 }
 
 }  // namespace

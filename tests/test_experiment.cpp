@@ -736,7 +736,6 @@ TEST(Scenarios, NewFamiliesRegistered) {
   EXPECT_THROW(network_scenario("no-such"), std::invalid_argument);
   EXPECT_NO_THROW(batch_scenario("turnpike"));
   EXPECT_NO_THROW(batch_scenario("t5-twopoint"));
-  EXPECT_NO_THROW(tree_scenario("intree"));
   EXPECT_EQ(batch_scenario("turnpike").machines, 3u);
   EXPECT_EQ(batch_scenario("turnpike").jobs.size(), 100u);
   // Generators are deterministic: same n, same batch.
@@ -768,7 +767,7 @@ TEST(Scenarios, NonPoissonConfigurationsReachableByName) {
   ASSERT_NE(ht.config.classes[1].service, nullptr);
   EXPECT_NEAR(ht.config.classes[1].service->scv(), 6.0, 1e-9);
   // Heavy-tailed services keep the same nominal intensities as the base.
-  const auto rho = ht.intensities();
+  const auto rho = queueing::station_intensities(ht.config);
   EXPECT_NEAR(rho[0], 0.01 + 2.0 / 3.0, 1e-9);
   EXPECT_NEAR(rho[1], 2.0 / 3.0 + 0.01, 1e-9);
 }
@@ -777,7 +776,7 @@ TEST(Scenarios, LuKumarIntensitiesSubcritical) {
   // station_intensities through the registered scenario: both stations are
   // nominally stable, the classic precondition of the instability result.
   const auto& s = network_scenario("lu-kumar");
-  const auto rho = s.intensities();
+  const auto rho = queueing::station_intensities(s.config);
   ASSERT_EQ(rho.size(), 2u);
   EXPECT_NEAR(rho[0], 0.01 + 2.0 / 3.0, 1e-12);
   EXPECT_NEAR(rho[1], 2.0 / 3.0 + 0.01, 1e-12);
@@ -790,12 +789,6 @@ TEST(Scenarios, MmmSweepHelpersPreserveStructure) {
   EXPECT_NEAR(base.load(), 0.85, 1e-12);
   const auto heavy = mmm_scale_to_load(base, 0.95);
   EXPECT_NEAR(heavy.load(), 0.95, 1e-12);
-  // Server-count sweep keeps the per-server load invariant.
-  const auto pooled = with_servers(base, 4);
-  EXPECT_EQ(pooled.servers, 4u);
-  EXPECT_NEAR(pooled.load(), base.load(), 1e-12);
-  EXPECT_NEAR(queueing::traffic_intensity(pooled.classes),
-              2.0 * queueing::traffic_intensity(base.classes), 1e-12);
 }
 
 TEST(Adapters, MmmReplicationMatchesDirectSimulate) {
@@ -942,12 +935,12 @@ TEST(Scenarios, ArrivalSweepsComposeWithLoadScaling) {
 
 TEST(Scenarios, RybkoStolyarIntensitiesSubcritical) {
   const auto& rs = network_scenario("rybko-stolyar");
-  const auto rho = rs.intensities();
+  const auto rho = queueing::station_intensities(rs.config);
   ASSERT_EQ(rho.size(), 2u);
   EXPECT_NEAR(rho[0], 0.61, 1e-12);
   EXPECT_NEAR(rho[1], 0.61, 1e-12);
   const auto& dw = network_scenario("dai-wang-reentrant");
-  const auto dw_rho = dw.intensities();
+  const auto dw_rho = queueing::station_intensities(dw.config);
   ASSERT_EQ(dw_rho.size(), 2u);
   EXPECT_NEAR(dw_rho[0], 0.85, 1e-12);
   EXPECT_NEAR(dw_rho[1], 0.90, 1e-12);
@@ -981,12 +974,12 @@ TEST(Adapters, ReentrantLinePoliciesRunUnderCrn) {
   NetworkScenario s = network_scenario("dai-wang-reentrant");
   s.horizon = 4000.0;
   s.samples = 40;
-  const auto arms = reentrant_policies(s.config);
-  ASSERT_EQ(arms.size(), 3u);
-  EXPECT_EQ(arms[0].name, "LBFS");
-  // Buffer order at station 0 is {0, 2, 4} (FBFS) and reversed for LBFS.
-  EXPECT_EQ(arms[1].station_priority[0], (std::vector<std::size_t>{0, 2, 4}));
-  EXPECT_EQ(arms[0].station_priority[0], (std::vector<std::size_t>{4, 2, 0}));
+  // The route visits stations 0,1,0,1,0, so station 0 holds buffers
+  // {0, 2, 4} and station 1 holds {1, 3}.
+  ASSERT_EQ(s.config.num_stations, 2u);
+  const std::vector<NetworkPolicy> arms{
+      {"LBFS", {{4, 2, 0}, {3, 1}}}, {"FBFS", {{0, 2, 4}, {1, 3}}},
+      {"FCFS", {}}};
   EngineOptions opt;
   opt.seed = 71;
   opt.max_replications = 8;

@@ -11,12 +11,11 @@ namespace stosched {
 namespace {
 
 TEST(Integration, BatchPipelineWseptAgainstSimulatedAlternatives) {
-  // Build a batch, rank with the policy catalog, evaluate exactly and by
-  // simulation, and confirm WSEPT dominates a random order end to end.
+  // Build a batch, rank with WSEPT, evaluate exactly and by simulation,
+  // and confirm WSEPT dominates a random order end to end.
   Rng rng(1);
   const batch::Batch jobs = batch::random_batch(7, rng);
-  const auto rule = core::wsept_rule(jobs);
-  const auto wsept = rule.priority_order();
+  const auto wsept = batch::wsept_order(jobs);
   const auto rnd = batch::random_order(jobs.size(), rng);
 
   const double exact_wsept = batch::exact_weighted_flowtime(jobs, wsept);
@@ -79,10 +78,9 @@ TEST(Integration, QueuePipelineCmuSimulationRegionAudit) {
       {0.25, exponential_dist(1.0), 1.0},
       {0.2, erlang_dist(2, 3.0), 2.5},
       {0.15, hyperexp2_dist(1.3, 3.0), 0.7}};
-  const auto rule = core::cmu_rule(classes);
   queueing::SimOptions opt;
   opt.discipline = queueing::Discipline::kPriorityNonPreemptive;
-  opt.priority = rule.priority_order();
+  opt.priority = queueing::cmu_order(classes);
   // The low-priority heavy-tail class converges slowly; 6e5 keeps the 5%
   // region-containment check comfortably clear of Monte-Carlo noise.
   opt.horizon = 6e5;
@@ -158,7 +156,7 @@ TEST(Integration, UmbrellaHeaderExposesEverything) {
   (void)sizeof(bandit::MarkovProject);
   (void)sizeof(restless::RestlessProject);
   (void)sizeof(queueing::ClassSpec);
-  (void)sizeof(core::IndexRule);
+  (void)sizeof(core::ConservationAudit);
   (void)sizeof(lp::Problem);
   (void)sizeof(mdp::FiniteMdp);
   SUCCEED();

@@ -260,7 +260,7 @@ void expect_golden(const SimOptions& opt, const std::vector<double>& want,
                    std::uint64_t events, std::uint64_t waits) {
   Rng rng(2024);
   const std::uint64_t events0 = obs::counter_value("events");
-  const std::uint64_t waits0 = obs::wait_time_histogram().snapshot().total;
+  const std::uint64_t waits0 = obs::histogram_snapshot("wait_time").total;
   const SimResult r = simulate_mg1(golden_classes(), opt, rng);
   std::vector<double> got{r.cost_rate, r.utilization, r.time_simulated};
   for (const auto& c : r.per_class)
@@ -268,7 +268,7 @@ void expect_golden(const SimOptions& opt, const std::vector<double>& want,
                            static_cast<double>(c.completions), c.throughput});
   EXPECT_EQ(got, want) << hexfloats(got);
   EXPECT_EQ(obs::counter_value("events") - events0, events);
-  EXPECT_EQ(obs::wait_time_histogram().snapshot().total - waits0, waits);
+  EXPECT_EQ(obs::histogram_snapshot("wait_time").total - waits0, waits);
 }
 
 SimOptions golden_options(Discipline d) {

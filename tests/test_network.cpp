@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -171,24 +172,75 @@ TEST(Network, CrnReplaysIdenticalWorkloadAcrossPriorities) {
 // Parallel servers.
 // ---------------------------------------------------------------------------
 
-TEST(ParallelServers, MatchesErlangCMeanQueue) {
-  // M/M/2 with lambda = 1.2, mu = 1: Erlang-C closed form.
-  const double lambda = 1.2, mu = 1.0;
-  const unsigned m = 2;
-  const double a = lambda / mu;  // offered load
+/// Mean number in system of an M/M/m queue with unit service rate and
+/// offered load a = lambda, from the Erlang-C formula: L = C rho/(1-rho) + a.
+double erlang_c_mean_in_system(unsigned m, double a) {
   const double rho = a / m;
-  // Erlang C for m=2: C = a^2 / (2 (1 - rho)) / (1 + a + a^2/(2(1-rho))).
-  const double tail = a * a / (2.0 * (1.0 - rho));
-  const double c = tail / (1.0 + a + tail);
-  const double lq = c * rho / (1.0 - rho);
-  const double expected_l = lq + a;
-
-  std::vector<ClassSpec> classes{{lambda, exponential_dist(mu), 1.0}};
-  Rng rng(4);
-  const auto res = simulate_mmm(classes, m, {0}, 3e5, 3e4, rng);
-  EXPECT_NEAR(res.mean_in_system[0], expected_l, 0.05 * expected_l);
-  EXPECT_NEAR(res.utilization, rho, 0.02);
+  double term = 1.0;  // a^k / k!
+  double head = 1.0;  // sum_{k<m} a^k / k!
+  for (unsigned k = 1; k < m; ++k) {
+    term *= a / k;
+    head += term;
+  }
+  const double tail = term * a / m / (1.0 - rho);  // a^m / (m! (1 - rho))
+  const double c = tail / (head + tail);
+  return c * rho / (1.0 - rho) + a;
 }
+
+/// Simulate the single-class M/M/m queue with a 10% warm-up and compare the
+/// time-average number in system with Erlang C (5%) and the utilization
+/// with rho (0.02).
+void expect_erlang_c(unsigned m, double lambda, double horizon,
+                     std::uint64_t seed) {
+  const double expected_l = erlang_c_mean_in_system(m, lambda);
+  std::vector<ClassSpec> classes{{lambda, exponential_dist(1.0), 1.0}};
+  Rng rng(seed);
+  const auto res =
+      simulate_mmm(classes, m, {0}, horizon, 0.1 * horizon, rng);
+  EXPECT_NEAR(res.mean_in_system[0], expected_l, 0.05 * expected_l);
+  EXPECT_NEAR(res.utilization, lambda / m, 0.02);
+}
+
+TEST(ParallelServers, MatchesErlangCMeanQueue) {
+  // M/M/2 with lambda = 1.2, mu = 1.
+  expect_erlang_c(2, 1.2, 3e5, 4);
+}
+
+struct ErlangCCase {
+  unsigned m;
+  double rho;
+  double horizon;
+  std::uint64_t seed;
+};
+
+void PrintTo(const ErlangCCase& c, std::ostream* os) {
+  *os << "m=" << c.m << " rho=" << c.rho;
+}
+
+class ErlangCGrid : public ::testing::TestWithParam<ErlangCCase> {};
+
+TEST_P(ErlangCGrid, MatchesErlangCMeanQueue) {
+  const ErlangCCase& c = GetParam();
+  expect_erlang_c(c.m, c.rho * c.m, c.horizon, c.seed);
+}
+
+// Seeds and horizons are fixed in advance. Each horizon makes 5% of L at
+// least 3.4 standard errors of the time-average number in system, from the
+// birth-death asymptotic variance 2 sum_j (sum_{i<=j} (i - L) pi_i)^2 /
+// (lambda pi_j) over the 90% after warm-up. One server at rho = 0.8
+// (variance 1800) needs the longest run.
+INSTANTIATE_TEST_SUITE_P(
+    ServersByLoad, ErlangCGrid,
+    ::testing::Values(ErlangCCase{1, 0.5, 1.5e5, 41},
+                      ErlangCCase{1, 0.8, 6e5, 42},
+                      ErlangCCase{2, 0.5, 5e4, 43},
+                      ErlangCCase{2, 0.8, 2.5e5, 44},
+                      ErlangCCase{4, 0.5, 2e4, 45},
+                      ErlangCCase{4, 0.8, 8e4, 46}),
+    [](const ::testing::TestParamInfo<ErlangCCase>& info) {
+      return "m" + std::to_string(info.param.m) + "_rho" +
+             std::to_string(static_cast<int>(info.param.rho * 100 + 0.5));
+    });
 
 TEST(ParallelServers, PriorityShieldsTopClass) {
   std::vector<ClassSpec> classes{{0.8, exponential_dist(1.0), 1.0},
@@ -446,11 +498,11 @@ void expect_golden(Sim&& sim, const std::vector<double>& want,
                    std::uint64_t events, std::uint64_t waits) {
   Rng rng(2024);
   const std::uint64_t events0 = obs::counter_value("events");
-  const std::uint64_t waits0 = obs::wait_time_histogram().snapshot().total;
+  const std::uint64_t waits0 = obs::histogram_snapshot("wait_time").total;
   const std::vector<double> got = sim(rng);
   EXPECT_EQ(got, want) << hexfloats(got);
   EXPECT_EQ(obs::counter_value("events") - events0, events);
-  EXPECT_EQ(obs::wait_time_histogram().snapshot().total - waits0, waits);
+  EXPECT_EQ(obs::histogram_snapshot("wait_time").total - waits0, waits);
 }
 
 // Poisson, fixed-batch and bursty MMPP classes; flat and virtual laws.

@@ -53,14 +53,11 @@ TEST(OnlineModel, EnvironmentFactoriesAndValidation) {
   EXPECT_EQ(ident.machines(), 3u);
   EXPECT_DOUBLE_EQ(ident.proc_time(1, 0, 2.0), 2.0);
 
-  const auto related = online::related_machines({1.0, 2.0}, 2);
-  EXPECT_DOUBLE_EQ(related.proc_time(1, 1, 3.0), 1.5);
-
   const auto unrelated = online::unrelated_machines({{2.0, 0.5}, {0.5, 2.0}});
   EXPECT_DOUBLE_EQ(unrelated.proc_time(0, 1, 1.0), 2.0);
 
   EXPECT_THROW(online::identical_machines(0, 1), std::invalid_argument);
-  EXPECT_THROW(online::related_machines({1.0, 0.0}, 1),
+  EXPECT_THROW(online::unrelated_machines({{1.0}, {0.0}}),
                std::invalid_argument);
   EXPECT_THROW(online::unrelated_machines({{1.0}, {1.0, 2.0}}),
                std::invalid_argument);
@@ -460,6 +457,16 @@ TEST(OnlineScenarios, SweepHelpersPreserveStructure) {
   const OnlineScenario wide = experiment::with_machines(base, 6);
   EXPECT_EQ(wide.env.machines(), 6u);
   EXPECT_NEAR(wide.load(), base.load(), 1e-9);
+  // Malformed input throws instead of dividing by an empty environment or
+  // dereferencing a missing arrival process.
+  OnlineScenario no_machines = base;
+  no_machines.env.speed.clear();
+  EXPECT_THROW(experiment::with_machines(no_machines, 2),
+               std::invalid_argument);
+  OnlineScenario no_arrivals = base;
+  no_arrivals.arrival = nullptr;
+  EXPECT_THROW(experiment::with_machines(no_arrivals, 2),
+               std::invalid_argument);
 
   const OnlineScenario scv = experiment::with_size_scv(base, 4.0);
   for (std::size_t t = 0; t < base.types.size(); ++t) {

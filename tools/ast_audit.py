@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """ast_audit.py -- semantic determinism/RNG audits for libstosched.
 
-Three rules that line-oriented regexes cannot express (they need function
-extents, parameter identity and use-site context), enforced as the tier-1
-ctest `ast_audit`:
+Four rules that line-oriented regexes cannot express (they need function
+extents, parameter identity, use-site context or the whole tree), enforced
+as the tier-1 ctest `ast_audit`:
 
   rng-laundering
       A function that RECEIVES an `Rng&` parameter is a router, not a
@@ -44,6 +44,22 @@ ctest `ast_audit`:
       top-level statements. See src/util/contract.hpp for the
       REQUIRE-vs-EXPECTS division of labor.
 
+  caller-less
+      Every function name declared in src/**/*.hpp (free functions and
+      public members; constructors, destructors, operators and overrides
+      skipped; an overload set is one name) needs a production caller: the
+      name appears in bench/, perfbench/ or examples/, or in src/ outside
+      its own declarations and definitions. A use in tests/ never counts. A
+      function that only a test needs says which test and why:
+
+          // caller-audit: test-only(Suite.Name: <why the test needs it>)
+
+      placed on or up to three lines above the declaration. The annotation
+      is itself a finding when Suite.Name matches no TEST/TEST_P/TEST_F in
+      tests/, when the reason is empty, when the function has a production
+      caller after all, or when no declaration follows it
+      (tests/lint_fixtures/caller_less/ is a toy tree that pins the cases).
+
 Backends:
   --backend textual   (default) stdlib-only tokenizer + brace matching;
                       runs everywhere, gates the build as a ctest.
@@ -51,13 +67,17 @@ Backends:
                       compile database (CMAKE_EXPORT_COMPILE_COMMANDS=ON)
                       for the two AST-shaped rules; entry-contract stays
                       textual even here because contracts are macros and
-                      the AST only sees their expansion. Used by the
-                      arch-and-ast CI job where clang-18 is installed.
+                      the AST only sees their expansion, and so does
+                      caller-less, which reads bench/, perfbench/ and
+                      examples/ that the compile database may not cover.
+                      Used by the arch-and-ast CI job where clang-18 is
+                      installed.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import json
 import os
 import re
@@ -82,6 +102,11 @@ SINK_RE = re.compile(r"//\s*rng-audit:\s*sink\(\s*([^\s)][^\n]*)")
 SAMPLE_CALL_RE = re.compile(r"\bsample\s*\(\s*\Z")
 UNORDERED_DECL_RE = re.compile(r"\bstd\s*::\s*unordered_(?:map|set)\s*<")
 ORDERED_DECL_RE = re.compile(r"\bstd\s*::\s*(?:multi)?(?:map|set)\s*<")
+CALLER_DIRS = ("bench", "perfbench", "examples")
+CALLER_AUDIT_RE = re.compile(r"//\s*caller-audit:\s*test-only\(([^\n]*)")
+TEST_DECL_RE = re.compile(r"\bTEST(?:_P|_F)?\s*\(\s*(\w+)\s*,\s*(\w+)\s*\)")
+CLASS_HEAD_RE = re.compile(r"\s*(?:template\s*<[^{;]*>\s*)?(class|struct|union)"
+                           r"\b\s*(?:alignas\s*\([^)]*\)\s*)?(\w*)")
 
 
 class Violation:
@@ -407,6 +432,268 @@ def check_entry_contract(rel: str, stripped: str) -> list:
 
 
 # ---------------------------------------------------------------------------
+# textual backend: caller-less public functions
+# ---------------------------------------------------------------------------
+
+# One function declared or defined at namespace or class scope. `start`..
+# `end` spans the whole statement, through the closing brace of a body when
+# there is one: the name's own declaration and definition.
+FunctionDecl = collections.namedtuple("FunctionDecl",
+                                      "name pos start end public")
+
+
+def blank_preprocessor(text: str) -> str:
+    """Blank `#...` lines (and their `\\` continuations), keeping offsets."""
+    out = []
+    continued = False
+    for line in text.splitlines(keepends=True):
+        if continued or line.lstrip().startswith("#"):
+            continued = line.rstrip("\n").endswith("\\")
+            out.append(re.sub(r"[^\n]", " ", line))
+        else:
+            out.append(line)
+    return "".join(out)
+
+
+def parse_function_head(text: str, cls: str):
+    """(name, offset of name, audited) when `text` is the head of a function
+    declaration or definition, else None. Constructors, destructors,
+    operators, overrides, deleted functions and macros are functions the
+    caller-less rule does not audit."""
+    i = 0
+    while True:  # leading template headers
+        m = re.compile(r"\s*template\s*<").match(text, i)
+        if not m:
+            break
+        i = match_angle(text, m.end() - 1)
+        if i < 0:
+            return None
+    if re.compile(r"\s*(?:using|typedef|static_assert)\b").match(text, i):
+        return None
+    depth = 0
+    open_idx = -1
+    for k in range(i, len(text)):
+        c = text[k]
+        if c == "<":
+            depth += 1
+        elif c == ">" and depth:
+            depth -= 1
+        elif depth == 0 and c in "={":
+            return None  # a variable and its initializer
+        elif depth == 0 and c == "(":
+            open_idx = k
+            break
+    head = re.search(r"(?:(\w+)\s*::\s*)?(~?)\s*(\w+)\s*\Z",
+                     text[i:open_idx]) if open_idx >= 0 else None
+    if not head:
+        return None
+    name = head.group(3)
+    close = match_paren(text, open_idx)
+    audited = not (
+        head.group(2) or name in (cls, head.group(1)) or name.isupper() or
+        not text[i:i + head.start()].strip() or
+        re.search(r"\boperator\b", text[i:open_idx]) or
+        name in ("alignas", "decltype", "sizeof", "noexcept") or
+        re.search(r"\boverride\b|=\s*delete\b",
+                  text[close + 1:] if close >= 0 else ""))
+    return name, i + head.start(3), audited
+
+
+def body_open(text: str, decl_close: int) -> int:
+    """Index of the `{` that opens the body of the function whose parameter
+    list closes at `decl_close`, skipping a constructor's member-initializer
+    list (a `{` glued to a member name is a brace-init, not the body)."""
+    i = decl_close + 1
+    init_list = False
+    while i < len(text):
+        c = text[i]
+        prev = prev_nonspace(text, i - 1)
+        if c == "(":
+            i = match_paren(text, i)
+        elif c == ":" and ":" not in (prev, text[i + 1:i + 2]):
+            init_list = True
+        elif c == "{":
+            if init_list and (prev.isalnum() or prev in "_>"):
+                i = match_brace(text, i)
+            else:
+                return i
+        elif c == ";":
+            return -1
+        if i < 0:
+            return -1
+        i += 1
+    return -1
+
+
+def function_decls(stripped: str) -> list:
+    """Every function declared or defined at namespace or class scope, with
+    whether it is public (namespace scope, or a public member of a public
+    class). Function bodies and initializers are opaque."""
+    text = blank_preprocessor(stripped)
+    out = []
+    # scope: [kind, class name, enclosing publicity, current access]
+    stack = [["namespace", "", True, True]]
+    stmt = 0
+    i = 0
+    while i < len(text):
+        c = text[i]
+        if c == "(":  # a parameter list: its braces open no scope
+            i = match_paren(text, i)
+            if i < 0:
+                break
+        if c not in ";{}":
+            i += 1
+            continue
+        scope = stack[-1]
+        prefix = text[stmt:i]
+        label = re.match(r"(?:\s*(public|private|protected)\s*:(?!:))+",
+                         prefix)
+        if label:
+            scope[3] = label.group(1) == "public"
+            stmt += label.end()
+            prefix = text[stmt:i]
+        public = scope[2] and scope[3]
+        if c == "}":
+            if len(stack) > 1:
+                stack.pop()
+            stmt = i + 1
+        elif c == ";":
+            head = parse_function_head(prefix, scope[1])
+            if head and head[2]:
+                out.append(FunctionDecl(head[0], stmt + head[1], stmt, i,
+                                        public))
+            stmt = i + 1
+        elif re.search(r"\bnamespace\b|^\s*extern\s*$", prefix):
+            stack.append(["namespace", "", public, True])
+            stmt = i + 1
+        elif re.search(r"\benum\b", prefix):
+            i = match_brace(text, i)
+            if i < 0:
+                break
+            stmt = i + 1
+        elif cls := CLASS_HEAD_RE.match(prefix):
+            stack.append(["class", cls.group(2), public,
+                          cls.group(1) != "class"])
+            stmt = i + 1
+        else:
+            head = parse_function_head(prefix, scope[1])
+            if head:
+                open_paren = text.index("(", stmt + head[1])
+                body = body_open(text, match_paren(text, open_paren))
+                close = match_brace(text, body) if body >= 0 else -1
+                if close < 0:
+                    break
+                if head[2]:
+                    out.append(FunctionDecl(head[0], stmt + head[1], stmt,
+                                            close, public))
+                i = close
+                stmt = i + 1
+            else:  # brace initializer: the statement runs on to its `;`
+                i = match_brace(text, i)
+                if i < 0:
+                    break
+        i += 1
+    return out
+
+
+def cxx_sources(root: Path, sub: str) -> list:
+    """(rel, stripped text) of every C++ file under root/sub, lint fixtures
+    excluded."""
+    out = []
+    for p in sorted((root / sub).rglob("*")):
+        rel = p.relative_to(root)
+        if p.suffix in (".cpp", ".hpp", ".h") and \
+                "lint_fixtures" not in rel.parts:
+            out.append((rel.as_posix(), lint_stosched.strip_code(
+                p.read_text(encoding="utf-8"))))
+    return out
+
+
+def test_names(root: Path) -> set:
+    names = set()
+    for _, text in cxx_sources(root, "tests"):
+        for m in TEST_DECL_RE.finditer(text):
+            names.add(f"{m.group(1)}.{m.group(2)}")
+    return names
+
+
+def caller_annotations(raw: str) -> list:
+    """(line, test id, reason) of each `caller-audit: test-only(...)`."""
+    out = []
+    for line, text in enumerate(raw.splitlines(), start=1):
+        m = CALLER_AUDIT_RE.search(text)
+        if m:
+            test, _, reason = m.group(1).partition(":")
+            out.append((line, test.strip(), reason.strip().rstrip(")")))
+    return out
+
+
+def check_caller_less(root: Path) -> list:
+    """A public function declared in src/**/*.hpp must be named in bench/,
+    perfbench/ or examples/, or in src/ outside its own declarations and
+    definitions; otherwise it carries a test-only annotation that names an
+    existing test and gives a reason."""
+    src = cxx_sources(root, "src")
+    decls = {rel: function_decls(text) for rel, text in src}
+    audited = {}  # name -> first public header declaration (rel, line)
+    for rel, text in src:
+        if rel.endswith(".hpp"):
+            for d in decls[rel]:
+                if d.public:
+                    audited.setdefault(d.name, (rel, line_of(text, d.pos)))
+    own = {}  # (rel, name) -> [(start, end)]
+    for rel, ds in decls.items():
+        for d in ds:
+            own.setdefault((rel, d.name), []).append((d.start, d.end))
+
+    called = set()
+    for sub in CALLER_DIRS:
+        for _, text in cxx_sources(root, sub):
+            called.update(re.findall(r"\b\w+\b", text))
+    for rel, text in src:
+        for m in re.finditer(r"\b\w+\b", text):
+            name = m.group(0)
+            if name in audited and name not in called and not any(
+                    a <= m.start() <= b for a, b in own.get((rel, name), ())):
+                called.add(name)
+
+    out = []
+    tests = test_names(root)
+    annotated = set()  # a broken annotation is reported once, at itself
+    for rel, text in src:
+        if not rel.endswith(".hpp"):
+            continue
+        raw = (root / rel).read_text(encoding="utf-8")
+        lines = sorted((line_of(text, d.pos), d.name)
+                       for d in decls[rel] if d.public)
+        for line, test, reason in caller_annotations(raw):
+            name = next((n for l, n in lines if line <= l <= line + 3), None)
+            problem = None
+            if name is None:
+                problem = "annotation is not attached to a public function " \
+                          "declared within three lines below it"
+            elif not re.fullmatch(r"\w+\.\w+", test) or test not in tests:
+                problem = f"annotation on '{name}' names no TEST/TEST_P/" \
+                          f"TEST_F '{test}' in tests/"
+            elif not reason:
+                problem = f"annotation on '{name}' gives no reason"
+            elif name in called:
+                problem = f"'{name}' has a production caller; drop its " \
+                          "test-only annotation"
+            if problem:
+                out.append(Violation("caller-less", rel, line, problem))
+            annotated.add(name)
+    for name, (rel, line) in sorted(audited.items()):
+        if name not in called and name not in annotated:
+            out.append(Violation(
+                "caller-less", rel, line,
+                f"public function '{name}' has no caller in src/, bench/, "
+                "perfbench/ or examples/: delete it, or annotate it "
+                "// caller-audit: test-only(Suite.Name: reason)"))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # clang backend (CI): the two AST-shaped rules over a compile database
 # ---------------------------------------------------------------------------
 
@@ -607,6 +894,7 @@ def run_textual(root: Path, files: list) -> list:
         out.extend(check_unordered_iteration(rel, stripped))
         if in_entry_scope(rel):
             out.extend(check_entry_contract(rel, stripped))
+    out.extend(check_caller_less(root))
     return out
 
 
@@ -625,12 +913,14 @@ def main(argv=None) -> int:
     if args.backend == "clang":
         db = args.compile_db or root / "build" / "compile_commands.json"
         violations = run_clang_backend(root, db, files)
-        # entry-contract is macro-shaped: always checked textually.
+        # entry-contract is macro-shaped and caller-less is whole-tree:
+        # both are always checked textually.
         for rel in files:
             if in_entry_scope(rel):
                 raw = (root / rel).read_text(encoding="utf-8")
                 violations.extend(check_entry_contract(
                     rel, lint_stosched.strip_code(raw)))
+        violations.extend(check_caller_less(root))
     else:
         violations = run_textual(root, files)
 

@@ -30,7 +30,6 @@ class PoissonArrivals final : public ArrivalProcess {
                      "arrival scale factor must be positive and finite");
     return poisson_arrivals(rate_ * factor);
   }
-  const char* kind() const noexcept override { return "poisson"; }
 
  private:
   double rate_;
@@ -59,7 +58,6 @@ class RenewalArrivals final : public ArrivalProcess {
                      "arrival scale factor must be positive and finite");
     return renewal_arrivals(scaled_dist(interarrival_, 1.0 / factor));
   }
-  const char* kind() const noexcept override { return "renewal"; }
 
  private:
   DistPtr interarrival_;
@@ -108,8 +106,6 @@ class MMPPArrivals final : public ArrivalProcess {
                          sw_[0] * factor, sw_[1] * factor);
   }
 
-  const char* kind() const noexcept override { return "mmpp"; }
-
  private:
   std::pair<double, double> stationary() const {
     const double total = sw_[0] + sw_[1];
@@ -120,71 +116,6 @@ class MMPPArrivals final : public ArrivalProcess {
   double sw_[2];  ///< sw_[0]: phase 0 -> 1, sw_[1]: phase 1 -> 0
 };
 
-class BatchArrivals final : public ArrivalProcess {
- public:
-  /// `geo_q == 0` means a fixed batch of `fixed`; otherwise Geometric on
-  /// {1, 2, ...} with continuation probability `geo_q`.
-  BatchArrivals(DistPtr interarrival, std::size_t fixed, double geo_q)
-      : interarrival_(std::move(interarrival)), fixed_(fixed), geo_q_(geo_q) {}
-
-  double rate() const override { return mean_batch() / interarrival_->mean(); }
-
-  double mean_batch() const override {
-    return geo_q_ > 0.0 ? 1.0 / (1.0 - geo_q_) : static_cast<double>(fixed_);
-  }
-
-  double burstiness() const override {
-    // N(t) = sum of K(t) i.i.d. batch sizes over base renewal epochs:
-    // Var N = E K Var B + Var K (E B)^2, so asymptotically
-    // IDC = Var B / E B + IDC_base * E B.
-    const double eb = mean_batch();
-    const double p = 1.0 - geo_q_;
-    const double var_b = geo_q_ > 0.0 ? geo_q_ / (p * p) : 0.0;
-    return var_b / eb + interarrival_->scv() * eb;
-  }
-
-  double next_gap(ArrivalState&, Rng& rng) const override {
-    return interarrival_->sample(rng);
-  }
-
-  bool flat_gap(FlatSampler* out) const override {
-    // Epoch gaps are one stateless interarrival draw; batch_size stays a
-    // virtual call (it is off the per-event critical path: one per epoch,
-    // and only geometric batches draw at all).
-    *out = interarrival_->flat();
-    return true;
-  }
-
-  std::size_t batch_size(ArrivalState&, Rng& rng) const override {
-    if (geo_q_ <= 0.0) return fixed_;
-    // Geometric inversion on {1, 2, ...}: u in (0, 1], so the ratio of logs
-    // is nonnegative and u == 1 maps to a batch of exactly 1.
-    const double u = rng.uniform_pos();
-    return 1 + static_cast<std::size_t>(std::log(u) / std::log(geo_q_));
-  }
-
-  ArrivalPtr scaled(double factor) const override {
-    STOSCHED_REQUIRE(factor > 0.0 && std::isfinite(factor),
-                     "arrival scale factor must be positive and finite");
-    return std::make_shared<BatchArrivals>(
-        scaled_dist(interarrival_, 1.0 / factor), fixed_, geo_q_);
-  }
-
-  const char* kind() const noexcept override { return "batch"; }
-
- private:
-  DistPtr interarrival_;
-  std::size_t fixed_;
-  double geo_q_;
-};
-
-void require_interarrival(const DistPtr& interarrival) {
-  STOSCHED_REQUIRE(interarrival != nullptr, "interarrival law required");
-  STOSCHED_REQUIRE(
-      interarrival->mean() > 0.0 && std::isfinite(interarrival->mean()),
-      "interarrival law needs a positive finite mean");
-}
-
 }  // namespace
 
 ArrivalPtr poisson_arrivals(double rate) {
@@ -194,7 +125,10 @@ ArrivalPtr poisson_arrivals(double rate) {
 }
 
 ArrivalPtr renewal_arrivals(DistPtr interarrival) {
-  require_interarrival(interarrival);
+  STOSCHED_REQUIRE(interarrival != nullptr, "interarrival law required");
+  STOSCHED_REQUIRE(
+      interarrival->mean() > 0.0 && std::isfinite(interarrival->mean()),
+      "interarrival law needs a positive finite mean");
   return std::make_shared<RenewalArrivals>(std::move(interarrival));
 }
 
@@ -220,20 +154,6 @@ ArrivalPtr bursty_arrivals(double rate, double burstiness) {
   // reduces to 1 + rate / switch, so switch = rate / (burstiness - 1).
   const double sw = rate / (burstiness - 1.0);
   return mmpp_arrivals(2.0 * rate, 0.0, sw, sw);
-}
-
-ArrivalPtr batch_arrivals(DistPtr interarrival, std::size_t size) {
-  require_interarrival(interarrival);
-  STOSCHED_REQUIRE(size >= 1, "batch size must be >= 1");
-  return std::make_shared<BatchArrivals>(std::move(interarrival), size, 0.0);
-}
-
-ArrivalPtr batch_arrivals_geometric(DistPtr interarrival, double mean_size) {
-  require_interarrival(interarrival);
-  STOSCHED_REQUIRE(mean_size >= 1.0 && std::isfinite(mean_size),
-                   "geometric mean batch size must be >= 1");
-  const double q = 1.0 - 1.0 / mean_size;
-  return std::make_shared<BatchArrivals>(std::move(interarrival), 1, q);
 }
 
 }  // namespace stosched

@@ -13,24 +13,23 @@
 //   * MMPPArrivals   — 2-phase Markov-modulated Poisson (the simplest MAP):
 //     the instantaneous rate jumps between two levels along a Markov chain,
 //     producing positively correlated, bursty arrivals with a closed-form
-//     stationary rate (so load sweeps still work exactly);
-//   * BatchArrivals  — renewal epochs delivering fixed-size or geometric
-//     batches of simultaneous jobs.
+//     stationary rate (so load sweeps still work exactly).
+//
+// Every arrival epoch delivers exactly one job.
 //
 // Determinism contract: a process never owns randomness. The simulator
 // hands each class a dedicated `Rng` substream plus a per-replication
-// `ArrivalState`; `next_gap` / `batch_size` draw only through that stream.
-// Two policy arms replaying the same substreams therefore see *identical*
-// arrival epochs and batch sizes — the synchronization the common-random-
-// number comparisons (experiment::run_paired) rely on — for every process
-// kind, not just Poisson.
+// `ArrivalState`; `next_gap` draws only through that stream. Two policy
+// arms replaying the same substreams therefore see *identical* arrival
+// epochs — the synchronization the common-random-number comparisons
+// (experiment::run_paired) rely on — for every process kind, not just
+// Poisson.
 //
 // Rate/burstiness contract: `rate()` is the exact long-run expected number
-// of *jobs* per unit time (batch-size weighted), so traffic intensities and
-// `scale_to_load` remain exact for any process. `burstiness()` is the
-// asymptotic index of dispersion of counts, lim Var N(t) / E N(t): 1 for
-// Poisson, the interarrival SCV for a renewal process, > 1 for bursty MMPP
-// and batch input.
+// of jobs per unit time, so traffic intensities and `scale_to_load` remain
+// exact for any process. `burstiness()` is the asymptotic index of
+// dispersion of counts, lim Var N(t) / E N(t): 1 for Poisson, the
+// interarrival SCV for a renewal process, > 1 for bursty MMPP.
 #pragma once
 
 #include <cstddef>
@@ -52,7 +51,7 @@ using ArrivalPtr = std::shared_ptr<const ArrivalProcess>;
 /// (the MMPP phase) lives here, owned by the simulator next to the class's
 /// Rng substream.
 struct ArrivalState {
-  std::size_t phase = 0;  ///< MMPP modulating phase; unused by renewal/batch
+  std::size_t phase = 0;  ///< MMPP modulating phase; unused by renewal
 };
 
 /// An exogenous arrival stream with known long-run rate and burstiness.
@@ -60,34 +59,24 @@ class ArrivalProcess {
  public:
   virtual ~ArrivalProcess() = default;
 
-  /// Long-run expected jobs per unit time (batch-size weighted); > 0.
+  /// Long-run expected jobs per unit time; > 0.
   virtual double rate() const = 0;
 
   /// Asymptotic index of dispersion of counts, lim_t Var N(t) / E N(t).
   /// 1 for Poisson; for a renewal process this equals the interarrival SCV.
+  // caller-audit: test-only(Arrival.BurstyFamilyHitsRateAndBurstiness: the
+  // closed-form IDC is the oracle for bursty_arrivals' switch rates)
   virtual double burstiness() const = 0;
 
   /// Time from the current arrival epoch to the next one, advancing `state`.
   /// Draws only from `rng` (deterministic in the substream).
   virtual double next_gap(ArrivalState& state, Rng& rng) const = 0;
 
-  /// Number of jobs delivered at the epoch just reached (>= 1). The default
-  /// consumes no randomness, so non-batch processes leave the draw sequence
-  /// untouched.
-  virtual std::size_t batch_size(ArrivalState& state, Rng& rng) const {
-    (void)state;
-    (void)rng;
-    return 1;
-  }
-
-  /// E[batch size] (1 for non-batch processes).
-  virtual double mean_batch() const { return 1.0; }
-
   /// Gap-sampling fast path: when the process's `next_gap` is exactly one
-  /// stateless Distribution-style draw (Poisson, renewal, batch epochs),
-  /// fill `out` with the FlatSampler replaying that draw bit-for-bit and
-  /// return true; stateful processes (MMPP) return false and keep the
-  /// virtual path. `CachedGapSampler` below is the consumer.
+  /// stateless Distribution-style draw (Poisson, renewal), fill `out` with
+  /// the FlatSampler replaying that draw bit-for-bit and return true;
+  /// stateful processes (MMPP) return false and keep the virtual path.
+  /// `CachedGapSampler` below is the consumer.
   virtual bool flat_gap(FlatSampler* out) const {
     (void)out;
     return false;
@@ -98,10 +87,6 @@ class ArrivalProcess {
   /// are preserved exactly. This is what makes `scale_to_load` work for any
   /// process kind.
   virtual ArrivalPtr scaled(double factor) const = 0;
-
-  /// Short process tag ("poisson", "renewal", "mmpp", "batch"), for
-  /// diagnostics and bench metadata.
-  virtual const char* kind() const noexcept = 0;
 };
 
 /// Per-class cached gap dispatcher for simulator hot loops: resolves the
@@ -163,16 +148,5 @@ ArrivalPtr mmpp_arrivals(double rate0, double rate1, double switch01,
 /// 2*rate, phase 1 is OFF, both switch rates rate / (burstiness - 1).
 /// The standard one-knob bursty-traffic family of the scenario sweeps.
 ArrivalPtr bursty_arrivals(double rate, double burstiness);
-
-/// Renewal epochs delivering a fixed batch of `size` >= 1 simultaneous jobs.
-// caller-audit: test-only(NetworkGolden.Fcfs: an arrival stream of the pinned
-// golden workloads; dropping it means re-pinning them)
-ArrivalPtr batch_arrivals(DistPtr interarrival, std::size_t size);
-
-/// Renewal epochs delivering Geometric batches on {1, 2, ...} with mean
-/// `mean_size` >= 1 (P[B = k] = (1-q) q^(k-1), q = 1 - 1/mean_size).
-// caller-audit: test-only(Mg1Golden.FcfsBatchAndMmppArrivals: an arrival
-// stream of the pinned golden workloads; dropping it means re-pinning them)
-ArrivalPtr batch_arrivals_geometric(DistPtr interarrival, double mean_size);
 
 }  // namespace stosched

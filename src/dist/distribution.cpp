@@ -27,8 +27,6 @@ class ExponentialDist final : public Distribution {
   double mean() const override { return 1.0 / rate_; }
   double second_moment() const override { return 2.0 / (rate_ * rate_); }
   double variance() const override { return 1.0 / (rate_ * rate_); }
-  HazardClass hazard_class() const override { return HazardClass::kConstant; }
-  const char* name() const noexcept override { return "exp"; }
 
  private:
   double rate_;
@@ -44,10 +42,6 @@ class DeterministicDist final : public Distribution {
   double mean() const override { return value_; }
   double second_moment() const override { return value_ * value_; }
   double variance() const override { return 0.0; }
-  HazardClass hazard_class() const override {
-    return HazardClass::kIncreasing;
-  }
-  const char* name() const noexcept override { return "det"; }
 
  protected:
   bool discrete_support_impl(std::vector<double>* values,
@@ -72,10 +66,6 @@ class UniformDist final : public Distribution {
     const double w = hi_ - lo_;
     return w * w / 12.0;
   }
-  HazardClass hazard_class() const override {
-    return HazardClass::kIncreasing;
-  }
-  const char* name() const noexcept override { return "uniform"; }
 
  private:
   double lo_, hi_;
@@ -91,10 +81,6 @@ class ErlangDist final : public Distribution {
     return k_ * (k_ + 1.0) / (rate_ * rate_);
   }
   double variance() const override { return k_ / (rate_ * rate_); }
-  HazardClass hazard_class() const override {
-    return k_ == 1 ? HazardClass::kConstant : HazardClass::kIncreasing;
-  }
-  const char* name() const noexcept override { return "erlang"; }
 
  private:
   unsigned k_;
@@ -117,10 +103,6 @@ class HyperExp2Dist final : public Distribution {
   double mean() const override { return mean_; }
   double second_moment() const override { return variance() + mean_ * mean_; }
   double variance() const override { return scv_ * mean_ * mean_; }
-  HazardClass hazard_class() const override {
-    return scv_ > 1.0 ? HazardClass::kDecreasing : HazardClass::kConstant;
-  }
-  const char* name() const noexcept override { return "hyperexp2"; }
 
  private:
   double mean_, scv_, p_, mu1_, mu2_;
@@ -140,10 +122,6 @@ class TwoPointDist final : public Distribution {
     const double m = mean();
     return second_moment() - m * m;
   }
-  HazardClass hazard_class() const override {
-    return HazardClass::kNonMonotone;
-  }
-  const char* name() const noexcept override { return "twopoint"; }
 
  protected:
   bool discrete_support_impl(std::vector<double>* values,
@@ -155,33 +133,6 @@ class TwoPointDist final : public Distribution {
 
  private:
   double a_, b_, pa_;
-};
-
-class LognormalDist final : public Distribution {
- public:
-  LognormalDist(double mu, double sigma) : mu_(mu), sigma_(sigma) {}
-  double sample(Rng& rng) const override {
-    return std::exp(mu_ + sigma_ * rng.normal());
-  }
-  double mean() const override {
-    return std::exp(mu_ + 0.5 * sigma_ * sigma_);
-  }
-  double second_moment() const override {
-    return std::exp(2.0 * mu_ + 2.0 * sigma_ * sigma_);
-  }
-  double variance() const override {
-    const double m = mean();
-    return second_moment() - m * m;
-  }
-  HazardClass hazard_class() const override {
-    // The lognormal hazard rises from 0 then falls back to 0: upside-down
-    // bathtub, for every sigma.
-    return HazardClass::kNonMonotone;
-  }
-  const char* name() const noexcept override { return "lognormal"; }
-
- private:
-  double mu_, sigma_;
 };
 
 class ParetoDist final : public Distribution {
@@ -201,10 +152,6 @@ class ParetoDist final : public Distribution {
     const double m = mean();
     return second_moment() - m * m;
   }
-  HazardClass hazard_class() const override {
-    return HazardClass::kDecreasing;  // h(t) = alpha / t on [x_m, inf)
-  }
-  const char* name() const noexcept override { return "pareto"; }
 
  private:
   double scale_, alpha_;
@@ -239,10 +186,6 @@ class DiscreteDist final : public Distribution {
     const double m = mean();
     return second_moment() - m * m;
   }
-  HazardClass hazard_class() const override {
-    return HazardClass::kNonMonotone;
-  }
-  const char* name() const noexcept override { return "discrete"; }
 
  protected:
   bool discrete_support_impl(std::vector<double>* values,
@@ -270,12 +213,6 @@ class ScaledDist final : public Distribution {
   double variance() const override {
     return factor_ * factor_ * base_->variance();
   }
-  HazardClass hazard_class() const override {
-    // h_scaled(t) = h(t / c) / c: a positive time rescale preserves the
-    // monotonicity class.
-    return base_->hazard_class();
-  }
-  const char* name() const noexcept override { return "scaled"; }
 
  protected:
   bool discrete_support_impl(std::vector<double>* values,
@@ -316,10 +253,6 @@ class ErlangMixDist final : public Distribution {
     const double m = mean();
     return second_moment() - m * m;
   }
-  HazardClass hazard_class() const override {
-    return HazardClass::kIncreasing;
-  }
-  const char* name() const noexcept override { return "erlangmix"; }
 
  private:
   std::shared_ptr<ErlangDist> short_, long_;
@@ -327,16 +260,6 @@ class ErlangMixDist final : public Distribution {
 };
 
 }  // namespace
-
-const char* to_string(HazardClass c) noexcept {
-  switch (c) {
-    case HazardClass::kConstant: return "constant";
-    case HazardClass::kIncreasing: return "IFR";
-    case HazardClass::kDecreasing: return "DFR";
-    case HazardClass::kNonMonotone: return "non-monotone";
-  }
-  return "?";
-}
 
 bool discrete_support(const Distribution& d, std::vector<double>* values,
                       std::vector<double>* probs) {
@@ -384,13 +307,6 @@ DistPtr two_point_dist(double a, double pa, double b) {
   return std::make_shared<TwoPointDist>(a, pa, b);
 }
 
-DistPtr lognormal_dist(double mu, double sigma) {
-  STOSCHED_REQUIRE(std::isfinite(mu), "lognormal mu must be finite");
-  STOSCHED_REQUIRE(sigma > 0.0 && std::isfinite(sigma),
-                   "lognormal sigma must be positive and finite");
-  return std::make_shared<LognormalDist>(mu, sigma);
-}
-
 DistPtr pareto_dist(double scale, double alpha) {
   STOSCHED_REQUIRE(scale > 0.0 && std::isfinite(scale),
                    "Pareto scale must be positive and finite");
@@ -434,7 +350,11 @@ DistPtr with_mean_scv(double mean, double scv) {
   // and Erlang(k) at a common rate (Tijms). With mixing probability
   //   p = (k*scv - sqrt(k(1+scv) - k^2 scv)) / (1 + scv)
   // and rate mu = (k - p) / mean, the first two moments match exactly.
-  const auto k = static_cast<unsigned>(std::ceil(1.0 / scv));
+  const double stages = std::ceil(1.0 / scv);
+  STOSCHED_REQUIRE(stages <= std::numeric_limits<unsigned>::max(),
+                   "two-moment fit SCV is too small: 1/SCV Erlang stages "
+                   "do not fit unsigned");
+  const auto k = static_cast<unsigned>(stages);
   const double kd = static_cast<double>(k);
   // The radicand vanishes at scv == 1/(k-1); clamp float noise at 0.
   const double rad = std::max(0.0, kd * (1.0 + scv) - kd * kd * scv);

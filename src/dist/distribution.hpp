@@ -1,12 +1,12 @@
 // distribution.hpp — processing-time laws with known moments (survey §0).
 //
-// Everything in stochastic scheduling consumes a job's law through two
-// narrow windows: its first two moments (WSEPT, Sevcik, cµ, achievable
-// regions) and its hazard-rate monotonicity class (Gittins/Whittle index
-// structure, LEPT/SEPT optimality conditions). `Distribution` exposes
-// exactly that — closed-form `mean()` / `second_moment()` / `variance()` /
-// `scv()` plus a `HazardClass` tag — together with deterministic sampling
-// for the discrete-event side.
+// The policies in stochastic scheduling consume a job's law through its
+// first two moments (WSEPT, Sevcik, cµ, achievable regions). `Distribution`
+// exposes exactly that — closed-form `mean()` / `second_moment()` /
+// `variance()` / `scv()` — together with deterministic sampling for the
+// discrete-event side. Each factory below also documents its law's
+// hazard-rate monotonicity (IFR, DFR or neither), the condition under
+// which SEPT or LEPT is optimal; no code branches on it.
 //
 // Sampling reproducibility: every law draws through `stosched::Rng`
 // primitives only (inversion, mixtures of inversions), never through
@@ -76,6 +76,8 @@ class FlatSampler {
   /// its complete type).
   double sample(Rng& rng) const;
 
+  // caller-audit: test-only(FlatSampler.FastPathCoversTheCommonLawsOnly: it
+  // observes which laws resolve to the switch fast path)
   [[nodiscard]] Kind kind() const noexcept { return kind_; }
 
  private:
@@ -89,20 +91,6 @@ class FlatSampler {
   double b_ = 0.0;
   const Distribution* fallback_ = nullptr;
 };
-
-/// Monotonicity class of the hazard (failure) rate h(t) = f(t) / (1-F(t)).
-/// Drives index-policy optimality: e.g. LEPT is optimal for LEPT-agreeable
-/// DFR families, SEPT for IFR ones; constant hazard (memoryless) makes
-/// preemption irrelevant.
-enum class HazardClass {
-  kConstant,     ///< exponential: memoryless
-  kIncreasing,   ///< IFR — "aging" laws (deterministic, Erlang, uniform)
-  kDecreasing,   ///< DFR — heavy-tail-ish laws (hyperexponential, Pareto)
-  kNonMonotone,  ///< neither (two-point, lognormal, general discrete)
-};
-
-/// Human-readable tag, for tables and logs.
-const char* to_string(HazardClass c) noexcept;
 
 /// A nonnegative processing-time law with closed-form first two moments.
 class Distribution {
@@ -127,12 +115,6 @@ class Distribution {
     const double m = mean();
     return variance() / (m * m);
   }
-
-  /// Monotonicity class of the hazard rate.
-  virtual HazardClass hazard_class() const = 0;
-
-  /// Short law name ("exp", "erlang", ...), for diagnostics.
-  virtual const char* name() const noexcept = 0;
 
   /// Devirtualized sampling hook: the FlatSampler whose switch-based
   /// sample() replays this law's draw procedure bit-for-bit. Laws with a
@@ -222,11 +204,6 @@ DistPtr hyperexp2_dist(double mean, double scv);
 /// The counterexample family of the survey's §1 (nonmonotone hazard).
 DistPtr two_point_dist(double a, double pa, double b);
 
-/// Lognormal: exp(mu + sigma Z), Z standard normal; nonmonotone hazard.
-// caller-audit: test-only(Mg1Golden.FcfsBatchAndMmppArrivals: a service law
-// of the pinned golden workloads; dropping it means re-pinning them)
-DistPtr lognormal_dist(double mu, double sigma);
-
 /// Pareto with scale x_m and tail index alpha > 1 (finite mean); second
 /// moment infinite for alpha <= 2. Decreasing hazard.
 DistPtr pareto_dist(double scale, double alpha);
@@ -245,7 +222,8 @@ DistPtr scaled_dist(DistPtr base, double factor);
 /// of Erlang(k-1)/Erlang(k) stages with 1/k <= SCV <= 1/(k-1) (Tijms' fit),
 /// SCV 1 -> exponential, SCV > 1 -> balanced-means 2-branch
 /// hyperexponential. The returned law reports the requested moments
-/// exactly.
+/// exactly. An SCV below 1 / UINT_MAX (about 2.3e-10) is rejected: its
+/// stage count would not fit `unsigned`.
 DistPtr with_mean_scv(double mean, double scv);
 
 }  // namespace stosched

@@ -35,13 +35,9 @@ namespace stosched::lp {
 /// [start[j], start[j+1]) of (row, value).
 struct SparseColumns {
   std::size_t rows = 0;
-  std::vector<std::size_t> start;  ///< cols+1 offsets into row/value
+  std::vector<std::size_t> start;  ///< columns+1 offsets into row/value
   std::vector<std::uint32_t> row;
   std::vector<double> value;
-
-  [[nodiscard]] std::size_t cols() const {
-    return start.empty() ? 0 : start.size() - 1;
-  }
 };
 
 /// A dense vector of m entries that lists the rows it has touched (a marker

@@ -84,16 +84,13 @@ OnlineInstance generate_online_instance(const ArrivalProcess& arrival,
   for (;;) {
     now += arrival.next_gap(state, arrival_rng);
     if (now >= horizon) break;
-    const std::size_t batch = arrival.batch_size(state, arrival_rng);
-    for (std::size_t b = 0; b < batch; ++b) {
-      OnlineJob job;
-      job.release = now;
-      job.type = type_rng.categorical(probs.data(), probs.size());
-      job.weight = types[job.type].weight;
-      job.size = types[job.type].size->sample(size_rng);
-      job.sample = types[job.type].size->sample(sample_rng);
-      inst.push_back(job);
-    }
+    OnlineJob job;
+    job.release = now;
+    job.type = type_rng.categorical(probs.data(), probs.size());
+    job.weight = types[job.type].weight;
+    job.size = types[job.type].size->sample(size_rng);
+    job.sample = types[job.type].size->sample(sample_rng);
+    inst.push_back(job);
   }
   return inst;
 }

@@ -18,9 +18,9 @@
 //     `unrelated_machines` takes any speed matrix;
 //   * `OnlineJob` / `OnlineInstance` — one realized sample path: arrival
 //     epochs driven by any `dist::ArrivalProcess` (Poisson, renewal, bursty
-//     MMPP, batch), a type per job, a realized base size, and one extra
-//     independent *observed sample* per job (what a single-sample policy is
-//     allowed to see instead of the law).
+//     MMPP), one job per epoch, a type per job, a realized base size, and
+//     one extra independent *observed sample* per job (what a single-sample
+//     policy is allowed to see instead of the law).
 //
 // Determinism contract: `generate_online_instance` draws through four
 // dedicated Rng substreams (arrival gaps, types, realized sizes, observed
@@ -95,10 +95,9 @@ struct OnlineJob {
 /// One sample path, sorted by release epoch.
 using OnlineInstance = std::vector<OnlineJob>;
 
-/// Generate the arrivals of [0, horizon): epochs from `arrival` (batch
-/// processes fan out several simultaneous jobs per epoch), a type per job
-/// from the mix, a realized size and an observed sample per job. Each of the
-/// four draw purposes consumes only its own substream.
+/// Generate the arrivals of [0, horizon): one job per epoch of `arrival`, a
+/// type per job from the mix, a realized size and an observed sample per
+/// job. Each of the four draw purposes consumes only its own substream.
 OnlineInstance generate_online_instance(const ArrivalProcess& arrival,
                                         const std::vector<JobType>& types,
                                         double horizon, Rng& arrival_rng,

@@ -10,7 +10,7 @@
 //     synchronization common-random-number comparisons rely on;
 //   * the effective arrival processes and the gap/service samplers, resolved
 //     once per run (see CachedGapSampler and FlatSampler);
-//   * the arrival epoch: next gap, push, batch size;
+//   * the arrival epoch: next gap, push (every epoch delivers one job);
 //   * the FES loop with its warm-up hook, which adds its event count and
 //     wait histogram to the process-wide obs instruments when it ends.
 // The loop is a template on the handler, so dispatch inlines: there is no
@@ -144,15 +144,14 @@ class Kernel {
   /// Schedule the first arrival epoch of every class that has arrivals.
   void start_arrivals() {
     for (std::size_t j = 0; j < arrival.size(); ++j)
-      if (arrival[j]) schedule_arrival(j);
+      if (arrival[j]) arrival_epoch(j);
   }
 
-  /// Handle the arrival epoch of `cls` at `now`: schedule the next one and
-  /// return the number of jobs it delivers. Batch processes deliver several
-  /// simultaneous jobs; the default batch_size() is 1 and draws nothing.
-  std::size_t arrival_epoch(std::size_t cls) {
-    schedule_arrival(cls);
-    return arrival[cls]->batch_size(arrival_state[cls], arrival_rng[cls]);
+  /// Handle the arrival epoch of `cls` at `now`, which delivers one job:
+  /// schedule the next epoch, one gap after `now`.
+  void arrival_epoch(std::size_t cls) {
+    const double g = gap[cls].next_gap(arrival_state[cls], arrival_rng[cls]);
+    events.push(now + g, kArrival, static_cast<std::uint32_t>(cls));
   }
 
   /// Pop every event due by `t_end` in (time, seq) order, advance `now` and
@@ -192,12 +191,6 @@ class Kernel {
   bool warm = false;
   /// Waits recorded during the run; merged once, at the end of run().
   obs::LocalHistogram wait_hist;
-
- private:
-  void schedule_arrival(std::size_t cls) {
-    const double g = gap[cls].next_gap(arrival_state[cls], arrival_rng[cls]);
-    events.push(now + g, kArrival, static_cast<std::uint32_t>(cls));
-  }
 };
 
 }  // namespace stosched::queueing

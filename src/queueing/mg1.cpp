@@ -220,8 +220,8 @@ struct Sim : Kernel {
     };
     Kernel::run(t_end, opt.warmup, warm_up, [this](const Event& e) {
       if (e.type != kArrival) return on_departure(e);
-      const std::size_t jobs = arrival_epoch(e.a);
-      for (std::size_t i = 0; i < jobs; ++i) admit(e.a);
+      arrival_epoch(e.a);
+      admit(e.a);
     });
 
     SimResult out;

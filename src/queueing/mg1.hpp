@@ -39,7 +39,7 @@ struct ClassSpec {
   double arrival_rate = 0.0;  ///< Poisson rate α_j (ignored if `arrival` set)
   DistPtr service;            ///< service law G_j
   double holding_cost = 1.0;  ///< c_j per unit time in system
-  /// Optional non-Poisson arrival process (renewal / MMPP / batch). When
+  /// Optional non-Poisson arrival process (renewal / MMPP). When
   /// set it *replaces* the Poisson(arrival_rate) default entirely:
   /// `arrival_rate` is ignored and `arrival->rate()` is the class's
   /// effective job rate. When null, arrivals are Poisson(arrival_rate) —

@@ -13,7 +13,7 @@
 // α_j is always the class's *effective* rate (class_arrival_rate), so specs
 // carrying an attached ArrivalProcess get consistent rates — but the
 // formulas themselves are exact only for Poisson input (PASTA); for
-// renewal/MMPP/batch arrivals they are the rate-matched Poisson
+// renewal/MMPP arrivals they are the rate-matched Poisson
 // approximation, not ground truth.
 #pragma once
 

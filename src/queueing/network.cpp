@@ -158,10 +158,10 @@ NetworkTrace simulate_network(const NetworkConfig& config, double horizon,
     switch (e.type) {
       case kArrival: {
         const auto cls = static_cast<std::size_t>(e.a);
-        const std::size_t jobs = k.arrival_epoch(cls);
-        total_jobs += static_cast<long>(jobs);
+        k.arrival_epoch(cls);
+        ++total_jobs;
         total_ta.observe(k.now, static_cast<double>(total_jobs));
-        for (std::size_t i = 0; i < jobs; ++i) enqueue_job(cls);
+        enqueue_job(cls);
         break;
       }
       case kServiceDone: {

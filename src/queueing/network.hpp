@@ -48,8 +48,8 @@ struct NetworkClass {
   /// Next class on the route (kExit to leave the system).
   std::size_t next = SIZE_MAX;
   double arrival_rate = 0.0;    ///< external Poisson arrivals (0 = none)
-  /// Optional non-Poisson external arrival process (renewal / MMPP /
-  /// batch); when set it replaces the Poisson(arrival_rate) default and
+  /// Optional non-Poisson external arrival process (renewal / MMPP); when
+  /// set it replaces the Poisson(arrival_rate) default and
   /// `arrival->rate()` is the class's effective external rate.
   ArrivalPtr arrival;
   /// Optional non-exponential service law. When set it *replaces* the

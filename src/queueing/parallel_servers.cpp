@@ -70,11 +70,9 @@ MmmResult simulate_mmm(const std::vector<ClassSpec>& classes,
   k.run(t_end, warmup, warm_up, [&](const Event& e) {
     const auto cls = static_cast<std::size_t>(e.a);
     if (e.type == kArrival) {
-      const std::size_t jobs = k.arrival_epoch(cls);
-      for (std::size_t i = 0; i < jobs; ++i) {
-        pop.add(cls, +1, k.now);
-        queue[cls].push_back(k.now);
-      }
+      k.arrival_epoch(cls);
+      pop.add(cls, +1, k.now);
+      queue[cls].push_back(k.now);
     } else {
       pop.add(cls, -1, k.now);
       --busy;

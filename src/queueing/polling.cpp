@@ -159,11 +159,9 @@ struct PollingSim : Kernel {
       const auto q = static_cast<std::size_t>(e.a);
       switch (e.type) {
         case kArrival: {
-          const std::size_t jobs = arrival_epoch(q);
-          for (std::size_t i = 0; i < jobs; ++i) {
-            pop.add(q, +1, now);
-            queue[q].push_back(now);
-          }
+          arrival_epoch(q);
+          pop.add(q, +1, now);
+          queue[q].push_back(now);
           if (state != ServerState::kIdle) break;
           // The idle server reacts as if re-polling its current position.
           if (q == at && opt.discipline != PollingDiscipline::kGreedyCmu)

@@ -53,32 +53,6 @@ double inverse_normal_cdf(double p) {
   return x;
 }
 
-double Rng::normal() noexcept { return inverse_normal_cdf(uniform_pos()); }
-
-double Rng::gamma(double shape, double scale) noexcept {
-  if (shape < 1.0) {
-    // Boost the shape (Marsaglia-Tsang trick): X ~ Gamma(a+1) * U^{1/a}.
-    const double u = uniform_pos();
-    return gamma(shape + 1.0, scale) * std::pow(u, 1.0 / shape);
-  }
-  // Marsaglia–Tsang: d = a - 1/3, c = 1/sqrt(9d), squeeze acceptance.
-  const double d = shape - 1.0 / 3.0;
-  const double c = 1.0 / std::sqrt(9.0 * d);
-  for (;;) {
-    double x;
-    double v;
-    do {
-      x = normal();
-      v = 1.0 + c * x;
-    } while (v <= 0.0);
-    v = v * v * v;
-    const double u = uniform_pos();
-    if (u < 1.0 - 0.0331 * x * x * x * x) return d * v * scale;
-    if (std::log(u) < 0.5 * x * x + d * (1.0 - v + std::log(v)))
-      return d * v * scale;
-  }
-}
-
 std::size_t Rng::categorical(const double* weights, std::size_t n) noexcept {
   double total = 0.0;
   for (std::size_t i = 0; i < n; ++i) total += weights[i];

@@ -117,15 +117,6 @@ class Rng {
   /// Exponential(rate) draw via inversion; deterministic across platforms.
   double exponential(double rate) noexcept;
 
-  /// Standard normal draw via the rational-polynomial inverse-CDF
-  /// (Acklam / Wichura-style), deterministic across platforms; accurate to
-  /// ~1e-9 which is far below Monte-Carlo noise.
-  double normal() noexcept;
-
-  /// Gamma(shape k >= 0.01, scale theta) via Marsaglia–Tsang squeeze with
-  /// inversion fallback for k < 1. Deterministic across platforms.
-  double gamma(double shape, double scale) noexcept;
-
   /// Sample an index from a discrete distribution given its (non-normalized)
   /// weights. Linear scan — intended for small supports (job classes,
   /// project states).

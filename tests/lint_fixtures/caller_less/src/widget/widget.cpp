@@ -1,5 +1,7 @@
 #include "widget/widget.hpp"
 
+#include <vector>
+
 namespace fixture {
 
 // A call inside its own definition is not a caller.
@@ -11,9 +13,22 @@ double used_in_src(double x) { return x; }
 double oracle(double x) { return x; }
 double missing_test(double x) { return x; }
 double empty_reason(double x) { return x; }
+double weights(double x) { return x; }
+double spread(double x) { return x; }
+
+// A local variable, and an override, that share a public function's name.
+double total(int n) {
+  std::vector<double> weights(n, 0.0);
+  return static_cast<double>(weights.size());
+}
+struct Square final : Shape {
+  double area() const override;
+};
+double Square::area() const { return 1.0; }
 
 Widget::Widget() = default;
 double Widget::operator()(double x) const { return used_in_src(x) + hidden(); }
 double Widget::hidden() const { return 0.0; }
+double Widget::scale(double x) const { return x; }
 
 }  // namespace fixture

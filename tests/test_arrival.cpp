@@ -1,7 +1,7 @@
 // Tests for dist/arrival.hpp — the pluggable arrival processes — and their
 // integration with the queueing simulators:
-//   * closed-form rate/burstiness contracts (MMPP stationary rate, batch
-//     weighting, time-scaling invariance);
+//   * closed-form rate/burstiness contracts (MMPP stationary rate,
+//     time-scaling invariance);
 //   * the bit-identity regression: renewal-with-exponential (and the
 //     Poisson-default construction path) reproduce the pre-refactor
 //     simulator draws exactly on a fixed seed;
@@ -81,7 +81,6 @@ TEST(Arrival, BurstyFamilyHitsRateAndBurstiness) {
   const auto p = bursty_arrivals(0.8, 9.0);
   EXPECT_NEAR(p->rate(), 0.8, 1e-12);
   EXPECT_NEAR(p->burstiness(), 9.0, 1e-12);
-  EXPECT_STREQ(p->kind(), "mmpp");
   // Time scaling moves the rate and preserves the burstiness exactly.
   const auto scaled = p->scaled(1.75);
   EXPECT_NEAR(scaled->rate(), 1.4, 1e-12);
@@ -116,29 +115,6 @@ TEST(Arrival, BurstyEmpiricalDispersionExceedsPoisson) {
   EXPECT_NEAR(counts.mean(), window * p->rate(), 0.05 * window);
 }
 
-TEST(Arrival, BatchProcessesWeightRateAndSizes) {
-  const auto fixed = batch_arrivals(deterministic_dist(2.0), 3);
-  EXPECT_NEAR(fixed->rate(), 1.5, 1e-12);
-  EXPECT_NEAR(fixed->mean_batch(), 3.0, 1e-12);
-  EXPECT_STREQ(fixed->kind(), "batch");
-  // Deterministic epochs and fixed batches: zero count dispersion.
-  EXPECT_NEAR(fixed->burstiness(), 0.0, 1e-12);
-  ArrivalState st;
-  Rng rng(1);
-  EXPECT_EQ(fixed->batch_size(st, rng), 3u);
-
-  const auto geo = batch_arrivals_geometric(exponential_dist(1.0), 2.5);
-  EXPECT_NEAR(geo->rate(), 2.5, 1e-12);
-  RunningStat sizes;
-  for (int i = 0; i < 200000; ++i)
-    sizes.push(static_cast<double>(geo->batch_size(st, rng)));
-  EXPECT_NEAR(sizes.mean(), 2.5, 0.02);
-  // Geometric on {1,2,...} with mean b: Var = b(b-1).
-  EXPECT_NEAR(sizes.variance(), 2.5 * 1.5, 0.1);
-  // Batch over Poisson base: IDC = Var B / E B + E B.
-  EXPECT_NEAR(geo->burstiness(), 1.5 + 2.5, 1e-12);
-}
-
 TEST(Arrival, ScaledRenewalPreservesInterarrivalScv) {
   const auto p = renewal_arrivals(with_mean_scv(0.5, 4.0));
   EXPECT_NEAR(p->rate(), 2.0, 1e-9);
@@ -151,20 +127,19 @@ TEST(Arrival, ScaledRenewalPreservesInterarrivalScv) {
 TEST(Arrival, ScaledComposedTwiceMatchesOneStepScaling) {
   // scaled() is a pure time rescaling, so composing two rescalings must be
   // the same as one combined rescaling: rate multiplies through, the
-  // correlation structure (burstiness) and the process kind are untouched.
+  // correlation structure (burstiness) is untouched.
   const std::vector<ArrivalPtr> processes{
       poisson_arrivals(0.7),
       renewal_arrivals(with_mean_scv(0.5, 4.0)),
-      bursty_arrivals(0.8, 9.0),
-      batch_arrivals_geometric(exponential_dist(1.0), 2.5)};
-  for (const auto& p : processes) {
+      bursty_arrivals(0.8, 9.0)};
+  for (std::size_t i = 0; i < processes.size(); ++i) {
+    const auto& p = processes[i];
     const auto twice = p->scaled(2.0)->scaled(3.0);
     const auto once = p->scaled(6.0);
     EXPECT_NEAR(twice->rate(), once->rate(), 1e-9 * once->rate())
-        << p->kind();
+        << "process " << i;
     EXPECT_NEAR(twice->rate(), 6.0 * p->rate(), 1e-9 * p->rate());
-    EXPECT_NEAR(twice->burstiness(), p->burstiness(), 1e-9) << p->kind();
-    EXPECT_STREQ(twice->kind(), p->kind());
+    EXPECT_NEAR(twice->burstiness(), p->burstiness(), 1e-9) << "process " << i;
     // Sample-path check: long-run empirical rate of the composed process.
     ArrivalState st;
     Rng rng(515);
@@ -172,9 +147,10 @@ TEST(Arrival, ScaledComposedTwiceMatchesOneStepScaling) {
     double count = 0.0;
     while (t < 4000.0) {
       t += twice->next_gap(st, rng);
-      count += static_cast<double>(twice->batch_size(st, rng));
+      count += 1.0;
     }
-    EXPECT_NEAR(count / t, twice->rate(), 0.05 * twice->rate()) << p->kind();
+    EXPECT_NEAR(count / t, twice->rate(), 0.05 * twice->rate())
+        << "process " << i;
   }
 }
 
@@ -184,10 +160,6 @@ TEST(Arrival, InvalidParametersThrow) {
   EXPECT_THROW(mmpp_arrivals(1.0, 1.0, 0.0, 1.0), std::invalid_argument);
   EXPECT_THROW(mmpp_arrivals(0.0, 0.0, 1.0, 1.0), std::invalid_argument);
   EXPECT_THROW(bursty_arrivals(1.0, 1.0), std::invalid_argument);
-  EXPECT_THROW(batch_arrivals(exponential_dist(1.0), 0),
-               std::invalid_argument);
-  EXPECT_THROW(batch_arrivals_geometric(exponential_dist(1.0), 0.5),
-               std::invalid_argument);
   EXPECT_THROW(poisson_arrivals(1.0)->scaled(0.0), std::invalid_argument);
 }
 
@@ -267,23 +239,6 @@ TEST(ArrivalSim, Mg1DeterministicUnderMmpp) {
   EXPECT_DOUBLE_EQ(a.utilization, b.utilization);
 }
 
-TEST(ArrivalSim, Mg1ThroughputMatchesBatchWeightedRate) {
-  // A stable queue completes what arrives: per-class throughput must match
-  // the batch-weighted process rate, pinning the batch fan-out in the
-  // simulator.
-  std::vector<ClassSpec> classes{
-      {0.0, exponential_dist(4.0), 1.0,
-       batch_arrivals_geometric(exponential_dist(0.3), 2.0)}};
-  queueing::SimOptions opt;
-  opt.horizon = 60000.0;
-  opt.warmup = 2000.0;
-  opt.discipline = queueing::Discipline::kFcfs;
-  Rng rng(5);
-  const auto res = queueing::simulate_mg1(classes, opt, rng);
-  EXPECT_NEAR(res.per_class[0].throughput, 0.6, 0.03);
-  EXPECT_NEAR(res.utilization, 0.6 / 4.0, 0.01);
-}
-
 TEST(ArrivalSim, CrnCutsDifferenceVarianceUnderMmpp) {
   // The CRN acceptance regression under correlated input: comparing c-mu
   // against FCFS on the bursty T9 workload, common random numbers must cut
@@ -322,9 +277,10 @@ TEST(CachedGapSampler, FlatPathIsBitIdenticalForStatelessProcesses) {
       poisson_arrivals(0.7),
       renewal_arrivals(uniform_dist(0.5, 1.5)),
       renewal_arrivals(pareto_dist(1.0, 2.5)),  // via virtual-fallback case
-      batch_arrivals(erlang_dist(2, 3.0), 4),
+      renewal_arrivals(erlang_dist(2, 3.0)),
   };
-  for (const auto& p : processes) {
+  for (std::size_t k = 0; k < std::size(processes); ++k) {
+    const ArrivalPtr& p = processes[k];
     const CachedGapSampler cached(p.get());
     Rng virt_rng(314);
     Rng flat_rng(314);
@@ -333,22 +289,19 @@ TEST(CachedGapSampler, FlatPathIsBitIdenticalForStatelessProcesses) {
     for (int i = 0; i < 500; ++i) {
       const double expected = p->next_gap(virt_st, virt_rng);
       const double got = cached.next_gap(flat_st, flat_rng);
-      ASSERT_EQ(expected, got) << p->kind() << " draw " << i;
+      ASSERT_EQ(expected, got) << "process " << k << " draw " << i;
     }
-    EXPECT_EQ(virt_rng(), flat_rng()) << p->kind();
+    EXPECT_EQ(virt_rng(), flat_rng()) << "process " << k;
   }
 }
 
 TEST(CachedGapSampler, FastPathCoversExactlyTheStatelessDraws) {
   // Which processes resolve to the flat switch is part of the perf contract:
-  // Poisson/renewal/batch epochs are one stateless draw; MMPP gaps depend
-  // on the modulating chain and must keep the virtual path.
+  // Poisson and renewal epochs are one stateless draw; MMPP gaps depend on
+  // the modulating chain and must keep the virtual path.
   EXPECT_TRUE(CachedGapSampler(poisson_arrivals(1.0).get()).flat());
   EXPECT_TRUE(
       CachedGapSampler(renewal_arrivals(deterministic_dist(1.0)).get())
-          .flat());
-  EXPECT_TRUE(
-      CachedGapSampler(batch_arrivals(exponential_dist(1.0), 3).get())
           .flat());
   EXPECT_FALSE(
       CachedGapSampler(mmpp_arrivals(0.5, 4.0, 0.1, 0.4).get()).flat());

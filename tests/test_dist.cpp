@@ -1,6 +1,6 @@
 // Tests for dist/: every law's sampled moments must match its closed-form
-// moments (parameterized sweep), hazard classes must be correct, and the
-// discrete-support accessor must round-trip.
+// moments (parameterized sweep), the documented hazard classes must agree
+// with the moments, and the discrete-support accessor must round-trip.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -15,28 +15,33 @@
 namespace stosched {
 namespace {
 
+/// Monotonicity of the hazard rate h(t) = f(t) / (1 - F(t)), as the
+/// factory comments in distribution.hpp document it.
+enum class Hazard { kConstant, kIncreasing, kDecreasing, kNonMonotone };
+
 struct LawCase {
   std::string name;
   DistPtr dist;
-  HazardClass hazard;
+  Hazard hazard;
+  double from = 0.0;  ///< the hazard is monotone on [from, inf)
 };
 
 std::vector<LawCase> all_laws() {
   return {
-      {"exp", exponential_dist(0.7), HazardClass::kConstant},
-      {"det", deterministic_dist(2.5), HazardClass::kIncreasing},
-      {"uniform", uniform_dist(1.0, 3.0), HazardClass::kIncreasing},
-      {"erlang", erlang_dist(3, 1.5), HazardClass::kIncreasing},
-      {"erlang1", erlang_dist(1, 2.0), HazardClass::kConstant},
-      {"hyperexp2_low", hyperexp2_dist(0.8, 1.5), HazardClass::kDecreasing},
-      {"hyperexp2", hyperexp2_dist(2.0, 4.0), HazardClass::kDecreasing},
-      {"twopoint", two_point_dist(1.0, 0.6, 5.0), HazardClass::kNonMonotone},
-      {"pareto_a5", pareto_dist(0.5, 5.0), HazardClass::kDecreasing},
-      {"hyperexp2_scv1", hyperexp2_dist(1.5, 1.0), HazardClass::kConstant},
-      {"lognormal", lognormal_dist(0.0, 0.5), HazardClass::kNonMonotone},
-      {"pareto", pareto_dist(1.0, 3.0), HazardClass::kDecreasing},
+      {"exp", exponential_dist(0.7), Hazard::kConstant},
+      {"det", deterministic_dist(2.5), Hazard::kIncreasing},
+      {"uniform", uniform_dist(1.0, 3.0), Hazard::kIncreasing},
+      {"erlang", erlang_dist(3, 1.5), Hazard::kIncreasing},
+      {"erlang1", erlang_dist(1, 2.0), Hazard::kConstant},
+      {"hyperexp2_low", hyperexp2_dist(0.8, 1.5), Hazard::kDecreasing},
+      {"hyperexp2", hyperexp2_dist(2.0, 4.0), Hazard::kDecreasing},
+      {"twopoint", two_point_dist(1.0, 0.6, 5.0), Hazard::kNonMonotone},
+      {"pareto_a5", pareto_dist(0.5, 5.0), Hazard::kDecreasing, 0.5},
+      {"hyperexp2_scv1", hyperexp2_dist(1.5, 1.0), Hazard::kConstant},
+      {"erlangmix", with_mean_scv(1.3, 0.4), Hazard::kIncreasing},
+      {"pareto", pareto_dist(1.0, 3.0), Hazard::kDecreasing, 1.0},
       {"discrete", discrete_dist({1.0, 2.0, 4.0}, {0.2, 0.3, 0.5}),
-       HazardClass::kNonMonotone},
+       Hazard::kNonMonotone},
   };
 }
 
@@ -77,9 +82,28 @@ TEST_P(LawMoments, SecondMomentConsistent) {
 }
 
 TEST_P(LawMoments, HazardClassAsDocumented) {
+  // An IFR law has SCV <= 1 and a DFR law SCV >= 1 (Barlow-Proschan), so
+  // the documented class must agree with the closed-form SCV of X - from;
+  // a constant hazard is the exponential (SCV 1), and the laws documented
+  // as neither are not memoryless.
   const auto laws = all_laws();
   const auto& law = laws[GetParam()];
-  EXPECT_EQ(law.dist->hazard_class(), law.hazard) << law.name;
+  const double excess = law.dist->mean() - law.from;
+  const double scv = law.dist->variance() / (excess * excess);
+  switch (law.hazard) {
+    case Hazard::kConstant:
+      EXPECT_NEAR(scv, 1.0, 1e-12) << law.name;
+      break;
+    case Hazard::kIncreasing:
+      EXPECT_LE(scv, 1.0) << law.name;
+      break;
+    case Hazard::kDecreasing:
+      EXPECT_GE(scv, 1.0) << law.name;
+      break;
+    case Hazard::kNonMonotone:
+      EXPECT_GT(std::abs(scv - 1.0), 0.1) << law.name;
+      break;
+  }
 }
 
 TEST_P(LawMoments, SamplesArePositive) {
@@ -100,7 +124,7 @@ TEST(Distribution, ScvMatchesDefinition) {
 }
 
 TEST(Distribution, ClosedFormScvForEveryFactoryLaw) {
-  // scv() against hand-derived closed forms for all 9 factory laws.
+  // scv() against hand-derived closed forms for all 8 factory laws.
   EXPECT_NEAR(exponential_dist(0.7)->scv(), 1.0, 1e-12);
   EXPECT_NEAR(deterministic_dist(2.5)->scv(), 0.0, 1e-12);
   // uniform(1,3): var (hi-lo)^2/12 = 1/3, mean 2.
@@ -110,8 +134,6 @@ TEST(Distribution, ClosedFormScvForEveryFactoryLaw) {
   // two-point(1, .6, 5): mean 2.6, m2 10.6.
   EXPECT_NEAR(two_point_dist(1.0, 0.6, 5.0)->scv(),
               (10.6 - 6.76) / 6.76, 1e-9);
-  // lognormal: scv = exp(sigma^2) - 1, independent of mu.
-  EXPECT_NEAR(lognormal_dist(0.4, 0.5)->scv(), std::exp(0.25) - 1.0, 1e-9);
   // Pareto(alpha=3): mean 1.5 x_m, m2 = 3 x_m^2 => scv = 1/3.
   EXPECT_NEAR(pareto_dist(2.0, 3.0)->scv(), 1.0 / 3.0, 1e-9);
   // discrete {1,3} @ {.5,.5}: mean 2, m2 5, var 1.
@@ -132,7 +154,6 @@ TEST(Distribution, WithMeanScvHitsRequestedMomentsExactly) {
 TEST(Distribution, WithMeanScvSampledMomentsMatchTargets) {
   // The Erlang-mixture regime actually samples what it promises.
   const auto d = with_mean_scv(1.8, 0.4);
-  EXPECT_EQ(d->hazard_class(), HazardClass::kIncreasing);
   Rng rng(321);
   RunningStat s;
   for (int i = 0; i < 400000; ++i) s.push(d->sample(rng));
@@ -143,13 +164,17 @@ TEST(Distribution, WithMeanScvSampledMomentsMatchTargets) {
 TEST(Distribution, WithMeanScvRejectsBadArguments) {
   EXPECT_THROW(with_mean_scv(0.0, 1.0), std::invalid_argument);
   EXPECT_THROW(with_mean_scv(1.0, -0.1), std::invalid_argument);
+  // 1/SCV Erlang stages would overflow `unsigned`.
+  EXPECT_THROW(with_mean_scv(1.0, 1e-10), std::invalid_argument);
+  // A million stages still fit and report the requested SCV.
+  EXPECT_NEAR(with_mean_scv(1.0, 1e-6)->scv(), 1e-6, 1e-12);
 }
 
 TEST(Distribution, WithMeanScvBoundaryInputs) {
   // SCV exactly 1 must select the exponential law itself, not a degenerate
   // mixture or hyperexponential.
   const auto exp_fit = with_mean_scv(2.0, 1.0);
-  EXPECT_STREQ(exp_fit->name(), "exp");
+  EXPECT_EQ(exp_fit->flat().kind(), FlatSampler::Kind::kExponential);
   EXPECT_NEAR(exp_fit->mean(), 2.0, 1e-12);
   EXPECT_NEAR(exp_fit->scv(), 1.0, 1e-12);
 
@@ -180,7 +205,6 @@ TEST(Distribution, ScaledDistScalesTimeExactly) {
   EXPECT_NEAR(d->mean(), 2.0 * base->mean(), 1e-12);
   EXPECT_NEAR(d->variance(), 4.0 * base->variance(), 1e-12);
   EXPECT_NEAR(d->scv(), base->scv(), 1e-12);
-  EXPECT_EQ(d->hazard_class(), base->hazard_class());
   // Samples are the base draw times the factor (same substream).
   Rng a(9), b(9);
   for (int i = 0; i < 100; ++i)

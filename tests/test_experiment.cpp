@@ -906,12 +906,12 @@ TEST(Scenarios, ArrivalFamiliesRegistered) {
   EXPECT_NEAR(scv4.load(), t9.load(), 1e-9);
   for (const auto& c : bursty.classes) {
     ASSERT_NE(c.arrival, nullptr);
-    EXPECT_STREQ(c.arrival->kind(), "mmpp");
+    EXPECT_FALSE(CachedGapSampler(c.arrival.get()).flat());  // MMPP
     EXPECT_NEAR(c.arrival->burstiness(), 9.0, 1e-9);
   }
   for (const auto& c : scv4.classes) {
     ASSERT_NE(c.arrival, nullptr);
-    EXPECT_STREQ(c.arrival->kind(), "renewal");
+    EXPECT_TRUE(CachedGapSampler(c.arrival.get()).flat());  // renewal
     EXPECT_NEAR(c.arrival->burstiness(), 4.0, 1e-9);
   }
   EXPECT_NO_THROW(queue_scenario("call-center-bursty"));

@@ -247,13 +247,21 @@ std::string hexfloats(const std::vector<double>& v) {
   return s;
 }
 
-// Poisson, geometric-batch and bursty MMPP classes; flat and virtual
-// service laws.
+// Poisson, hyperexponential-renewal and bursty MMPP classes; flat and
+// virtual service laws. The checks fail if a later fast path takes over
+// the virtual sampling this workload covers.
 std::vector<ClassSpec> golden_classes() {
-  return {{0.25, exponential_dist(1.0), 3.0},
-          {0.0, uniform_dist(0.2, 0.6), 1.0,
-           batch_arrivals_geometric(exponential_dist(0.15), 2.0)},
-          {0.0, lognormal_dist(-0.2, 0.8), 2.0, bursty_arrivals(0.2, 5.0)}};
+  const DistPtr gap = hyperexp2_dist(1.0 / 0.3, 4.0);
+  const DistPtr heavy = pareto_dist(0.68, 2.5);
+  std::vector<ClassSpec> classes{
+      {0.25, exponential_dist(1.0), 3.0},
+      {0.0, uniform_dist(0.2, 0.6), 1.0, renewal_arrivals(gap)},
+      {0.0, heavy, 2.0, bursty_arrivals(0.2, 5.0)}};
+  EXPECT_EQ(gap->flat().kind(), FlatSampler::Kind::kVirtual);
+  EXPECT_EQ(heavy->flat().kind(), FlatSampler::Kind::kVirtual);
+  EXPECT_FALSE(CachedGapSampler(classes[2].arrival.get()).flat());
+  EXPECT_EQ(classes[0].arrival, nullptr);  // plain Poisson
+  return classes;
 }
 
 void expect_golden(const SimOptions& opt, const std::vector<double>& want,
@@ -282,50 +290,50 @@ SimOptions golden_options(Discipline d) {
 
 TEST(Mg1Golden, FcfsBatchAndMmppArrivals) {
   const std::vector<double> want{
-      0x1.87526f042e9bap+2, 0x1.47cfe480e3cf6p-1, 0x1.77p+11,
-      0x1.fbcdfc4ee532ap-1, 0x1.50aa81563cb78p+1, 0x1.d71e433c29b71p+1,
-      0x1.94p+9, 0x1.13cc1e098ead6p-2, 0x1.32b847f59f4fdp+0,
-      0x1.bc2b93afc061ap+1, 0x1.efb0d8b60c168p+1, 0x1.dp+9,
-      0x1.3cc1e098ead66p-2, 0x1.f0dc79a4c352cp-1, 0x1.cdab7668373a8p+1,
-      0x1.2f8905a0bfd55p+2, 0x1.33p+9, 0x1.a32846ff513ccp-3};
-  expect_golden(golden_options(Discipline::kFcfs), want, 4662, 2350);
+      0x1.2a7eb3584c3efp+2, 0x1.423717f4a1f26p-1, 0x1.77p+11,
+      0x1.8d02f317f0baep-1, 0x1.d3eb7ad52a186p+0, 0x1.7048f4eef2f26p+1,
+      0x1.94p+9, 0x1.13cc1e098ead6p-2, 0x1.9baf3dfaea68dp-1,
+      0x1.1735c69f4d0fdp+1, 0x1.4ae9f4126735bp+1, 0x1.d28p+9,
+      0x1.3e76c8b439581p-2, 0x1.889ec1bfd2af3p-1, 0x1.551d1d9cdfa5p+1,
+      0x1.df370769ef3c7p+1, 0x1.34p+9, 0x1.a485cd7b900afp-3};
+  expect_golden(golden_options(Discipline::kFcfs), want, 5243, 2357);
 }
 
 TEST(Mg1Golden, NonpreemptivePriority) {
   const std::vector<double> want{
-      0x1.9d6f4c7382524p+2, 0x1.47cfe480e3cf6p-1, 0x1.77p+11,
-      0x1.fc35dbb01fe86p-1, 0x1.510acbc330b76p+1, 0x1.d77eac2b26e38p+1,
-      0x1.94p+9, 0x1.13cc1e098ead6p-2, 0x1.3d88df56f55d1p+1,
-      0x1.e76f9841d4026p+2, 0x1.00991d627ceeep+3, 0x1.dp+9,
-      0x1.3cc1e098ead66p-2, 0x1.005aa997eeb26p-1, 0x1.4edcd33cadbf3p+0,
-      0x1.394fac59ee7a9p+1, 0x1.33p+9, 0x1.a32846ff513ccp-3};
+      0x1.377e99bc72c69p+2, 0x1.423717f4a1f22p-1, 0x1.77p+11,
+      0x1.95ba20ba275c4p-1, 0x1.e54dae525657cp+0, 0x1.78d5879b20b4dp+1,
+      0x1.95p+9, 0x1.147ae147ae148p-2, 0x1.9e3e731737db4p+0,
+      0x1.334b49690df4cp+2, 0x1.4d222f1c46d1p+2, 0x1.d3p+9,
+      0x1.3ece2a53490bap-2, 0x1.be498586b0695p-2, 0x1.0d424c1a5cd3ap+0,
+      0x1.10bf4fef139dcp+1, 0x1.33p+9, 0x1.a32846ff513ccp-3};
   expect_golden(golden_options(Discipline::kPriorityNonPreemptive), want,
-                4662, 2350);
+                5243, 2358);
 }
 
 TEST(Mg1Golden, PreemptiveResume) {
   const std::vector<double> want{
-      0x1.a89042ac61c87p+2, 0x1.47cfe480e3cf6p-1, 0x1.77p+11,
-      0x1.104639e3bf5d8p+0, 0x1.450c6eec577dcp+1, 0x1.f938ecfef2e67p+1,
-      0x1.94p+9, 0x1.13cc1e098ead6p-2, 0x1.4eca480e63877p+1,
-      0x1.e76f9841d4026p+2, 0x1.0e8afaa6de33cp+3, 0x1.dp+9,
-      0x1.3cc1e098ead66p-2, 0x1.a7b399d303f46p-2, 0x1.c3f123df39ac2p-1,
-      0x1.02f43f098f1b1p+1, 0x1.33p+9, 0x1.a32846ff513ccp-3};
+      0x1.436d7598ee46fp+2, 0x1.423717f4a1f22p-1, 0x1.77p+11,
+      0x1.c0b887175b0aep-1, 0x1.d2e227bafd84p+0, 0x1.a06d354c98a9ep+1,
+      0x1.948p+9, 0x1.14237fa89e60fp-2, 0x1.c6ffc9e70b399p+0,
+      0x1.334b49690df4cp+2, 0x1.6e03ef38b7aeep+2, 0x1.d38p+9,
+      0x1.3f258bf258bf2p-2, 0x1.4b4283b34aa4p-2, 0x1.012631d99a995p-1,
+      0x1.94ff922c405p+0, 0x1.33p+9, 0x1.a32846ff513ccp-3};
   expect_golden(golden_options(Discipline::kPriorityPreemptiveResume), want,
-                5000, 2350);
+                5581, 2356);
 }
 
 TEST(Mg1Golden, KlimovFeedback) {
   const std::vector<double> want{
-      0x1.7a64378803b1ap+3, 0x1.9cf6e51bc0d2ep-1, 0x1.77p+11,
-      0x1.3ce5b1c884bb9p+0, 0x1.863e2f690425fp+1, 0x1.0684f368167b2p+2,
-      0x1.c5p+9, 0x1.353f7ced91687p-2, 0x1.b2b2cb3e70bd4p+2,
-      0x1.09dbd2c0e75f2p+4, 0x1.105818e8ff15ap+4, 0x1.2b4p+10,
-      0x1.989374bc6a7fp-2, 0x1.51a579eccc651p-1, 0x1.2bc1fa53395eap+0,
-      0x1.29a426958d72fp+1, 0x1.aap+9, 0x1.22d0e56041893p-2};
+      0x1.4730f78b9a91p+3, 0x1.922cfed6c1e9cp-1, 0x1.77p+11,
+      0x1.31fc443eb98f1p+0, 0x1.75cb670bb427ep+1, 0x1.fca8832bc196fp+1,
+      0x1.c38p+9, 0x1.34395810624ddp-2, 0x1.61610e6589fc7p+2,
+      0x1.afdba1af0912fp+3, 0x1.bcd5822469e36p+3, 0x1.2ap+10,
+      0x1.96de8ca11bfd4p-2, 0x1.1e0eb60a7fe9p-1, 0x1.ccce95b92af74p-1,
+      0x1.007354dff1077p+1, 0x1.a28p+9, 0x1.1db22d0e56042p-2};
   SimOptions opt = golden_options(Discipline::kPriorityNonPreemptive);
   opt.feedback = {{0.0, 0.3, 0.0}, {0.0, 0.0, 0.2}, {0.1, 0.0, 0.0}};
-  expect_golden(opt, want, 5321, 2955);
+  expect_golden(opt, want, 5880, 2932);
 }
 
 }  // namespace

@@ -505,25 +505,39 @@ void expect_golden(Sim&& sim, const std::vector<double>& want,
   EXPECT_EQ(obs::histogram_snapshot("wait_time").total - waits0, waits);
 }
 
-// Poisson, fixed-batch and bursty MMPP classes; flat and virtual laws.
+// Poisson, hyperexponential-renewal and bursty MMPP classes; flat and
+// virtual laws. The checks fail if a later fast path takes over the
+// virtual sampling this workload covers.
 std::vector<ClassSpec> golden_classes() {
-  return {{0.15, exponential_dist(1.0), 2.0},
-          {0.0, erlang_dist(2, 5.0), 1.0,
-           batch_arrivals(exponential_dist(0.1), 2)},
-          {0.0, lognormal_dist(-0.5, 0.7), 3.0, bursty_arrivals(0.2, 4.0)}};
+  const DistPtr gap = hyperexp2_dist(5.0, 4.0);
+  const DistPtr heavy = pareto_dist(0.465, 2.5);
+  std::vector<ClassSpec> classes{
+      {0.15, exponential_dist(1.0), 2.0},
+      {0.0, erlang_dist(2, 5.0), 1.0, renewal_arrivals(gap)},
+      {0.0, heavy, 3.0, bursty_arrivals(0.2, 4.0)}};
+  EXPECT_EQ(gap->flat().kind(), FlatSampler::Kind::kVirtual);
+  EXPECT_EQ(heavy->flat().kind(), FlatSampler::Kind::kVirtual);
+  EXPECT_FALSE(CachedGapSampler(classes[2].arrival.get()).flat());
+  EXPECT_EQ(classes[0].arrival, nullptr);  // plain Poisson
+  return classes;
 }
 
-// Class 0 has only a `service_mean` and batch arrivals, class 1 an Erlang
-// law, class 2 MMPP arrivals, class 3 only a `service_mean`.
+// Class 0 has only a `service_mean` and hyperexponential-renewal arrivals,
+// class 1 an Erlang law, class 2 MMPP arrivals, class 3 only a
+// `service_mean`. The checks pin the virtual gap sampling of classes 0
+// and 2.
 NetworkConfig golden_network(bool priority) {
+  const DistPtr gap = hyperexp2_dist(2.5, 4.0);
   NetworkConfig cfg;
   cfg.num_stations = 2;
-  cfg.classes = {{0, 0.3, 1, 0.0, batch_arrivals(exponential_dist(0.2), 2)},
+  cfg.classes = {{0, 0.3, 1, 0.0, renewal_arrivals(gap)},
                  {1, 0.5, NetworkClass::kExit, 0.0},
                  {1, 0.4, 3, 0.0, bursty_arrivals(0.3, 3.0)},
                  {0, 0.6, NetworkClass::kExit, 0.0}};
   cfg.classes[1].service = erlang_dist(2, 4.0);
   if (priority) cfg.station_priority = {{3, 0}, {1, 2}};
+  EXPECT_EQ(gap->flat().kind(), FlatSampler::Kind::kVirtual);
+  EXPECT_FALSE(CachedGapSampler(cfg.classes[2].arrival.get()).flat());
   return cfg;
 }
 
@@ -538,28 +552,28 @@ std::vector<double> network_fingerprint(bool priority, Rng& rng) {
 
 TEST(NetworkGolden, Fcfs) {
   const std::vector<double> want{
-      0x1.1fc3bf077d0bcp+0, 0x1.8p+1, 0x1.45b1adf4b478ep-9, 0x1.9p+7, 0x1.9p+8,
+      0x1.e34100fab0687p-1, 0x0p+0, -0x1.dca01dca01dcap-12, 0x1.9p+7, 0x1.9p+8,
       0x1.2cp+9, 0x1.9p+9, 0x1.f4p+9, 0x1.2cp+10, 0x1.5ep+10, 0x1.9p+10,
-      0x1.c2p+10, 0x1.f4p+10, 0x0p+0, 0x1p+0, 0x0p+0, 0x0p+0, 0x0p+0, 0x0p+0,
-      0x1p+0, 0x1p+1, 0x1.cp+2, 0x1.8p+1};
+      0x1.c2p+10, 0x1.f4p+10, 0x0p+0, 0x1p+1, 0x0p+0, 0x0p+0, 0x1p+1, 0x1p+0,
+      0x0p+0, 0x0p+0, 0x0p+0, 0x0p+0};
   expect_golden([](Rng& r) { return network_fingerprint(false, r); },
-                want, 3869, 2840);
+                want, 4273, 2842);
 }
 
 TEST(NetworkGolden, StationPriority) {
   const std::vector<double> want{
-      0x1.28feae602b006p+0, 0x1.8p+1, 0x1.617f494b27c7ep-9, 0x1.9p+7, 0x1.9p+8,
+      0x1.f765824f89f63p-1, 0x0p+0, -0x1.fc66862ccec93p-12, 0x1.9p+7, 0x1.9p+8,
       0x1.2cp+9, 0x1.9p+9, 0x1.f4p+9, 0x1.2cp+10, 0x1.5ep+10, 0x1.9p+10,
-      0x1.c2p+10, 0x1.f4p+10, 0x0p+0, 0x1p+0, 0x0p+0, 0x0p+0, 0x0p+0, 0x0p+0,
-      0x1p+0, 0x1p+1, 0x1p+3, 0x1.8p+1};
+      0x1.c2p+10, 0x1.f4p+10, 0x0p+0, 0x1p+1, 0x0p+0, 0x0p+0, 0x1.8p+1, 0x1p+0,
+      0x0p+0, 0x0p+0, 0x0p+0, 0x0p+0};
   expect_golden([](Rng& r) { return network_fingerprint(true, r); },
-                want, 3869, 2840);
+                want, 4273, 2842);
 }
 
 TEST(MmmGolden, PriorityWithWarmup) {
   const std::vector<double> want{
-      0x1.f9e0f2fbb5268p-1, 0x1.a5a1a9bebb889p-3, 0x1.580a941959c17p-3,
-      0x1.61323186db708p-4, 0x1.82472e52e675p-3};
+      0x1.d98b2d0c18e9dp-1, 0x1.a0396bb80ff5p-3, 0x1.540e3b0de83fbp-3,
+      0x1.8e4f1600e8c12p-4, 0x1.524d9106b4ed1p-3};
   expect_golden(
       [](Rng& r) {
         const MmmResult m =
@@ -568,7 +582,7 @@ TEST(MmmGolden, PriorityWithWarmup) {
         v.insert(v.end(), m.mean_in_system.begin(), m.mean_in_system.end());
         return v;
       },
-      want, 2331, 1132);
+      want, 2660, 1210);
 }
 
 std::vector<double> polling_fingerprint(PollingDiscipline d, Rng& rng) {
@@ -586,44 +600,44 @@ std::vector<double> polling_fingerprint(PollingDiscipline d, Rng& rng) {
 
 TEST(PollingGolden, Exhaustive) {
   const std::vector<double> want{
-      0x1.d98e93a957fe4p+0, 0x1.0e6f4ed89a9bcp-5, 0x1.97b9633d9b02ep-2,
-      0x1.12d01c47478f1p-2, 0x1.0a87f9c313a2p-2, 0x1.675b5ec694684p-2};
+      0x1.af71f52e87c86p+0, 0x1.5300c4c4766efp-5, 0x1.92f8c659381c1p-2,
+      0x1.f5d3de37aa59p-3, 0x1.11c7e4fbf1e33p-2, 0x1.3cb95b2cd64c6p-2};
   expect_golden(
       [](Rng& r) {
         return polling_fingerprint(PollingDiscipline::kExhaustive, r);
       },
-      want, 2753, 1108);
+      want, 3184, 1190);
 }
 
 TEST(PollingGolden, Gated) {
   const std::vector<double> want{
-      0x1.f3904b5b01d36p+0, 0x1.5e514d32fb0cap-5, 0x1.97d019f03185p-2,
-      0x1.1578b0987e666p-2, 0x1.f81e3145dd58cp-3, 0x1.8d159132b3f18p-2};
+      0x1.c4f400dba1567p+0, 0x1.b8410438d0dcdp-5, 0x1.92f875f108b83p-2,
+      0x1.0982f64c4bd03p-2, 0x1.0da5949fd6c2p-2, 0x1.510c2b675cfd2p-2};
   expect_golden(
       [](Rng& r) { return polling_fingerprint(PollingDiscipline::kGated, r); },
-      want, 2900, 1108);
+      want, 3375, 1190);
 }
 
 TEST(PollingGolden, Limited) {
   const std::vector<double> want{
-      0x1.fd3e2cc913441p+0, 0x1.493c686399e03p-5, 0x1.97c7aa0d48a1p-2,
-      0x1.11384617f370cp-2, 0x1.0978880df88f1p-2, 0x1.985a8a4ccf354p-2};
+      0x1.c9ecbd9ca677ep+0, 0x1.85328c904f5f5p-5, 0x1.9307326b1522dp-2,
+      0x1.f9a420ec0e143p-3, 0x1.1d86778994177p-2, 0x1.5ad81f5452915p-2};
   expect_golden(
       [](Rng& r) {
         return polling_fingerprint(PollingDiscipline::kLimited, r);
       },
-      want, 2863, 1108);
+      want, 3283, 1190);
 }
 
 TEST(PollingGolden, GreedyCmu) {
   const std::vector<double> want{
-      0x1.cda34fc3c1a98p+0, 0x1.348ba4fe7a244p-5, 0x1.97ed472a875cep-2,
-      0x1.4b4f4d0f06d5fp-2, 0x1.03c332b38f998p-2, 0x1.340e7b69cdcaep-2};
+      0x1.99f04cab3017p+0, 0x1.7d2c70a4cab3cp-5, 0x1.930328fbecd76p-2,
+      0x1.3618bffb59eb8p-2, 0x1.f752acc6dc38ap-3, 0x1.ffeee8371445ep-3};
   expect_golden(
       [](Rng& r) {
         return polling_fingerprint(PollingDiscipline::kGreedyCmu, r);
       },
-      want, 2826, 1108);
+      want, 3264, 1190);
 }
 
 }  // namespace

@@ -47,10 +47,21 @@ as the tier-1 ctest `ast_audit`:
   caller-less
       Every function name declared in src/**/*.hpp (free functions and
       public members; constructors, destructors, operators and overrides
-      skipped; an overload set is one name) needs a production caller: the
-      name appears in bench/, perfbench/ or examples/, or in src/ outside
-      its own declarations and definitions. A use in tests/ never counts. A
-      function that only a test needs says which test and why:
+      skipped; an overload set is one name) needs a production caller: a
+      use of the name in src/, bench/, perfbench/ or examples/. Only these
+      forms are uses of `f`:
+        * a call `f(` or `f<...>(` that is not a declaration `T f(` (after
+          `return`, `throw`, `else`, `case`, ... it is still a call);
+        * a member call `.f(` or `->f(` -- a plain `.f` or `->f` reads a
+          data member;
+        * a qualified name `::f`;
+        * an address `&f` (a reference declarator `T& f` reads the same).
+      The declarations and definitions of every function named `f`,
+      overrides included, are its own: a use inside them is no caller, so an
+      override does not call its base. The rule keys on names, so it cannot
+      tell apart same-named members of different classes. A use in tests/
+      never counts. A function that only a test needs says which test and
+      why:
 
           // caller-audit: test-only(Suite.Name: <why the test needs it>)
 
@@ -103,6 +114,11 @@ SAMPLE_CALL_RE = re.compile(r"\bsample\s*\(\s*\Z")
 UNORDERED_DECL_RE = re.compile(r"\bstd\s*::\s*unordered_(?:map|set)\s*<")
 ORDERED_DECL_RE = re.compile(r"\bstd\s*::\s*(?:multi)?(?:map|set)\s*<")
 CALLER_DIRS = ("bench", "perfbench", "examples")
+# Words after which `f(` is a call, where any other word makes it a
+# declaration `T f(`.
+CALL_KEYWORDS = frozenset(("return", "co_return", "co_yield", "co_await",
+                           "throw", "else", "case", "do", "and", "or",
+                           "not"))
 CALLER_AUDIT_RE = re.compile(r"//\s*caller-audit:\s*test-only\(([^\n]*)")
 TEST_DECL_RE = re.compile(r"\bTEST(?:_P|_F)?\s*\(\s*(\w+)\s*,\s*(\w+)\s*\)")
 CLASS_HEAD_RE = re.compile(r"\s*(?:template\s*<[^{;]*>\s*)?(class|struct|union)"
@@ -439,7 +455,7 @@ def check_entry_contract(rel: str, stripped: str) -> list:
 # `end` spans the whole statement, through the closing brace of a body when
 # there is one: the name's own declaration and definition.
 FunctionDecl = collections.namedtuple("FunctionDecl",
-                                      "name pos start end public")
+                                      "name pos start end public audited")
 
 
 def blank_preprocessor(text: str) -> str:
@@ -460,6 +476,10 @@ def parse_function_head(text: str, cls: str):
     declaration or definition, else None. Constructors, destructors,
     operators, overrides, deleted functions and macros are functions the
     caller-less rule does not audit."""
+    # An operator's symbol (`operator<`, `operator()`) is blanked, so its
+    # head reads as a function named `operator`.
+    text = re.sub(r"\boperator\s*(?:\(\s*\)|[^\w\s(]+)",
+                  lambda m: "operator" + " " * (len(m.group(0)) - 8), text)
     i = 0
     while True:  # leading template headers
         m = re.compile(r"\s*template\s*<").match(text, i)
@@ -528,7 +548,8 @@ def body_open(text: str, decl_close: int) -> int:
 def function_decls(stripped: str) -> list:
     """Every function declared or defined at namespace or class scope, with
     whether it is public (namespace scope, or a public member of a public
-    class). Function bodies and initializers are opaque."""
+    class) and whether caller-less audits it. Function bodies and
+    initializers are opaque."""
     text = blank_preprocessor(stripped)
     out = []
     # scope: [kind, class name, enclosing publicity, current access]
@@ -559,9 +580,9 @@ def function_decls(stripped: str) -> list:
             stmt = i + 1
         elif c == ";":
             head = parse_function_head(prefix, scope[1])
-            if head and head[2]:
+            if head:
                 out.append(FunctionDecl(head[0], stmt + head[1], stmt, i,
-                                        public))
+                                        public, head[2]))
             stmt = i + 1
         elif re.search(r"\bnamespace\b|^\s*extern\s*$", prefix):
             stack.append(["namespace", "", public, True])
@@ -583,9 +604,8 @@ def function_decls(stripped: str) -> list:
                 close = match_brace(text, body) if body >= 0 else -1
                 if close < 0:
                     break
-                if head[2]:
-                    out.append(FunctionDecl(head[0], stmt + head[1], stmt,
-                                            close, public))
+                out.append(FunctionDecl(head[0], stmt + head[1], stmt,
+                                        close, public, head[2]))
                 i = close
                 stmt = i + 1
             else:  # brace initializer: the statement runs on to its `;`
@@ -628,33 +648,78 @@ def caller_annotations(raw: str) -> list:
     return out
 
 
+def template_close(text: str, gt: int) -> bool:
+    """True when the `>` at `gt` closes template arguments (`vector<T> x`)
+    rather than comparing: its `<` follows a name within the statement."""
+    depth = 0
+    for k in range(gt, -1, -1):
+        c = text[k]
+        if c == ">":
+            depth += 1
+        elif c == "<":
+            depth -= 1
+            if depth == 0:
+                return bool(re.search(r"\w\s*\Z", text[:k]))
+        elif c in ";{}()=|":
+            return False
+    return False
+
+
+def uses(text: str, names) -> list:
+    """(name, offset) of each use of a name in `names`: a call `f(` or
+    `f<...>(` that is not a declaration `T f(`, a member call `.f(` or
+    `->f(`, a qualified name `::f`, or an address `&f` (textually also a
+    reference declarator `T& f`). A plain `.f` or `->f` reads a data member
+    and is no use."""
+    out = []
+    for m in re.finditer(r"\b[A-Za-z_]\w*", text):
+        name = m.group(0)
+        if name not in names:
+            continue
+        before = text[max(0, m.start() - 256):m.start()].rstrip()
+        after = m.end()
+        if text.startswith("<", next_nonspace(text, after)):
+            after = match_angle(text, next_nonspace(text, after))
+        call = after >= 0 and text.startswith("(", next_nonspace(text, after))
+        if before.endswith("::"):
+            used = True
+        elif before.endswith((".", "->")):
+            used = call
+        elif before.endswith("&") and not before.endswith("&&"):
+            used = True
+        elif not call:
+            used = False
+        elif before.endswith(">"):
+            used = not template_close(before, len(before) - 1)
+        else:
+            prev = re.search(r"\b(\w+)\Z", before)
+            used = not prev or prev.group(1) in CALL_KEYWORDS
+        if used:
+            out.append((name, m.start()))
+    return out
+
+
 def check_caller_less(root: Path) -> list:
-    """A public function declared in src/**/*.hpp must be named in bench/,
-    perfbench/ or examples/, or in src/ outside its own declarations and
-    definitions; otherwise it carries a test-only annotation that names an
-    existing test and gives a reason."""
+    """A public function declared in src/**/*.hpp must be used (see `uses`)
+    in bench/, perfbench/, examples/ or src/ outside the declarations and
+    definitions of functions of the same name, overrides included;
+    otherwise it carries a test-only annotation that names an existing test
+    and gives a reason."""
     src = cxx_sources(root, "src")
-    decls = {rel: function_decls(text) for rel, text in src}
+    sources = src + [f for sub in CALLER_DIRS for f in cxx_sources(root, sub)]
+    decls = {rel: function_decls(text) for rel, text in sources}
     audited = {}  # name -> first public header declaration (rel, line)
     for rel, text in src:
         if rel.endswith(".hpp"):
             for d in decls[rel]:
-                if d.public:
+                if d.public and d.audited:
                     audited.setdefault(d.name, (rel, line_of(text, d.pos)))
-    own = {}  # (rel, name) -> [(start, end)]
-    for rel, ds in decls.items():
-        for d in ds:
-            own.setdefault((rel, d.name), []).append((d.start, d.end))
 
     called = set()
-    for sub in CALLER_DIRS:
-        for _, text in cxx_sources(root, sub):
-            called.update(re.findall(r"\b\w+\b", text))
-    for rel, text in src:
-        for m in re.finditer(r"\b\w+\b", text):
-            name = m.group(0)
-            if name in audited and name not in called and not any(
-                    a <= m.start() <= b for a, b in own.get((rel, name), ())):
+    for rel, text in sources:
+        for name, pos in uses(text, audited.keys() - called):
+            if not any(d.name == name and d.start <= pos <= d.end
+                       for d in decls[rel]):
                 called.add(name)
 
     out = []
@@ -665,7 +730,7 @@ def check_caller_less(root: Path) -> list:
             continue
         raw = (root / rel).read_text(encoding="utf-8")
         lines = sorted((line_of(text, d.pos), d.name)
-                       for d in decls[rel] if d.public)
+                       for d in decls[rel] if d.public and d.audited)
         for line, test, reason in caller_annotations(raw):
             name = next((n for l, n in lines if line <= l <= line + 3), None)
             problem = None

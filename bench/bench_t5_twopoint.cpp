@@ -7,9 +7,9 @@
 // the counterexample the survey cites — while for exponential jobs (T3/T4)
 // the same rules were exactly optimal.
 //
-// Instances come from the registered "t5-twopoint" scenario family
-// (twopoint_scenario(i)); a sequential-precision engine run cross-checks the
-// exact SEPT value by simulation on every instance.
+// Instances come from the twopoint_scenario(i) generator, which draws
+// instance i from a fixed family seed; a sequential-precision engine run
+// cross-checks the exact SEPT value by simulation on every instance.
 #include <string>
 
 #include "batch/job.hpp"

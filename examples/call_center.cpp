@@ -10,13 +10,13 @@ int main() {
   using namespace stosched;
   using namespace stosched::queueing;
 
-  // Classes: platinum (urgent, short), standard, bulk callbacks (patient,
-  // long). Costs are $ per caller-hour of waiting.
-  std::vector<ClassSpec> classes{
-      {8.0, exponential_dist(30.0), 12.0},  // 8/hr, 2-min handle, urgent
-      {5.0, exponential_dist(15.0), 3.0},   // 5/hr, 4-min handle
-      {1.5, hyperexp2_dist(0.2, 4.0), 1.0}, // 1.5/hr, 12-min, heavy tail
-  };  // rho ≈ 0.27 + 0.33 + 0.30 = 0.90
+  // Classes: platinum (urgent, short; 8/hr, 2-min handle), standard (5/hr,
+  // 4-min handle), bulk callbacks (patient, long; 1.5/hr, 12-min, heavy
+  // tail). Costs are $ per caller-hour of waiting; rho ≈ 0.27 + 0.33 +
+  // 0.30 = 0.90. Horizon and warm-up are in hours.
+  const experiment::QueueScenario& center =
+      experiment::queue_scenario("call-center");
+  const std::vector<ClassSpec>& classes = center.classes;
   std::cout << "single-agent utilization: " << traffic_intensity(classes)
             << "\n\n";
 
@@ -26,11 +26,9 @@ int main() {
                   "platinum wait (min)"});
 
   {
-    SimOptions opt;
+    SimOptions opt = center.options();
     opt.discipline = Discipline::kPriorityNonPreemptive;
     opt.priority = cmu;
-    opt.horizon = 4e3;  // hours
-    opt.warmup = 4e2;
     Rng rng(1);
     const auto res = simulate_mg1(classes, opt, rng);
     single.add_row({"c-mu priority", fmt(res.cost_rate),
@@ -38,10 +36,8 @@ int main() {
                     fmt(60.0 * res.per_class[0].mean_wait, 2)});
   }
   {
-    SimOptions opt;
+    SimOptions opt = center.options();
     opt.discipline = Discipline::kFcfs;
-    opt.horizon = 4e3;
-    opt.warmup = 4e2;
     Rng rng(2);
     const auto res = simulate_mg1(classes, opt, rng);
     // FCFS analytic: same PK wait for everyone.
@@ -61,7 +57,8 @@ int main() {
   mm[2].service = exponential_dist(1.0 / mm[2].service->mean());  // M/M/m
   for (unsigned agents = 2; agents <= 5; ++agents) {
     Rng rng(10 + agents);
-    const auto res = simulate_mmm(mm, agents, cmu, 4e3, 4e2, rng);
+    const auto res = simulate_mmm(mm, agents, cmu, center.horizon,
+                                  center.warmup, rng);
     staffing.add_row({std::to_string(agents), fmt_pct(res.utilization),
                       fmt(res.cost_rate),
                       fmt(res.mean_in_system[0], 3)});

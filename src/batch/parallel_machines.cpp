@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "util/check.hpp"
-#include "util/contract.hpp"
 #include "util/joint_space.hpp"
 
 namespace stosched::batch {
@@ -36,8 +35,8 @@ ScheduleOutcome schedule_realization(const std::vector<double>& times,
 
 ScheduleOutcome simulate_list_policy(const Batch& jobs, const Order& order,
                                      unsigned machines, Rng& rng) {
-  STOSCHED_EXPECTS(machines >= 1 && order.size() == jobs.size(),
-                   "list policy needs a machine and a full order");
+  STOSCHED_REQUIRE(machines >= 1, "list policy needs a machine");
+  require_permutation(order, jobs.size());
   // Per-job size substreams off a bootstrap root: the realized batch is a
   // function of the caller's stream alone, not of the order argument, so
   // CRN policy arms dispatch the identical workload.
@@ -56,6 +55,7 @@ ScheduleOutcome exact_list_policy_discrete(const Batch& jobs,
                                            const Order& order,
                                            unsigned machines) {
   const std::size_t n = jobs.size();
+  require_permutation(order, n);
   std::vector<std::vector<double>> values(n), probs(n);
   std::vector<std::size_t> radix(n);
   for (std::size_t j = 0; j < n; ++j) {

@@ -48,14 +48,6 @@ FluidGrid fluid_grid(const FluidScenario& s) {
   return g;
 }
 
-/// The preconditions every online arm shares, checked before anything runs.
-void require_online_arm(const OnlineScenario& s,
-                        const online::OnlinePolicyPtr& policy) {
-  STOSCHED_REQUIRE(policy != nullptr, "online policy arm must be non-null");
-  STOSCHED_REQUIRE(s.arrival != nullptr,
-                   "online scenario needs an arrival process");
-}
-
 /// Every arm's bound replication, in arm order, as one paired comparison.
 template <class Scenario, class Arm>
 PairedResult compare(const Scenario& s, const std::vector<Arm>& arms,
@@ -201,15 +193,6 @@ Replication replication(const TreeScenario& s, batch::TreePolicy policy) {
   };
 }
 
-Replication replication(const OnlineScenario& s,
-                        const online::OnlinePolicyPtr& policy) {
-  require_online_arm(s, policy);
-  return [s, policy](Rng& rng, std::span<double> out) {
-    online::run_online_replication(*s.arrival, s.types, s.env, s.horizon,
-                                   s.bound, *policy, rng, out);
-  };
-}
-
 PairedResult compare_queue_policies(const QueueScenario& s,
                                     const std::vector<QueuePolicy>& arms,
                                     const EngineOptions& opt,
@@ -259,7 +242,10 @@ PairedResult compare_tree_policies(const TreeScenario& s,
 PairedResult compare_online_policies(
     const OnlineScenario& s, const std::vector<online::OnlinePolicyPtr>& arms,
     const EngineOptions& opt, Pairing pairing) {
-  for (const auto& a : arms) require_online_arm(s, a);
+  for (const auto& a : arms)
+    STOSCHED_REQUIRE(a != nullptr, "online policy arm must be non-null");
+  STOSCHED_REQUIRE(s.arrival != nullptr,
+                   "online scenario needs an arrival process");
   // The instance and its offline bound do not depend on the arm: under CRN
   // they are built once per replication and shared by every arm.
   return run_paired(

@@ -116,10 +116,8 @@ Replication replication(const RestlessScenario& s,
 /// jobs in sequence).
 Replication replication(const BatchScenario& s, const batch::Order& order);
 Replication replication(const TreeScenario& s, batch::TreePolicy policy);
-/// Online: the arm must be non-null and the scenario needs an arrival
-/// process.
-Replication replication(const OnlineScenario& s,
-                        const online::OnlinePolicyPtr& policy);
+// The online family has no single-arm binding: compare_online_policies
+// prepares each sample path and its lower bound once for all its arms.
 
 /// Engine driver: replications of one policy arm on one scenario. A
 /// brace-initialized arm needs its type spelled out to deduce, e.g.

@@ -8,10 +8,6 @@
 
 namespace stosched::experiment {
 
-double QueueScenario::load() const {
-  return queueing::traffic_intensity(classes);
-}
-
 queueing::SimOptions QueueScenario::options() const {
   queueing::SimOptions opt;
   opt.horizon = horizon;
@@ -134,35 +130,6 @@ Registry<QueueScenario> build_queue_registry() {
            {},
            2e5,
            2e4});
-  // Bursty (MMPP) and interarrival-SCV variants of the registered mixes:
-  // same effective rates and service laws, non-memoryless input. These are
-  // the fixed representatives of the with_burstiness / with_arrival_scv
-  // sweeps (asymptotic IDC 9 ~ strongly correlated traffic; interarrival
-  // SCV 4 ~ a high-variability renewal stream).
-  {
-    QueueScenario bursty = with_burstiness(reg.get("t9-three-class", "queue"),
-                                           9.0);
-    bursty.name = "t9-bursty";
-    bursty.description =
-        "T9 mix under symmetric on-off MMPP arrivals, IDC = 9";
-    reg.add(std::move(bursty));
-  }
-  {
-    QueueScenario scv = with_arrival_scv(reg.get("t9-three-class", "queue"),
-                                         4.0);
-    scv.name = "t9-scv4";
-    scv.description =
-        "T9 mix under renewal arrivals with interarrival SCV = 4";
-    reg.add(std::move(scv));
-  }
-  {
-    QueueScenario bursty = with_burstiness(reg.get("call-center", "queue"),
-                                           6.0);
-    bursty.name = "call-center-bursty";
-    bursty.description =
-        "contact-center mix under bursty MMPP caller arrivals, IDC = 6";
-    reg.add(std::move(bursty));
-  }
   return reg;
 }
 
@@ -227,18 +194,6 @@ Registry<BatchScenario> build_batch_registry() {
             {2.0, erlang_dist(3, 1.0)},
             {0.5, hyperexp2_dist(4.0, 3.0)}},
            1});
-  // Representative members of the generated families; the sweeps call the
-  // generators directly (turnpike_scenario(n), twopoint_scenario(i)).
-  {
-    BatchScenario turnpike = turnpike_scenario(100);
-    turnpike.name = "turnpike";
-    reg.add(std::move(turnpike));
-  }
-  {
-    BatchScenario twopoint = twopoint_scenario(0);
-    twopoint.name = "t5-twopoint";
-    reg.add(std::move(twopoint));
-  }
   return reg;
 }
 
@@ -255,14 +210,7 @@ Registry<NetworkScenario> build_network_registry() {
                                          2.0 / 3.0, /*bad_priority=*/false);
   lk.horizon = 4e4;
   lk.samples = 80;
-  NetworkScenario lk_bursty = with_burstiness(lk, 9.0);
   reg.add(std::move(lk));
-  // Bursty Lu–Kumar: identical topology and rates, MMPP external input
-  // (IDC 9) — the stability contrast under correlated traffic.
-  lk_bursty.name = "lu-kumar-bursty";
-  lk_bursty.description =
-      "Lu-Kumar network under bursty MMPP external arrivals, IDC = 9";
-  reg.add(std::move(lk_bursty));
   // The Rybko–Stolyar network: two crossing routes, both stations at
   // rho = 0.61, yet the exit-priority pair self-starves whenever
   // 2 lambda m_out = 1.2 > 1 (virtual-station effect). The priority
@@ -275,31 +223,6 @@ Registry<NetworkScenario> build_network_registry() {
   rs.horizon = 4e4;
   rs.samples = 80;
   reg.add(std::move(rs));
-  // A Dai–Wang-style re-entrant line: one route visiting the two stations
-  // alternately (0,1,0,1,0), both stations subcritical.
-  NetworkScenario dw;
-  dw.name = "dai-wang-reentrant";
-  dw.description =
-      "5-class 2-station re-entrant line (Dai-Wang-style), rho = (0.85, 0.9)";
-  dw.config = queueing::reentrant_line_network(
-      1.0, {0, 1, 0, 1, 0}, {0.1, 0.45, 0.1, 0.45, 0.65});
-  dw.horizon = 4e4;
-  dw.samples = 80;
-  reg.add(std::move(dw));
-  // Heavy-tailed Lu–Kumar: identical topology and rates, but the exit-stage
-  // classes draw hyperexponential services (SCV 6) — the stability contrast
-  // when the virtual-station workload is dominated by rare huge jobs.
-  NetworkScenario ht;
-  ht.name = "lu-kumar-ht";
-  ht.description =
-      "Lu-Kumar network with heavy-tailed (SCV 6) exit-stage services";
-  ht.config = queueing::lu_kumar_network(1.0, 0.01, 2.0 / 3.0, 0.01,
-                                         2.0 / 3.0, /*bad_priority=*/false);
-  ht.config.classes[1].service = hyperexp2_dist(2.0 / 3.0, 6.0);
-  ht.config.classes[3].service = hyperexp2_dist(2.0 / 3.0, 6.0);
-  ht.horizon = 4e4;
-  ht.samples = 80;
-  reg.add(std::move(ht));
   return reg;
 }
 
@@ -319,14 +242,7 @@ Registry<MmmScenario> build_mmm_registry() {
       {0.4 * rho * pooling.servers * 2.25, exponential_dist(2.25), 1.0}};
   pooling.horizon = 2e5;
   pooling.warmup = 2e4;
-  MmmScenario bursty = with_burstiness(pooling, 6.0);
   reg.add(std::move(pooling));
-  // Bursty pooling: the same two-class workload under MMPP input (IDC 6) —
-  // the non-Poisson parallel-server configuration, reachable by name.
-  bursty.name = "parallel-pooling-bursty";
-  bursty.description =
-      "2-class M/M/2 pooling workload under bursty MMPP arrivals, IDC = 6";
-  reg.add(std::move(bursty));
   return reg;
 }
 
@@ -424,78 +340,46 @@ Registry<OnlineScenario> build_online_registry() {
   return reg;
 }
 
-const Registry<QueueScenario>& queue_registry() {
-  static const Registry<QueueScenario> reg = build_queue_registry();
-  return reg;
-}
-
-const Registry<PollingScenario>& polling_registry() {
-  static const Registry<PollingScenario> reg = build_polling_registry();
-  return reg;
-}
-
-const Registry<RestlessScenario>& restless_registry() {
-  static const Registry<RestlessScenario> reg = build_restless_registry();
-  return reg;
-}
-
-const Registry<BatchScenario>& batch_registry() {
-  static const Registry<BatchScenario> reg = build_batch_registry();
-  return reg;
-}
-
-const Registry<NetworkScenario>& network_registry() {
-  static const Registry<NetworkScenario> reg = build_network_registry();
-  return reg;
-}
-
-const Registry<MmmScenario>& mmm_registry() {
-  static const Registry<MmmScenario> reg = build_mmm_registry();
-  return reg;
-}
-
-const Registry<FluidScenario>& fluid_registry() {
-  static const Registry<FluidScenario> reg = build_fluid_registry();
-  return reg;
-}
-
-const Registry<OnlineScenario>& online_registry() {
-  static const Registry<OnlineScenario> reg = build_online_registry();
-  return reg;
-}
-
 }  // namespace
 
 const QueueScenario& queue_scenario(std::string_view name) {
-  return queue_registry().get(name, "queue");
+  static const Registry<QueueScenario> reg = build_queue_registry();
+  return reg.get(name, "queue");
 }
 
 const PollingScenario& polling_scenario(std::string_view name) {
-  return polling_registry().get(name, "polling");
+  static const Registry<PollingScenario> reg = build_polling_registry();
+  return reg.get(name, "polling");
 }
 
 const RestlessScenario& restless_scenario(std::string_view name) {
-  return restless_registry().get(name, "restless");
+  static const Registry<RestlessScenario> reg = build_restless_registry();
+  return reg.get(name, "restless");
 }
 
 const BatchScenario& batch_scenario(std::string_view name) {
-  return batch_registry().get(name, "batch");
+  static const Registry<BatchScenario> reg = build_batch_registry();
+  return reg.get(name, "batch");
 }
 
 const NetworkScenario& network_scenario(std::string_view name) {
-  return network_registry().get(name, "network");
+  static const Registry<NetworkScenario> reg = build_network_registry();
+  return reg.get(name, "network");
 }
 
 const MmmScenario& mmm_scenario(std::string_view name) {
-  return mmm_registry().get(name, "parallel-server");
+  static const Registry<MmmScenario> reg = build_mmm_registry();
+  return reg.get(name, "parallel-server");
 }
 
 const FluidScenario& fluid_scenario(std::string_view name) {
-  return fluid_registry().get(name, "fluid");
+  static const Registry<FluidScenario> reg = build_fluid_registry();
+  return reg.get(name, "fluid");
 }
 
 const OnlineScenario& online_scenario(std::string_view name) {
-  return online_registry().get(name, "online");
+  static const Registry<OnlineScenario> reg = build_online_registry();
+  return reg.get(name, "online");
 }
 
 namespace {
@@ -531,45 +415,11 @@ Scenario burstify_classes(Scenario s, double burstiness) {
 
 }  // namespace
 
-QueueScenario scale_to_load(QueueScenario s, double rho) {
-  STOSCHED_REQUIRE(rho > 0.0, "target load must be > 0");
-  const double base = s.load();
-  STOSCHED_REQUIRE(base > 0.0, "scenario has zero load");
-  const double factor = rho / base;
-  for (auto& c : s.classes) scale_class_rate(c, factor);
-  s.name = suffixed(s.name, "@rho=", rho);
-  return s;
-}
-
-QueueScenario with_arrival_scv(QueueScenario s, double scv) {
-  for (auto& c : s.classes) {
-    const double rate = queueing::class_arrival_rate(c);
-    if (rate <= 0.0) continue;
-    c.arrival = renewal_arrivals(with_mean_scv(1.0 / rate, scv));
-  }
-  s.name = suffixed(s.name, "@ascv=", scv);
-  return s;
-}
-
 QueueScenario with_burstiness(QueueScenario s, double burstiness) {
   return burstify_classes(std::move(s), burstiness);
 }
 
-NetworkScenario with_burstiness(NetworkScenario s, double burstiness) {
-  for (auto& c : s.config.classes) {
-    const double rate = queueing::network_class_rate(c);
-    if (rate <= 0.0) continue;
-    c.arrival = bursty_arrivals(rate, burstiness);
-  }
-  s.name = suffixed(s.name, "@idc=", burstiness);
-  return s;
-}
-
 PollingScenario with_burstiness(PollingScenario s, double burstiness) {
-  return burstify_classes(std::move(s), burstiness);
-}
-
-MmmScenario with_burstiness(MmmScenario s, double burstiness) {
   return burstify_classes(std::move(s), burstiness);
 }
 

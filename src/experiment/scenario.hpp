@@ -30,12 +30,15 @@
 //                        OnlinePolicy and benchmarked against the offline
 //                        lower bound (empirical competitive ratios).
 //
-// Helpers derive swept variants (scale_to_load, with_switchover,
-// with_machines, with_arrival_scv, with_burstiness, turnpike_scenario(n),
-// intree_scenario(n), ...) without mutating the registered base scenario.
-// Arrival-process variants (bursty MMPP, interarrival-SCV renewal) ride on
-// the same ClassSpec/NetworkClass fields, so every simulator family and
-// every CRN comparison accepts them unchanged.
+// The registry holds only the entries a bench, perfbench run or example
+// looks up by name (lint rule `scenario-reader`). Swept variants come from
+// helpers that copy a base scenario instead of mutating it:
+// mmm_scale_to_load, with_switchover, with_burstiness (queue, polling and
+// online), and scale_to_load, with_machines and with_size_scv (online). The
+// generated families turnpike_scenario(n), twopoint_scenario(i) and
+// intree_scenario(n) build their instances from fixed family seeds. A bursty
+// queue or polling variant rides on the ClassSpec::arrival field, so the
+// simulators and the CRN comparisons accept it unchanged.
 #pragma once
 
 #include <cstddef>
@@ -66,8 +69,6 @@ struct QueueScenario {
   double horizon = 2e5;
   double warmup = 2e4;
 
-  /// Traffic intensity of the base workload (ignores feedback revisits).
-  [[nodiscard]] double load() const;
   /// SimOptions preset with this scenario's horizon/warmup/feedback filled
   /// in; caller sets discipline and priority (the policy arm).
   [[nodiscard]] queueing::SimOptions options() const;
@@ -199,33 +200,14 @@ const MmmScenario& mmm_scenario(std::string_view name);
 const FluidScenario& fluid_scenario(std::string_view name);
 const OnlineScenario& online_scenario(std::string_view name);
 
-/// Rescale every arrival rate by a common factor so the base traffic
-/// intensity becomes `rho` — the standard load-sweep transform. Classes
-/// with an attached arrival process are rescaled in time
-/// (ArrivalProcess::scaled), preserving their SCV/burstiness exactly.
-QueueScenario scale_to_load(QueueScenario s, double rho);
-
-/// Replace every class's arrivals with a renewal process whose
-/// interarrival law is the exact two-moment fit (dist::with_mean_scv) to
-/// the class's current effective rate and the target SCV — the
-/// interarrival-variability sweep. SCV 1 recovers Poisson exactly.
-QueueScenario with_arrival_scv(QueueScenario s, double scv);
-
 /// Replace every class's arrivals with a symmetric on-off MMPP
 /// (bursty_arrivals) at the class's current effective rate and the target
 /// asymptotic index of dispersion (> 1) — the burstiness sweep.
 QueueScenario with_burstiness(QueueScenario s, double burstiness);
 
-/// Network variant of the burstiness sweep: every externally-fed class's
-/// arrivals become a bursty MMPP at its current effective rate.
-NetworkScenario with_burstiness(NetworkScenario s, double burstiness);
-
 /// Polling variant of the burstiness sweep: every queue's arrivals become a
 /// symmetric on-off MMPP at its current effective rate.
 PollingScenario with_burstiness(PollingScenario s, double burstiness);
-
-/// Parallel-server variant of the burstiness sweep.
-MmmScenario with_burstiness(MmmScenario s, double burstiness);
 
 /// Swap in a different switchover law (setup-time sweeps).
 PollingScenario with_switchover(PollingScenario s, DistPtr law);
@@ -236,12 +218,11 @@ MmmScenario mmm_scale_to_load(MmmScenario s, double rho);
 
 /// The F1 turnpike batch of size n on 3 machines: exponential jobs with
 /// U(0.5, 4) means and U(0.5, 3) weights, generated deterministically from
-/// the registered family seed (the registry's "turnpike" entry is this at
-/// n = 100).
+/// the family seed.
 BatchScenario turnpike_scenario(std::size_t n);
 
-/// The T5 two-point counterexample instance family on 2 machines (the
-/// registry's "t5-twopoint" entry is instance 0).
+/// Instance `instance` of the T5 two-point counterexample family on 2
+/// machines, generated deterministically from the family seed.
 BatchScenario twopoint_scenario(std::size_t instance);
 
 /// The F8 random in-tree on n nodes, 3 machines, Exp(1) tasks.

@@ -167,17 +167,4 @@ void evaluate_online_replication(const OnlinePath& path,
   out[3] = static_cast<double>(res.jobs);
 }
 
-void run_online_replication(const ArrivalProcess& arrival,
-                            const std::vector<JobType>& types,
-                            const Environment& env, double horizon,
-                            const OfflineBoundOptions& bound,
-                            const OnlinePolicy& policy, Rng& rng,
-                            std::span<double> out) {
-  STOSCHED_REQUIRE(out.size() == online_metric_count(),
-                   "metric span size mismatch");
-  evaluate_online_replication(
-      prepare_online_replication(arrival, types, env, horizon, bound, rng),
-      env, types, policy, out);
-}
-
 }  // namespace stosched::online

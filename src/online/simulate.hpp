@@ -1,6 +1,9 @@
 // simulate.hpp — the online-scheduling simulator and its engine adapter.
 //
-// One replication = one realized sample path pushed through one policy:
+// One replication = one realized sample path pushed through every policy
+// arm, in two steps. prepare_online_replication builds the part no arm
+// changes: the instance and its offline lower bound.
+// evaluate_online_replication runs one arm over it. In the simulator,
 // jobs arrive over time, are assigned to a machine the instant they arrive
 // (using believed processing times only), and each machine serves its queue
 // nonpreemptively in the policy's local priority order while the *realized*
@@ -74,15 +77,5 @@ void evaluate_online_replication(const OnlinePath& path,
                                  const std::vector<JobType>& types,
                                  const OnlinePolicy& policy,
                                  std::span<double> out);
-
-/// One whole replication: evaluate_online_replication applied to
-/// prepare_online_replication. Arms replaying the same `rng` state face
-/// identical instances and identical lower bounds.
-void run_online_replication(const ArrivalProcess& arrival,
-                            const std::vector<JobType>& types,
-                            const Environment& env, double horizon,
-                            const OfflineBoundOptions& bound,
-                            const OnlinePolicy& policy, Rng& rng,
-                            std::span<double> out);
 
 }  // namespace stosched::online

@@ -31,8 +31,8 @@ FluidTrajectory fluid_drain(const std::vector<FluidClass>& classes,
                             const std::vector<std::size_t>& priority,
                             double t_max) {
   const std::size_t n = classes.size();
-  STOSCHED_REQUIRE(initial.size() == n && priority.size() == n,
-                   "shape mismatch");
+  STOSCHED_REQUIRE(initial.size() == n, "shape mismatch");
+  require_permutation(priority, n);
   for (const auto& c : classes) {
     STOSCHED_REQUIRE(c.lambda >= 0.0 && c.mu > 0.0, "bad fluid class");
   }
@@ -118,8 +118,8 @@ std::vector<std::vector<double>> simulate_backlog_path(
     const std::vector<std::size_t>& priority,
     const std::vector<double>& sample_times, Rng& rng) {
   const std::size_t n = classes.size();
-  STOSCHED_REQUIRE(initial.size() == n && priority.size() == n,
-                   "shape mismatch");
+  STOSCHED_REQUIRE(initial.size() == n, "shape mismatch");
+  require_permutation(priority, n);
   STOSCHED_REQUIRE(!sample_times.empty(), "need at least one sample time");
   STOSCHED_REQUIRE(std::is_sorted(sample_times.begin(), sample_times.end()),
                    "sample times must be sorted");

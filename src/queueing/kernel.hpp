@@ -49,19 +49,12 @@ inline FlatSampler service_sampler(const NetworkClass& c) {
 }
 
 /// rank[class] = position of the class in `priority` (highest first).
-/// Throws unless `priority` is a permutation of 0..n-1: an out-of-range
-/// entry would index out of bounds, a duplicate would leave a stale rank.
+/// Throws unless `priority` is a permutation of 0..n-1.
 inline std::vector<std::size_t> priority_rank(
     const std::vector<std::size_t>& priority, std::size_t n) {
-  STOSCHED_REQUIRE(priority.size() == n,
-                   "priority list must cover all classes");
-  std::vector<std::size_t> rank(n, n);  // n = not yet listed
-  for (std::size_t pos = 0; pos < n; ++pos) {
-    const std::size_t cls = priority[pos];
-    STOSCHED_REQUIRE(cls < n && rank[cls] == n,
-                     "priority list must be a permutation of 0..n-1");
-    rank[cls] = pos;
-  }
+  require_permutation(priority, n);
+  std::vector<std::size_t> rank(n);
+  for (std::size_t pos = 0; pos < n; ++pos) rank[priority[pos]] = pos;
   return rank;
 }
 

@@ -23,7 +23,7 @@ double pk_fcfs_wait(const std::vector<ClassSpec>& classes) {
 std::vector<double> cobham_waits(const std::vector<ClassSpec>& classes,
                                  const std::vector<std::size_t>& priority) {
   const std::size_t n = classes.size();
-  STOSCHED_REQUIRE(priority.size() == n, "priority must cover all classes");
+  require_permutation(priority, n);
   const double w0 = mean_residual_work(classes);
   std::vector<double> wait(n, 0.0);
   double sigma_above = 0.0;  // ρ of classes strictly above the current one
@@ -44,7 +44,7 @@ std::vector<double> preemptive_resume_sojourns(
     const std::vector<ClassSpec>& classes,
     const std::vector<std::size_t>& priority) {
   const std::size_t n = classes.size();
-  STOSCHED_REQUIRE(priority.size() == n, "priority must cover all classes");
+  require_permutation(priority, n);
   std::vector<double> sojourn(n, 0.0);
   double sigma_above = 0.0;
   double w0_above_incl = 0.0;  // residual work of classes at or above j

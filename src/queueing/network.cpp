@@ -1,7 +1,5 @@
 #include "queueing/network.hpp"
 
-#include <algorithm>
-
 #include "des/event_queue.hpp"
 #include "des/fifo_arena.hpp"
 #include "queueing/kernel.hpp"
@@ -252,27 +250,6 @@ NetworkConfig rybko_stolyar_network(double lambda, double m_in, double m_out) {
       {1, m_in, 3, lambda, nullptr},
       {0, m_out, NetworkClass::kExit, 0.0, nullptr},
   };
-  return cfg;
-}
-
-NetworkConfig reentrant_line_network(double lambda,
-                                     const std::vector<std::size_t>& stations,
-                                     const std::vector<double>& means) {
-  STOSCHED_REQUIRE(lambda > 0.0, "re-entrant line needs a positive rate");
-  STOSCHED_REQUIRE(!stations.empty() && stations.size() == means.size(),
-                   "re-entrant line needs matching, nonempty stations/means");
-  NetworkConfig cfg;
-  cfg.num_stations = 0;
-  cfg.classes.reserve(stations.size());
-  for (std::size_t i = 0; i < stations.size(); ++i) {
-    NetworkClass c;
-    c.station = stations[i];
-    c.service_mean = means[i];
-    c.next = i + 1 < stations.size() ? i + 1 : NetworkClass::kExit;
-    c.arrival_rate = i == 0 ? lambda : 0.0;
-    cfg.classes.push_back(std::move(c));
-    cfg.num_stations = std::max(cfg.num_stations, stations[i] + 1);
-  }
   return cfg;
 }
 

@@ -136,15 +136,6 @@ NetworkConfig lu_kumar_network(double lambda, double m1, double m2, double m3,
 /// priority assignment is the policy arm (station_priority left empty).
 NetworkConfig rybko_stolyar_network(double lambda, double m_in, double m_out);
 
-/// A single-route re-entrant line (Dai–Wang-style topology): class i is
-/// served at `stations[i]` with exponential mean `means[i]` and feeds
-/// class i+1 (the last class exits); only class 0 has external arrivals,
-/// at rate `lambda`. Requires matching nonempty shapes. The per-station
-/// priority (FBFS/LBFS/...) is the policy arm.
-NetworkConfig reentrant_line_network(double lambda,
-                                     const std::vector<std::size_t>& stations,
-                                     const std::vector<double>& means);
-
 /// Nominal per-station traffic intensities (ρ_A, ρ_B, ...) of a config.
 // caller-audit: test-only(Scenarios.LuKumarIntensitiesSubcritical: checks
 // that the registered networks are nominally stable at every station)

@@ -9,9 +9,11 @@
 //     asserts stay on in every build type, Release included.
 #pragma once
 
+#include <cstddef>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 namespace stosched {
 
@@ -57,3 +59,21 @@ namespace detail {
     if (!(cond))                                                         \
       ::stosched::detail::throw_assert(#cond, __FILE__, __LINE__, (msg)); \
   } while (0)
+
+namespace stosched {
+
+/// Throws std::invalid_argument unless `order` (a priority or list order)
+/// is a permutation of 0..n-1: an out-of-range entry would index out of
+/// bounds, a duplicate would leave another entry never served.
+inline void require_permutation(const std::vector<std::size_t>& order,
+                                std::size_t n) {
+  STOSCHED_REQUIRE(order.size() == n, "order must list all n entries");
+  std::vector<char> listed(n, 0);
+  for (const std::size_t i : order) {
+    STOSCHED_REQUIRE(i < n && !listed[i],
+                     "order must be a permutation of 0..n-1");
+    listed[i] = 1;
+  }
+}
+
+}  // namespace stosched

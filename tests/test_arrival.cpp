@@ -245,7 +245,7 @@ TEST(ArrivalSim, CrnCutsDifferenceVarianceUnderMmpp) {
   // the variance of the cost-rate difference by >= 2x versus independent
   // streams — i.e. both arms replay the identical MMPP arrival epochs.
   using namespace stosched::experiment;
-  QueueScenario s = queue_scenario("t9-bursty");
+  QueueScenario s = with_burstiness(queue_scenario("t9-three-class"), 9.0);
   s.horizon = 1500.0;
   s.warmup = 150.0;
   const QueuePolicy fcfs{"fcfs", queueing::Discipline::kFcfs, {}};

@@ -59,6 +59,39 @@ QueuePolicy cmu_arm(const QueueScenario& s) {
           queueing::cmu_order(s.classes)};
 }
 
+/// The T9 mix under renewal arrivals with interarrival SCV 4: each class
+/// keeps its rate, and its interarrival law is the exact two-moment fit.
+QueueScenario t9_scv4() {
+  QueueScenario s = queue_scenario("t9-three-class");
+  for (auto& c : s.classes)
+    c.arrival = renewal_arrivals(with_mean_scv(1.0 / c.arrival_rate, 4.0));
+  s.name = "t9-scv4";
+  return s;
+}
+
+/// The Lu–Kumar network with its one external stream (class 0, rate 1)
+/// made a bursty MMPP with IDC 9.
+NetworkScenario lu_kumar_bursty() {
+  NetworkScenario s = network_scenario("lu-kumar");
+  s.config.classes[0].arrival = bursty_arrivals(1.0, 9.0);
+  s.name = "lu-kumar-bursty";
+  return s;
+}
+
+/// A Dai–Wang-style re-entrant line: one route visiting stations
+/// 0,1,0,1,0, fed at rate 1, with station loads (0.85, 0.9).
+NetworkScenario dai_wang_reentrant() {
+  NetworkScenario s;
+  s.name = "dai-wang-reentrant";
+  s.config.num_stations = 2;
+  s.config.classes = {{0, 0.1, 1, 1.0},
+                      {1, 0.45, 2},
+                      {0, 0.1, 3},
+                      {1, 0.45, 4},
+                      {0, 0.65, queueing::NetworkClass::kExit}};
+  return s;
+}
+
 }  // namespace
 
 TEST(Engine, FixedRunDeterministicAndCounted) {
@@ -657,20 +690,27 @@ TEST(Engine, NestedRunSchedulesForOneThread) {
 TEST(Scenarios, RegistryLookupAndUnknownName) {
   const auto& t9 = queue_scenario("t9-three-class");
   EXPECT_EQ(t9.classes.size(), 3u);
-  EXPECT_NEAR(t9.load(), 0.25 + 0.20 * (2.0 / 3.0) + 0.15 * 1.3, 1e-12);
-  EXPECT_THROW(queue_scenario("no-such-scenario"), std::invalid_argument);
-  // The error lists the known scenarios.
-  try {
-    queue_scenario("no-such-scenario");
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("t9-three-class"), std::string::npos)
-        << e.what();
-  }
-}
-
-TEST(Scenarios, ScaleToLoadHitsTarget) {
-  const auto scaled = scale_to_load(queue_scenario("heavy-tail"), 0.85);
-  EXPECT_NEAR(scaled.load(), 0.85, 1e-12);
+  EXPECT_NEAR(queueing::traffic_intensity(t9.classes),
+              0.25 + 0.20 * (2.0 / 3.0) + 0.15 * 1.3, 1e-12);
+  // Every family's lookup throws on an unknown name, and the error lists
+  // the known scenarios.
+  const auto unknown_lists = [](auto lookup, const char* known) {
+    EXPECT_THROW(lookup("no-such-scenario"), std::invalid_argument) << known;
+    try {
+      lookup("no-such-scenario");
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(known), std::string::npos)
+          << e.what();
+    }
+  };
+  unknown_lists(queue_scenario, "t9-three-class");
+  unknown_lists(polling_scenario, "t11-two-queue");
+  unknown_lists(restless_scenario, "f3-decay");
+  unknown_lists(batch_scenario, "quickstart-four-jobs");
+  unknown_lists(network_scenario, "lu-kumar");
+  unknown_lists(mmm_scenario, "parallel-pooling");
+  unknown_lists(fluid_scenario, "f7-fluid");
+  unknown_lists(online_scenario, "online-bernoulli");
 }
 
 TEST(Scenarios, KlimovScenarioCarriesFeedback) {
@@ -734,10 +774,10 @@ TEST(Adapters, SimOptionsValidationRejectsBadRuns) {
 
 TEST(Scenarios, NewFamiliesRegistered) {
   EXPECT_THROW(network_scenario("no-such"), std::invalid_argument);
-  EXPECT_NO_THROW(batch_scenario("turnpike"));
-  EXPECT_NO_THROW(batch_scenario("t5-twopoint"));
-  EXPECT_EQ(batch_scenario("turnpike").machines, 3u);
-  EXPECT_EQ(batch_scenario("turnpike").jobs.size(), 100u);
+  EXPECT_NO_THROW(turnpike_scenario(100));
+  EXPECT_NO_THROW(twopoint_scenario(0));
+  EXPECT_EQ(turnpike_scenario(100).machines, 3u);
+  EXPECT_EQ(turnpike_scenario(100).jobs.size(), 100u);
   // Generators are deterministic: same n, same batch.
   const auto a = turnpike_scenario(50);
   const auto b = turnpike_scenario(50);
@@ -749,21 +789,25 @@ TEST(Scenarios, NewFamiliesRegistered) {
 }
 
 TEST(Scenarios, NonPoissonConfigurationsReachableByName) {
-  // The bursty polling / parallel-server configurations the simulators
-  // already supported are now registered scenarios, and the heavy-tailed
-  // Lu–Kumar variant carries its service laws through the registry.
+  // The bursty polling configuration is a registered scenario; the bursty
+  // parallel-server workload and the heavy-tailed Lu–Kumar variant carry
+  // their arrival and service laws through the registered bases.
   const PollingScenario& polling = polling_scenario("t11-bursty");
   for (const auto& c : polling.classes) {
     ASSERT_NE(c.arrival, nullptr);
     EXPECT_NEAR(c.arrival->burstiness(), 6.0, 1e-9);
   }
-  const MmmScenario& mmm = mmm_scenario("parallel-pooling-bursty");
+  MmmScenario mmm = mmm_scenario("parallel-pooling");
+  for (auto& c : mmm.classes)
+    c.arrival = bursty_arrivals(c.arrival_rate, 6.0);
   EXPECT_NEAR(mmm.load(), 0.85, 1e-9);
   for (const auto& c : mmm.classes) {
     ASSERT_NE(c.arrival, nullptr);
     EXPECT_NEAR(c.arrival->burstiness(), 6.0, 1e-9);
   }
-  const NetworkScenario& ht = network_scenario("lu-kumar-ht");
+  NetworkScenario ht = network_scenario("lu-kumar");
+  ht.config.classes[1].service = hyperexp2_dist(2.0 / 3.0, 6.0);
+  ht.config.classes[3].service = hyperexp2_dist(2.0 / 3.0, 6.0);
   ASSERT_NE(ht.config.classes[1].service, nullptr);
   EXPECT_NEAR(ht.config.classes[1].service->scv(), 6.0, 1e-9);
   // Heavy-tailed services keep the same nominal intensities as the base.
@@ -900,10 +944,11 @@ TEST(Scenarios, ArrivalFamiliesRegistered) {
   // same nominal load) as their Poisson bases — only the arrival law
   // changes.
   const auto& t9 = queue_scenario("t9-three-class");
-  const auto& bursty = queue_scenario("t9-bursty");
-  const auto& scv4 = queue_scenario("t9-scv4");
-  EXPECT_NEAR(bursty.load(), t9.load(), 1e-9);
-  EXPECT_NEAR(scv4.load(), t9.load(), 1e-9);
+  const auto bursty = with_burstiness(t9, 9.0);
+  const auto scv4 = t9_scv4();
+  const double load = queueing::traffic_intensity(t9.classes);
+  EXPECT_NEAR(queueing::traffic_intensity(bursty.classes), load, 1e-9);
+  EXPECT_NEAR(queueing::traffic_intensity(scv4.classes), load, 1e-9);
   for (const auto& c : bursty.classes) {
     ASSERT_NE(c.arrival, nullptr);
     EXPECT_FALSE(CachedGapSampler(c.arrival.get()).flat());  // MMPP
@@ -914,23 +959,10 @@ TEST(Scenarios, ArrivalFamiliesRegistered) {
     EXPECT_TRUE(CachedGapSampler(c.arrival.get()).flat());  // renewal
     EXPECT_NEAR(c.arrival->burstiness(), 4.0, 1e-9);
   }
-  EXPECT_NO_THROW(queue_scenario("call-center-bursty"));
-  EXPECT_NO_THROW(network_scenario("lu-kumar-bursty"));
+  EXPECT_NO_THROW(with_burstiness(queue_scenario("call-center"), 6.0));
+  EXPECT_NO_THROW(lu_kumar_bursty().config.validate());
   EXPECT_NO_THROW(network_scenario("rybko-stolyar"));
-  EXPECT_NO_THROW(network_scenario("dai-wang-reentrant"));
-}
-
-TEST(Scenarios, ArrivalSweepsComposeWithLoadScaling) {
-  // scale_to_load rescales attached arrival processes in time, so the
-  // target load is hit exactly and burstiness/SCV are preserved.
-  const auto scaled = scale_to_load(queue_scenario("t9-bursty"), 0.95);
-  EXPECT_NEAR(scaled.load(), 0.95, 1e-9);
-  for (const auto& c : scaled.classes)
-    EXPECT_NEAR(c.arrival->burstiness(), 9.0, 1e-9);
-  const auto swept = with_arrival_scv(queue_scenario("heavy-tail"), 2.5);
-  EXPECT_NEAR(swept.load(), queue_scenario("heavy-tail").load(), 1e-9);
-  for (const auto& c : swept.classes)
-    EXPECT_NEAR(c.arrival->burstiness(), 2.5, 1e-9);
+  EXPECT_NO_THROW(dai_wang_reentrant().config.validate());
 }
 
 TEST(Scenarios, RybkoStolyarIntensitiesSubcritical) {
@@ -939,7 +971,7 @@ TEST(Scenarios, RybkoStolyarIntensitiesSubcritical) {
   ASSERT_EQ(rho.size(), 2u);
   EXPECT_NEAR(rho[0], 0.61, 1e-12);
   EXPECT_NEAR(rho[1], 0.61, 1e-12);
-  const auto& dw = network_scenario("dai-wang-reentrant");
+  const NetworkScenario dw = dai_wang_reentrant();
   const auto dw_rho = queueing::station_intensities(dw.config);
   ASSERT_EQ(dw_rho.size(), 2u);
   EXPECT_NEAR(dw_rho[0], 0.85, 1e-12);
@@ -967,34 +999,11 @@ TEST(Adapters, RybkoStolyarExitPrioritySelfStarves) {
   EXPECT_GT(bad.metrics[0].mean(), 5.0 * fcfs.metrics[0].mean());
 }
 
-TEST(Adapters, ReentrantLinePoliciesRunUnderCrn) {
-  // The Dai–Wang-style re-entrant line through the engine: LBFS / FBFS /
-  // FCFS all run on the shared workload, and the subcritical line stays
-  // stable under FCFS (no systematic growth).
-  NetworkScenario s = network_scenario("dai-wang-reentrant");
-  s.horizon = 4000.0;
-  s.samples = 40;
-  // The route visits stations 0,1,0,1,0, so station 0 holds buffers
-  // {0, 2, 4} and station 1 holds {1, 3}.
-  ASSERT_EQ(s.config.num_stations, 2u);
-  const std::vector<NetworkPolicy> arms{
-      {"LBFS", {{4, 2, 0}, {3, 1}}}, {"FBFS", {{0, 2, 4}, {1, 3}}},
-      {"FCFS", {}}};
-  EngineOptions opt;
-  opt.seed = 71;
-  opt.max_replications = 8;
-  const auto cmp = compare_network_policies(s, arms, opt,
-                                            Pairing::kCommonRandomNumbers);
-  EXPECT_EQ(cmp.replications, 8u);
-  for (std::size_t k = 0; k < arms.size(); ++k)
-    EXPECT_GT(cmp.arm[k][0].mean(), 0.0);
-}
-
 TEST(Engine, BurstyScenarioSequentialStoppingConverges) {
   // Sequential-precision stopping must work for non-Poisson input too: a
   // short bursty T9 run tracked on the cost rate converges and hits the
   // requested precision.
-  QueueScenario s = queue_scenario("t9-bursty");
+  QueueScenario s = with_burstiness(queue_scenario("t9-three-class"), 9.0);
   s.horizon = 1200.0;
   s.warmup = 120.0;
   EngineOptions opt;
@@ -1011,27 +1020,27 @@ TEST(Engine, BurstyScenarioSequentialStoppingConverges) {
 }
 
 TEST(Adapters, NewQueueScenariosSmokeThroughReplication) {
-  // Every new arrival-process scenario is runnable through its bound
+  // Every arrival-process variant is runnable through its bound
   // replication (one cheap replication each).
-  for (const char* name : {"t9-bursty", "t9-scv4", "call-center-bursty"}) {
-    QueueScenario s = queue_scenario(name);
+  for (QueueScenario s :
+       {with_burstiness(queue_scenario("t9-three-class"), 9.0), t9_scv4(),
+        with_burstiness(queue_scenario("call-center"), 6.0)}) {
     s.horizon = 400.0;
     s.warmup = 40.0;
     std::vector<double> metrics(metric_count(s), 0.0);
     Rng rng(5);
     replication(s, fcfs_arm())(rng, std::span<double>(metrics));
-    EXPECT_GT(metrics[1], 0.0) << name;  // utilization
+    EXPECT_GT(metrics[1], 0.0) << s.name;  // utilization
   }
-  for (const char* name :
-       {"lu-kumar-bursty", "rybko-stolyar", "dai-wang-reentrant"}) {
-    NetworkScenario s = network_scenario(name);
+  for (NetworkScenario s : {lu_kumar_bursty(), network_scenario("rybko-stolyar"),
+                            dai_wang_reentrant()}) {
     s.horizon = 500.0;
     s.samples = 10;
     std::vector<double> metrics(metric_count(s), 0.0);
     Rng rng(6);
     replication(s, NetworkPolicy{"FCFS", {}})(rng,
                                               std::span<double>(metrics));
-    EXPECT_GT(metrics[0], 0.0) << name;  // mean_total
+    EXPECT_GT(metrics[0], 0.0) << s.name;  // mean_total
   }
 }
 

@@ -276,10 +276,12 @@ TEST(OnlineLowerBound, EveryPolicyRunStaysAboveTheBound) {
   experiment::EngineOptions opt;
   opt.seed = 5;
   opt.max_replications = 48;
-  for (const auto& policy : experiment::online_policy_arms()) {
-    const auto res = experiment::run_policy(s, policy, opt);
-    EXPECT_GE(res.metrics[0].min(), 1.0 - 1e-9) << policy->name();
-    EXPECT_GT(res.metrics[2].mean(), 0.0);  // lower bound is positive
+  const auto arms = experiment::online_policy_arms();
+  const auto cmp = experiment::compare_online_policies(
+      s, arms, opt, experiment::Pairing::kCommonRandomNumbers);
+  for (std::size_t k = 0; k < arms.size(); ++k) {
+    EXPECT_GE(cmp.arm[k][0].min(), 1.0 - 1e-9) << arms[k]->name();
+    EXPECT_GT(cmp.arm[k][2].mean(), 0.0);  // lower bound is positive
   }
 }
 
@@ -336,8 +338,10 @@ TEST(OnlineBound, CrnSolvesTheLpOncePerReplication) {
       opt, arms.size(), online::online_metric_count(),
       experiment::Pairing::kCommonRandomNumbers,
       [&](std::size_t, std::size_t k, Rng& rng, std::span<double> out) {
-        online::run_online_replication(*s.arrival, s.types, s.env, s.horizon,
-                                       s.bound, *arms[k], rng, out);
+        online::evaluate_online_replication(
+            online::prepare_online_replication(*s.arrival, s.types, s.env,
+                                               s.horizon, s.bound, rng),
+            s.env, s.types, *arms[k], out);
       });
   const auto after_per_arm = lp_work();
 
@@ -360,12 +364,16 @@ TEST(OnlineBound, CrnSolvesTheLpOncePerReplication) {
 TEST(OnlineSim, ReplicationIsDeterministic) {
   const OnlineScenario s = experiment::online_scenario("online-bernoulli");
   const auto greedy = online::greedy_wsept_policy();
-  std::vector<double> a(online::online_metric_count()),
-      b(online::online_metric_count());
-  Rng r1(99), r2(99);
-  const auto rep = experiment::replication(s, greedy);
-  rep(r1, a);
-  rep(r2, b);
+  const auto run = [&](std::uint64_t seed) {
+    std::vector<double> out(online::online_metric_count());
+    Rng rng(seed);
+    online::evaluate_online_replication(
+        online::prepare_online_replication(*s.arrival, s.types, s.env,
+                                           s.horizon, s.bound, rng),
+        s.env, s.types, *greedy, out);
+    return out;
+  };
+  const std::vector<double> a = run(99), b = run(99);
   for (std::size_t d = 0; d < a.size(); ++d) EXPECT_DOUBLE_EQ(a[d], b[d]);
 }
 

@@ -9,7 +9,10 @@
 #include <sstream>
 #include <vector>
 
+#include "batch/parallel_machines.hpp"
 #include "experiment/engine.hpp"
+#include "queueing/fluid.hpp"
+#include "queueing/mg1_analytic.hpp"
 #include "util/check.hpp"
 #include "util/joint_space.hpp"
 #include "util/rng.hpp"
@@ -317,6 +320,39 @@ TEST(Check, RequireThrowsInvalidArgument) {
 
 TEST(Check, AssertThrowsInvariantError) {
   EXPECT_THROW(STOSCHED_ASSERT(false, "bug"), invariant_error);
+}
+
+TEST(Check, BadOrdersThrowInEveryOrderConsumer) {
+  // A duplicate entry leaves a class or job never served, and an
+  // out-of-range one indexes past the end: every function that takes a
+  // priority or list order must reject both instead of returning a number.
+  const std::vector<queueing::ClassSpec> classes{
+      {0.2, exponential_dist(1.0), 1.0}, {0.3, exponential_dist(2.0), 2.0}};
+  const std::vector<queueing::FluidClass> fluid{{0.3, 1.0, 2.0},
+                                                {0.2, 0.8, 1.0}};
+  const batch::Batch jobs{{1.0, exponential_dist(1.0)},
+                          {2.0, exponential_dist(2.0)}};
+  const batch::Batch discrete{{1.0, two_point_dist(1.0, 0.5, 3.0)},
+                              {2.0, two_point_dist(0.5, 0.5, 2.0)}};
+  for (const std::vector<std::size_t>& order :
+       {std::vector<std::size_t>{0, 0}, std::vector<std::size_t>{0, 2}}) {
+    Rng rng(1);
+    EXPECT_THROW(queueing::cobham_waits(classes, order),
+                 std::invalid_argument);
+    EXPECT_THROW(queueing::cobham_cost_rate(classes, order),
+                 std::invalid_argument);
+    EXPECT_THROW(queueing::preemptive_resume_sojourns(classes, order),
+                 std::invalid_argument);
+    EXPECT_THROW(queueing::fluid_drain(fluid, {1.0, 1.5}, order, 100.0),
+                 std::invalid_argument);
+    EXPECT_THROW(
+        queueing::simulate_backlog_path(fluid, {10, 10}, order, {1.0}, rng),
+        std::invalid_argument);
+    EXPECT_THROW(batch::simulate_list_policy(jobs, order, 1, rng),
+                 std::invalid_argument);
+    EXPECT_THROW(batch::exact_list_policy_discrete(discrete, order, 1),
+                 std::invalid_argument);
+  }
 }
 
 TEST(JointSpace, DigitZeroIsLeastSignificant) {

@@ -33,6 +33,13 @@ Enforces the invariants the codebase relies on but no compiler checks:
                         through the obs registry so bench_common::finish can
                         export every instrument generically and the OMP 1-vs-8
                         determinism gate sees all of them.
+  scenario-reader       Every name registered in src/experiment/scenario.cpp
+                        (the first string of a `reg.add({"..."` or a
+                        `.name = "..."` inside a build_*_registry function) is
+                        the literal argument of some `*_scenario("...")` call
+                        in src/, bench/, perfbench/ or examples/. Tests do not
+                        count: an entry only a test reads belongs in that
+                        test.
 
 Usage:
   lint_stosched.py [--root DIR] [--rules raw-random,bench-finish,...]
@@ -351,6 +358,63 @@ def rule_metrics_registry(root):
     return out
 
 
+SCENARIO_SOURCE = ("src", "experiment", "scenario.cpp")
+_BUILD_REGISTRY_RE = re.compile(r"\bbuild_\w+_registry\s*\(\s*\)\s*\{")
+_REG_ADD_RE = re.compile(r'\breg\s*\.\s*add\s*\(\s*\{\s*"')
+_NAME_SET_RE = re.compile(r'\.\s*name\s*=\s*"')
+_LOOKUP_RE = re.compile(r'\b\w+_scenario\s*\(\s*"')
+
+
+def _literal_at(text, code, quote):
+    """The body of the string literal opening at offset `quote`. strip_code
+    keeps a literal's quotes and blanks its body, so the closing quote is
+    the next one in `code`, and the body is read back from `text`."""
+    return text[quote + 1:code.index('"', quote + 1)]
+
+
+def _block_end(code, open_idx):
+    """Offset of the brace closing the block that opens at `open_idx`."""
+    depth = 0
+    for i in range(open_idx, len(code)):
+        if code[i] == "{":
+            depth += 1
+        elif code[i] == "}":
+            depth -= 1
+            if depth == 0:
+                return i
+    return len(code)
+
+
+def rule_scenario_reader(root):
+    """Every registered scenario is looked up outside the tests."""
+    path = root.joinpath(*SCENARIO_SOURCE)
+    if not path.is_file():
+        return []
+    text = read(path)
+    code = strip_code(text)
+    registered = []
+    for m in _BUILD_REGISTRY_RE.finditer(code):
+        end = _block_end(code, m.end() - 1)
+        for pat in (_REG_ADD_RE, _NAME_SET_RE):
+            for n in pat.finditer(code, m.end(), end):
+                quote = n.end() - 1
+                registered.append((_literal_at(text, code, quote),
+                                   line_of(code, quote)))
+    looked_up = set()
+    for reader in cxx_files(root, "src", "bench", "perfbench", "examples"):
+        rtext = read(reader)
+        rcode = strip_code(rtext)
+        for n in _LOOKUP_RE.finditer(rcode):
+            looked_up.add(_literal_at(rtext, rcode, n.end() - 1))
+    return [Violation(
+                rel(root, path), line, "scenario-reader",
+                f"scenario '{name}' is registered but no bench, perfbench "
+                f"run or example looks it up by name — give it a reader or "
+                f"delete it (tests do not count)")
+            for name, line in sorted(registered, key=lambda r: r[1])
+            if name not in looked_up]
+
+
 RULES = {
     "raw-random": rule_raw_random,
     "umbrella-header": rule_umbrella_header,
@@ -359,6 +423,7 @@ RULES = {
     "hot-loop-clock": rule_hot_loop_clock,
     "cmake-coverage": rule_cmake_coverage,
     "metrics-registry": rule_metrics_registry,
+    "scenario-reader": rule_scenario_reader,
 }
 
 

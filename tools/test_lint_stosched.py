@@ -179,6 +179,34 @@ class RuleFiresOnFixture(unittest.TestCase):
         self.assertEqual(self.run_rule("metrics-registry"), [],
                          "src/obs/ and src/util/ own the atomics")
 
+    def test_scenario_reader_fires(self):
+        self.skel.add("scenario_reader.cpp", "src/experiment/scenario.cpp")
+        (self.skel.root / "bench" / "bench_reader.cpp").write_text(
+            'auto& s = queue_scenario("read-entry");\n'
+            '// network_scenario("unread-named") in a comment reads nothing\n',
+            encoding="utf-8")
+        # A test lookup is no reader: the entry belongs in that test.
+        (self.skel.root / "tests" / "test_reader.cpp").write_text(
+            'auto& s = queue_scenario("unread-added");\n', encoding="utf-8")
+        found = self.run_rule("scenario-reader")
+        self.assertEqual(sorted(v.message.split("'")[1] for v in found),
+                         ["unread-added", "unread-named"])
+        self.assertTrue(all(v.path == "src/experiment/scenario.cpp"
+                            for v in found))
+
+    def test_scenario_reader_accepts_examples_and_perfbench(self):
+        self.skel.add("scenario_reader.cpp", "src/experiment/scenario.cpp")
+        (self.skel.root / "examples").mkdir()
+        (self.skel.root / "examples" / "demo.cpp").write_text(
+            'auto& a = queue_scenario("read-entry");\n'
+            'auto& b = queue_scenario("unread-added");\n', encoding="utf-8")
+        (self.skel.root / "perfbench").mkdir()
+        (self.skel.root / "perfbench" / "workloads.cpp").write_text(
+            'auto& c = ex::network_scenario( "unread-named");\n',
+            encoding="utf-8")
+        self.assertEqual(self.run_rule("scenario-reader"), [],
+                         "examples/ and perfbench/ lookups are readers")
+
 
 class StripCodeLexer(unittest.TestCase):
     """strip_code must survive the literal forms that once blanked to EOF
@@ -252,6 +280,7 @@ class RealTreeIsClean(unittest.TestCase):
             "hot-loop-clock": "hot_loop_clock.cpp",
             "cmake-coverage": "unlisted_source.cpp",
             "metrics-registry": "atomic_telemetry.cpp",
+            "scenario-reader": "scenario_reader.cpp",
         }
         self.assertEqual(set(expected), set(lint.RULES),
                          "rules and fixture map must stay in sync")

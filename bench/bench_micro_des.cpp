@@ -1,5 +1,5 @@
 // Micro: discrete-event core — hold-model throughput of the future-event
-// set (the 4-ary EventQueue) at sizes up to 10^6, a ramp-up/drain profile
+// set (the 4-ary EventQueue) at sizes from 4 to 10^6, a ramp-up/drain profile
 // matching multi-replication engine runs, and the random-variate dispatch
 // ablation (virtual Distribution::sample vs the devirtualized FlatSampler
 // switch) over a mixed pool of laws. The hold model (pop one, push one) is
@@ -29,7 +29,15 @@ void bm_hold_quad(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 
-BENCHMARK(bm_hold_quad)->Arg(64)->Arg(1024)->Arg(16384)->Arg(1000000);
+// 4 and 8 are the resident FES sizes of the queueing simulators (about two
+// events per class); the larger sizes are the classical hold-model sweep.
+BENCHMARK(bm_hold_quad)
+    ->Arg(4)
+    ->Arg(8)
+    ->Arg(64)
+    ->Arg(1024)
+    ->Arg(16384)
+    ->Arg(1000000);
 
 // Ramp-up/drain: push N events, then pop all N — the transient profile of
 // a replication's start and finish, where the hold model's steady size

@@ -9,13 +9,15 @@
 
 namespace stosched::batch {
 
+namespace {
+
+/// Deterministically schedule given realized processing times: machine
+/// becoming free earliest (ties: lowest machine id) takes the next job in
+/// `order`, a permutation the caller has checked. Returns the realized
+/// outcome.
 ScheduleOutcome schedule_realization(const std::vector<double>& times,
                                      const std::vector<double>& weights,
                                      const Order& order, unsigned machines) {
-  STOSCHED_REQUIRE(machines >= 1, "need at least one machine");
-  STOSCHED_REQUIRE(times.size() == order.size() &&
-                       weights.size() == order.size(),
-                   "times/weights/order must agree");
   // Machine free times; next job always goes to the earliest-free machine.
   // A linear scan beats a heap for the machine counts used here (m <= 8).
   std::vector<double> free_at(machines, 0.0);
@@ -32,6 +34,8 @@ ScheduleOutcome schedule_realization(const std::vector<double>& times,
   }
   return out;
 }
+
+}  // namespace
 
 ScheduleOutcome simulate_list_policy(const Batch& jobs, const Order& order,
                                      unsigned machines, Rng& rng) {
@@ -51,11 +55,12 @@ ScheduleOutcome simulate_list_policy(const Batch& jobs, const Order& order,
   return schedule_realization(times, weights, order, machines);
 }
 
-ScheduleOutcome exact_list_policy_discrete(const Batch& jobs,
-                                           const Order& order,
-                                           unsigned machines) {
+namespace {
+
+/// exact_list_policy_discrete for checked arguments.
+ScheduleOutcome expected_list_outcome(const Batch& jobs, const Order& order,
+                                      unsigned machines) {
   const std::size_t n = jobs.size();
-  require_permutation(order, n);
   std::vector<std::vector<double>> values(n), probs(n);
   std::vector<std::size_t> radix(n);
   for (std::size_t j = 0; j < n; ++j) {
@@ -87,15 +92,26 @@ ScheduleOutcome exact_list_policy_discrete(const Batch& jobs,
   return expected;
 }
 
+}  // namespace
+
+ScheduleOutcome exact_list_policy_discrete(const Batch& jobs,
+                                           const Order& order,
+                                           unsigned machines) {
+  STOSCHED_REQUIRE(machines >= 1, "need at least one machine");
+  require_permutation(order, jobs.size());
+  return expected_list_outcome(jobs, order, machines);
+}
+
 Order best_list_order_discrete(const Batch& jobs, unsigned machines,
                                bool use_makespan, double* value) {
   const std::size_t n = jobs.size();
   STOSCHED_REQUIRE(n >= 1 && n <= 8, "exhaustive list search limited to n <= 8");
+  STOSCHED_REQUIRE(machines >= 1, "need at least one machine");
   Order perm = identity_order(n);
   Order best = perm;
   double best_val = std::numeric_limits<double>::infinity();
   do {
-    const ScheduleOutcome o = exact_list_policy_discrete(jobs, perm, machines);
+    const ScheduleOutcome o = expected_list_outcome(jobs, perm, machines);
     const double v = use_makespan ? o.makespan : o.flowtime;
     if (v < best_val - 1e-15) {
       best_val = v;

@@ -25,13 +25,6 @@ struct ScheduleOutcome {
   double makespan = 0.0;           ///< max_j C_j
 };
 
-/// Deterministically schedule given realized processing times: machine
-/// becoming free earliest (ties: lowest machine id) takes the next job in
-/// `order`. Returns the realized outcome.
-ScheduleOutcome schedule_realization(const std::vector<double>& times,
-                                     const std::vector<double>& weights,
-                                     const Order& order, unsigned machines);
-
 /// One simulated replication of the list policy (draws processing times).
 ScheduleOutcome simulate_list_policy(const Batch& jobs, const Order& order,
                                      unsigned machines, Rng& rng);

@@ -12,8 +12,10 @@
 
 namespace stosched::batch {
 
-double exact_weighted_flowtime(const Batch& jobs, const Order& order) {
-  STOSCHED_REQUIRE(order.size() == jobs.size(), "order must cover the batch");
+namespace {
+
+/// exact_weighted_flowtime for an `order` known to be a permutation.
+double weighted_flowtime(const Batch& jobs, const Order& order) {
   // E[C_(i)] = sum of expected processing times of jobs up to position i;
   // linearity of expectation makes this exact for any laws.
   double completion = 0.0;
@@ -25,14 +27,21 @@ double exact_weighted_flowtime(const Batch& jobs, const Order& order) {
   return total;
 }
 
+}  // namespace
+
+double exact_weighted_flowtime(const Batch& jobs, const Order& order) {
+  require_permutation(order, jobs.size());
+  return weighted_flowtime(jobs, order);
+}
+
 Order best_order_exhaustive(const Batch& jobs, double* value) {
   const std::size_t n = jobs.size();
   STOSCHED_REQUIRE(n >= 1 && n <= 10, "exhaustive search limited to n <= 10");
   Order perm = identity_order(n);
   Order best = perm;
-  double best_val = exact_weighted_flowtime(jobs, perm);
+  double best_val = weighted_flowtime(jobs, perm);
   while (std::next_permutation(perm.begin(), perm.end())) {
-    const double v = exact_weighted_flowtime(jobs, perm);
+    const double v = weighted_flowtime(jobs, perm);
     if (v < best_val) {
       best_val = v;
       best = perm;

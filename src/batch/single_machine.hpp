@@ -22,6 +22,7 @@
 namespace stosched::batch {
 
 /// Exact E[Σ w_i C_i] of a nonpreemptive sequence (uses only means).
+/// Throws std::invalid_argument unless `order` is a permutation of the jobs.
 double exact_weighted_flowtime(const Batch& jobs, const Order& order);
 
 /// Exhaustive minimum over all n! sequences (n <= 10). Returns the best

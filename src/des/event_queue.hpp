@@ -4,10 +4,20 @@
 //   * *Deterministic replay*: ties in event time are broken by insertion
 //     sequence number, so a simulation is a pure function of its inputs —
 //     essential for the reproducibility guarantees the experiment harness
-//     makes (and for common-random-number policy comparisons).
+//     makes (and for common-random-number policy comparisons). Because the
+//     keys (time, seq) are unique, the pop sequence is fixed by the keys
+//     alone: any exact min-queue over them pops the same events in the same
+//     order, so how the heap moves its entries around (the deferred pop
+//     below, the arity) can change without changing any simulation output.
 //   * *Cache behaviour*: the heap is a flat array of 32-byte PODs in a 4-ary
 //     layout, which trades slightly more comparisons per level for ~half
 //     the levels and fewer cache misses than a binary heap.
+//   * *Deferred pop*: pop() leaves a hole at the root instead of moving the
+//     last entry there and sifting it down. A simulator handling an event
+//     usually schedules the next one, and that push fills the hole and
+//     sifts down once: one sift and one move per event instead of two sifts
+//     (sift down after the pop, sift up after the push). When no push
+//     comes, the next top() or pop() settles the hole the classic way.
 //   * *Cancellation without tombstone scans*: events carry a user payload;
 //     models that need cancellation (e.g. preemption timers) use
 //     generation counters in the payload instead of erasing heap entries,
@@ -21,7 +31,8 @@
 // resident sizes the library's simulators actually run (~2 events per
 // class), and on ramp/drain. The calendar queue overtook it only from ~16k
 // resident events. The other arities and the calendar queue live in git
-// history; bench_micro_des keeps the 4-ary hold model and ramp/drain.
+// history; bench_micro_des keeps the 4-ary hold model (from 4 resident
+// events up) and ramp/drain.
 #pragma once
 
 #include <algorithm>
@@ -44,7 +55,7 @@ struct Event {
 };
 
 /// The future-event set used by all simulators in the library: a 4-ary
-/// min-heap on (time, seq).
+/// min-heap on (time, seq) with a deferred pop.
 class EventQueue {
  public:
   EventQueue() = default;
@@ -55,8 +66,10 @@ class EventQueue {
     heap_.reserve(capacity_hint);
   }
 
-  [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
-  [[nodiscard]] std::size_t size() const noexcept { return heap_.size(); }
+  [[nodiscard]] bool empty() const noexcept { return heap_.size() == hole_; }
+  [[nodiscard]] std::size_t size() const noexcept {
+    return heap_.size() - hole_;
+  }
   // caller-audit: test-only(EventQueue.CapacityHintAndClearKeepCapacity: it
   // observes that a cleared heap is reused without reallocating)
   [[nodiscard]] std::size_t capacity() const noexcept {
@@ -67,29 +80,40 @@ class EventQueue {
   /// allocated capacity, so a cleared heap is reusable allocation-free.
   void clear() noexcept {
     heap_.clear();
+    hole_ = false;
     next_seq_ = 0;
     STOSCHED_CONTRACT_CODE(has_last_pop_ = false;);
   }
 
   void reserve(std::size_t n) { heap_.reserve(n); }
 
-  /// Schedule an event; `seq` is assigned automatically.
+  /// Schedule an event; `seq` is assigned automatically. Fills the hole a
+  /// pop() left at the root, if there is one.
   void push(double time, std::uint32_t type, std::uint32_t a = 0,
             std::uint64_t b = 0) {
-    Event e{time, next_seq_++, type, a, b};
-    heap_.push_back(e);
-    sift_up(heap_.size() - 1);
+    const Event e{time, next_seq_++, type, a, b};
+    if (hole_) {
+      hole_ = false;
+      sift_down(0, e);
+    } else {
+      heap_.push_back(e);
+      sift_up(heap_.size() - 1, e);
+    }
   }
 
   /// The earliest event (smallest time, then smallest seq).
-  [[nodiscard]] const Event& top() const {
-    STOSCHED_ASSERT(!heap_.empty(), "top() on empty event heap");
+  [[nodiscard]] const Event& top() {
+    STOSCHED_ASSERT(!empty(), "top() on empty event heap");
+    settle();
     return heap_.front();
   }
 
+  /// Remove and return the earliest event. Its slot stays as a hole at the
+  /// root until the next push(), top() or pop().
   Event pop() {
-    STOSCHED_ASSERT(!heap_.empty(), "pop() on empty event heap");
-    Event out = heap_.front();
+    STOSCHED_ASSERT(!empty(), "pop() on empty event heap");
+    settle();
+    const Event out = heap_.front();
     // Pop monotonicity: the FES contract every simulator's clock rests on —
     // (time, seq) keys leave in nondecreasing order between clear()s.
     STOSCHED_INVARIANT(
@@ -98,9 +122,7 @@ class EventQueue {
         "event heap popped out of (time, seq) order");
     STOSCHED_CONTRACT_CODE(has_last_pop_ = true; last_pop_time_ = out.time;
                            last_pop_seq_ = out.seq;);
-    heap_.front() = heap_.back();
-    heap_.pop_back();
-    if (!heap_.empty()) sift_down(0);
+    hole_ = true;
     return out;
   }
 
@@ -112,8 +134,17 @@ class EventQueue {
     return x.seq < y.seq;
   }
 
-  void sift_up(std::size_t i) noexcept {
-    Event e = heap_[i];
+  /// Fill the root hole with the last entry, the classic pop.
+  void settle() noexcept {
+    if (!hole_) return;
+    hole_ = false;
+    const Event last = heap_.back();
+    heap_.pop_back();
+    if (!heap_.empty()) sift_down(0, last);
+  }
+
+  /// Place `e` at slot `i` or above it.
+  void sift_up(std::size_t i, const Event e) noexcept {
     while (i > 0) {
       const std::size_t parent = (i - 1) / kArity;
       if (!before(e, heap_[parent])) break;
@@ -123,8 +154,8 @@ class EventQueue {
     heap_[i] = e;
   }
 
-  void sift_down(std::size_t i) noexcept {
-    Event e = heap_[i];
+  /// Place `e` at slot `i` or below it; the entry at `i` is overwritten.
+  void sift_down(std::size_t i, const Event e) noexcept {
     const std::size_t n = heap_.size();
     for (;;) {
       const std::size_t first = kArity * i + 1;
@@ -142,6 +173,8 @@ class EventQueue {
 
   std::vector<Event> heap_;
   std::uint64_t next_seq_ = 0;
+  /// True while heap_[0] is the stale slot of the last pop().
+  bool hole_ = false;
   // Ghost state for the pop-monotonicity contract (absent in Release).
   STOSCHED_CONTRACT_STATE(bool has_last_pop_ = false;)
   STOSCHED_CONTRACT_STATE(double last_pop_time_ = 0.0;)

@@ -14,7 +14,12 @@
 //   * the FES loop with its warm-up hook, which adds its event count and
 //     wait histogram to the process-wide obs instruments when it ends.
 // The loop is a template on the handler, so dispatch inlines: there is no
-// std::function and no virtual call per event.
+// std::function and no virtual call per event. The FES holds only what a
+// handler cannot compute ahead: job events. Most handlers schedule one
+// event, and that push fills the hole the pop left at the heap root (see
+// EventQueue), so such an event costs the FES one sift. Deterministic
+// epochs stay out of it: simulate_network walks its sample grid alongside
+// the popped events and counts the samples itself.
 #pragma once
 
 #include <cstddef>

@@ -1,7 +1,14 @@
+// network.cpp — the multistation network simulator on the shared kernel.
+// Only job events (arrival epochs, service completions) enter the FES; the
+// trace's sample epochs form a fixed grid that simulate_network walks
+// alongside the popped events.
 #include "queueing/network.hpp"
+
+#include <limits>
 
 #include "des/event_queue.hpp"
 #include "des/fifo_arena.hpp"
+#include "obs/metrics.hpp"
 #include "queueing/kernel.hpp"
 #include "util/check.hpp"
 #include "util/stats.hpp"
@@ -83,7 +90,6 @@ std::vector<double> station_intensities(const NetworkConfig& config) {
 namespace {
 
 constexpr std::uint32_t kServiceDone = 1;
-constexpr std::uint32_t kSample = 2;
 
 }  // namespace
 
@@ -142,17 +148,36 @@ NetworkTrace simulate_network(const NetworkConfig& config, double horizon,
   };
 
   k.start_arrivals();
-  for (std::size_t s = 1; s <= samples; ++s)
-    k.events.push(
-        horizon * static_cast<double>(s) / static_cast<double>(samples),
-        kSample, 0);
+  // The trace samples the grid horizon·s/samples, s = 1..samples, without
+  // putting the sample epochs in the FES: each is taken just before the
+  // first popped event it precedes, the rest after the run. On an equal
+  // time a sample comes after the first arrival epochs (seqs
+  // 0..first_epochs-1 of the fresh kernel) and before every later event,
+  // the order the golden tests and perfbench/reference.json pin.
+  const std::uint64_t first_epochs = k.events.size();
+  std::size_t s = 0;
+  double next_sample = 0.0;
+  auto advance_sample = [&] {
+    next_sample = ++s <= samples ? horizon * static_cast<double>(s) /
+                                       static_cast<double>(samples)
+                                 : std::numeric_limits<double>::infinity();
+  };
+  advance_sample();
 
   NetworkTrace trace;
   trace.times.reserve(samples);
   trace.total_jobs.reserve(samples);
+  auto take_sample = [&] {
+    trace.times.push_back(next_sample);
+    trace.total_jobs.push_back(static_cast<double>(total_jobs));
+    advance_sample();
+  };
 
   // No warm-up: the trace covers the whole run from an empty network.
   k.run(horizon, 0.0, [] {}, [&](const Event& e) {
+    while (next_sample <= e.time &&
+           (next_sample < e.time || e.seq >= first_epochs))
+      take_sample();
     switch (e.type) {
       case kArrival: {
         const auto cls = static_cast<std::size_t>(e.a);
@@ -176,12 +201,11 @@ NetworkTrace simulate_network(const NetworkConfig& config, double horizon,
         start_if_idle(st);
         break;
       }
-      case kSample:
-        trace.times.push_back(k.now);
-        trace.total_jobs.push_back(static_cast<double>(total_jobs));
-        break;
     }
   });
+  while (next_sample <= horizon) take_sample();
+  // A sample is an event of the run, though it never enters the FES.
+  obs::record_events(trace.times.size());
 
   trace.mean_total = total_ta.finish(horizon);
   trace.final_total = trace.total_jobs.empty() ? 0.0 : trace.total_jobs.back();

@@ -101,7 +101,10 @@ struct NetworkTrace {
 };
 
 /// Run one replication. Deterministic in (config, horizon, samples, rng
-/// state).
+/// state). The trace holds `samples` snapshots, at horizon·s/samples for
+/// s = 1..samples; a snapshot at the time of a job event is taken before
+/// it, except before the first arrival epoch of a class. Each snapshot
+/// counts as one DES event.
 ///
 /// Randomness is split into per-purpose substreams derived from one draw of
 /// `rng` (per-class arrival stream, per-class service stream), so two

@@ -6,12 +6,6 @@
 
 namespace stosched {
 
-double Rng::exponential(double rate) noexcept {
-  // Inversion: -log(U)/rate with U in (0,1]; avoids the platform-dependent
-  // ziggurat in libstdc++.
-  return -std::log(uniform_pos()) / rate;
-}
-
 double inverse_normal_cdf(double p) {
   STOSCHED_REQUIRE(p > 0.0 && p < 1.0, "probability must lie in (0,1)");
   // Acklam's rational approximation with one Halley refinement step.

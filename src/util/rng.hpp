@@ -19,6 +19,7 @@
 #pragma once
 
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 
@@ -114,8 +115,11 @@ class Rng {
   /// Bernoulli(p) draw.
   bool bernoulli(double p) noexcept { return uniform() < p; }
 
-  /// Exponential(rate) draw via inversion; deterministic across platforms.
-  double exponential(double rate) noexcept;
+  /// Exponential(rate) draw via inversion: -log(U)/rate with U in (0,1];
+  /// avoids the platform-dependent ziggurat in libstdc++.
+  double exponential(double rate) noexcept {
+    return -std::log(uniform_pos()) / rate;
+  }
 
   /// Sample an index from a discrete distribution given its (non-normalized)
   /// weights. Linear scan — intended for small supports (job classes,

@@ -39,19 +39,6 @@ double RunningStat::ci_halfwidth(double alpha) const {
   return student_t_quantile(alpha, n_ - 1) * sem();
 }
 
-void TimeAverage::observe(double t, double value) noexcept {
-  if (!started_) {
-    started_ = true;
-    start_t_ = t;
-    last_t_ = t;
-    value_ = value;
-    return;
-  }
-  integral_ += value_ * (t - last_t_);
-  last_t_ = t;
-  value_ = value;
-}
-
 void TimeAverage::reset(double t) noexcept {
   integral_ = 0.0;
   start_t_ = t;

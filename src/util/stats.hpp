@@ -56,7 +56,18 @@ class RunningStat {
 /// calling `reset(t_warm)` once.
 class TimeAverage {
  public:
-  void observe(double t, double value) noexcept;
+  void observe(double t, double value) noexcept {
+    if (!started_) {
+      started_ = true;
+      start_t_ = t;
+      last_t_ = t;
+      value_ = value;
+      return;
+    }
+    integral_ += value_ * (t - last_t_);
+    last_t_ = t;
+    value_ = value;
+  }
   /// Drop everything accumulated so far and restart the integral at time t
   /// with the current value (used to discard a warm-up transient).
   void reset(double t) noexcept;

@@ -1,11 +1,15 @@
 // Tests for des/: heap ordering with tie-breaking (the determinism
-// guarantee), a randomized heap-property check, and the FifoArena ring
-// buffer against a std::deque reference.
+// guarantee), a randomized heap-property check, the EventQueue against an
+// ordered-set reference, and the FifoArena ring buffer against a std::deque
+// reference.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <deque>
 #include <initializer_list>
+#include <set>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -114,6 +118,69 @@ TEST(EventQueue, InterleavedPushPop) {
     EXPECT_GE(e.time, last);
     last = e.time;
     q.push(e.time + rng.uniform(0.0, 5.0), 0);
+  }
+}
+
+TEST(EventQueue, MatchesOrderedSetReference) {
+  // Randomized differential test against a std::set ordered on (time, seq):
+  // pops followed by a push (which fill the hole a pop leaves), pops with
+  // no push after them, pushes after a pop, clear() while a pop is
+  // pending, equal times, and size/empty/top in between. Times never go
+  // below the last popped one, as in a simulation.
+  using Key = std::tuple<double, std::uint64_t, std::uint32_t, std::uint32_t,
+                         std::uint64_t>;
+  auto key = [](const Event& e) {
+    return Key{e.time, e.seq, e.type, e.a, e.b};
+  };
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    EventQueue q;
+    std::set<Key> ref;
+    std::uint64_t ref_seq = 0;
+    std::vector<Key> got, want;
+    Rng rng(seed);
+    double now = 0.0;
+    auto push = [&] {
+      // A coarse grid makes equal times common, ties with `now` included.
+      const double t = now + 0.25 * static_cast<double>(rng.below(8));
+      const auto type = static_cast<std::uint32_t>(rng.below(4));
+      const auto a = static_cast<std::uint32_t>(rng.below(1000));
+      const std::uint64_t b = rng();
+      q.push(t, type, a, b);
+      ref.insert(Key{t, ref_seq++, type, a, b});
+    };
+    auto pop = [&] {
+      got.push_back(key(q.pop()));
+      want.push_back(*ref.begin());
+      ref.erase(ref.begin());
+      now = std::get<0>(want.back());
+      ASSERT_EQ(got.back(), want.back()) << "seed " << seed;
+    };
+    for (int op = 0; op < 20000; ++op) {
+      const double u = rng.uniform();
+      if (u < 0.36) {
+        push();
+      } else if (u < 0.72) {
+        if (ref.empty()) continue;
+        pop();
+        if (rng.bernoulli(0.5)) push();
+      } else if (u < 0.80) {
+        if (ref.empty()) continue;
+        ASSERT_EQ(key(q.top()), *ref.begin()) << "seed " << seed;
+      } else if (u < 0.995) {
+        ASSERT_EQ(q.size(), ref.size()) << "seed " << seed;
+        ASSERT_EQ(q.empty(), ref.empty()) << "seed " << seed;
+      } else {
+        if (!ref.empty()) pop();
+        q.clear();
+        ref.clear();
+        ref_seq = 0;
+        now = 0.0;
+        ASSERT_TRUE(q.empty());
+      }
+    }
+    while (!ref.empty()) pop();
+    EXPECT_TRUE(q.empty());
+    EXPECT_EQ(got, want) << "seed " << seed;
   }
 }
 

@@ -168,6 +168,31 @@ TEST(Network, CrnReplaysIdenticalWorkloadAcrossPriorities) {
   EXPECT_LT(std::abs(a.final_total - b.final_total), 50.0);
 }
 
+TEST(Network, SampleEpochsKeepTheirTieOrder) {
+  // Every arrival epoch and every sample epoch fall on the grid 500·s, so
+  // each sample ties with an arrival. The first arrival was scheduled
+  // before the samples and comes first: the sample at 500 sees its job.
+  // Every later arrival was scheduled after the samples, so the sample at
+  // 500·s (s >= 2) comes first and sees an empty network (a job leaves
+  // after ~1.4 time units).
+  auto cfg = lu_kumar_network(1.0, 0.01, 2.0 / 3.0, 0.01, 2.0 / 3.0, false);
+  cfg.classes[0].arrival = renewal_arrivals(deterministic_dist(500.0));
+  Rng rng(3);
+  const std::uint64_t events0 = obs::counter_value("events");
+  const NetworkTrace t = simulate_network(cfg, 4e4, 80, rng);
+  // 80 arrivals, 4 services for each job but the one arriving at the
+  // horizon, 80 samples.
+  EXPECT_EQ(obs::counter_value("events") - events0, 476u);
+  ASSERT_EQ(t.times.size(), 80u);
+  ASSERT_EQ(t.total_jobs.size(), 80u);
+  for (std::size_t s = 0; s < 80; ++s) {
+    EXPECT_EQ(t.times[s], 500.0 * static_cast<double>(s + 1)) << s;
+    EXPECT_EQ(t.total_jobs[s], s == 0 ? 1.0 : 0.0) << s;
+  }
+  EXPECT_EQ(t.mean_total, 0.0025892122253935866);
+  EXPECT_EQ(t.final_total, 0.0);
+}
+
 // ---------------------------------------------------------------------------
 // Parallel servers.
 // ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "batch/parallel_machines.hpp"
+#include "batch/single_machine.hpp"
 #include "experiment/engine.hpp"
 #include "queueing/fluid.hpp"
 #include "queueing/mg1_analytic.hpp"
@@ -351,6 +352,8 @@ TEST(Check, BadOrdersThrowInEveryOrderConsumer) {
     EXPECT_THROW(batch::simulate_list_policy(jobs, order, 1, rng),
                  std::invalid_argument);
     EXPECT_THROW(batch::exact_list_policy_discrete(discrete, order, 1),
+                 std::invalid_argument);
+    EXPECT_THROW(batch::exact_weighted_flowtime(jobs, order),
                  std::invalid_argument);
   }
 }

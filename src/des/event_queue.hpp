@@ -70,19 +70,10 @@ class EventQueue {
   [[nodiscard]] std::size_t size() const noexcept {
     return heap_.size() - hole_;
   }
-  // caller-audit: test-only(EventQueue.CapacityHintAndClearKeepCapacity: it
-  // observes that a cleared heap is reused without reallocating)
+  // caller-audit: test-only(EventQueue.CapacityHintPresizesTheHeap: it
+  // observes that the capacity hint allocates the heap up front)
   [[nodiscard]] std::size_t capacity() const noexcept {
     return heap_.capacity();
-  }
-
-  /// Drop all pending events and restart the tie-break sequence. Keeps the
-  /// allocated capacity, so a cleared heap is reusable allocation-free.
-  void clear() noexcept {
-    heap_.clear();
-    hole_ = false;
-    next_seq_ = 0;
-    STOSCHED_CONTRACT_CODE(has_last_pop_ = false;);
   }
 
   void reserve(std::size_t n) { heap_.reserve(n); }
@@ -115,7 +106,7 @@ class EventQueue {
     settle();
     const Event out = heap_.front();
     // Pop monotonicity: the FES contract every simulator's clock rests on —
-    // (time, seq) keys leave in nondecreasing order between clear()s.
+    // (time, seq) keys leave in nondecreasing order over the queue's lifetime.
     STOSCHED_INVARIANT(
         !has_last_pop_ || out.time > last_pop_time_ ||
             (out.time == last_pop_time_ && out.seq > last_pop_seq_),

@@ -1,12 +1,11 @@
-// fifo_arena.hpp — a reusable ring-buffer FIFO for simulator job records.
+// fifo_arena.hpp — a ring-buffer FIFO for simulator job records.
 //
 // The event-driven simulators used to keep their waiting-job queues in
 // std::deque, whose chunked storage allocates and frees throughout a
 // replication — pure churn on the hot path, repeated for every replication
 // the engine fans out. FifoArena replaces it with a power-of-two ring
-// buffer over one contiguous allocation, mirroring the EventQueue
-// capacity-hint idiom: reserve once up front, then clear-don't-free, so a
-// replication's queue operations are allocation-free after warm-up and the
+// buffer over one contiguous allocation that doubles when full, so once a
+// queue reaches its working size its operations are allocation-free and the
 // records sit contiguously in cache order.
 //
 // Supported operations are exactly what the simulators need: FIFO
@@ -27,28 +26,8 @@ namespace stosched {
 template <class T>
 class FifoArena {
  public:
-  FifoArena() = default;
-
-  /// Pre-size to at least `n` slots (rounded up to a power of two), so
-  /// steady-state simulation never reallocates.
-  explicit FifoArena(std::size_t n) { reserve(n); }
-
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
-  // caller-audit: test-only(FifoArena.ReserveKeepsClearAllocationFree: it
-  // observes that a reserved, cleared arena does not reallocate)
-  [[nodiscard]] std::size_t capacity() const noexcept { return buf_.size(); }
-
-  void reserve(std::size_t n) {
-    if (n > buf_.size()) rebuild(round_up_pow2(n));
-  }
-
-  /// Drop all entries, keeping the allocation — the clear-don't-free half
-  /// of the arena contract.
-  void clear() noexcept {
-    head_ = 0;
-    size_ = 0;
-  }
 
   void push_back(const T& value) {
     if (size_ == buf_.size()) grow();
@@ -89,12 +68,6 @@ class FifoArena {
     STOSCHED_INVARIANT(head_ <= mask_, "FifoArena head outside the ring");
     STOSCHED_INVARIANT(size_ <= buf_.size(), "FifoArena overfull");
   }
-  static std::size_t round_up_pow2(std::size_t n) noexcept {
-    std::size_t c = kMinCapacity;
-    while (c < n) c <<= 1;
-    return c;
-  }
-
   void grow() { rebuild(buf_.empty() ? kMinCapacity : buf_.size() * 2); }
 
   /// Reallocate to `cap` slots (a power of two), un-wrapping the ring so

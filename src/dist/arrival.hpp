@@ -64,8 +64,6 @@ class ArrivalProcess {
 
   /// Asymptotic index of dispersion of counts, lim_t Var N(t) / E N(t).
   /// 1 for Poisson; for a renewal process this equals the interarrival SCV.
-  // caller-audit: test-only(Arrival.BurstyFamilyHitsRateAndBurstiness: the
-  // closed-form IDC is the oracle for bursty_arrivals' switch rates)
   virtual double burstiness() const = 0;
 
   /// Time from the current arrival epoch to the next one, advancing `state`.

@@ -53,7 +53,6 @@ struct Basis {
   std::vector<VarStatus> status;   ///< vars + rows entries
   std::vector<std::uint32_t> basic;  ///< per row: index of its basic variable
 
-  [[nodiscard]] bool empty() const { return status.empty(); }
   /// Structurally usable for a problem with the given shape?
   [[nodiscard]] bool matches(std::size_t n_vars, std::size_t n_rows) const;
 };

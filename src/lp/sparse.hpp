@@ -98,7 +98,6 @@ struct Eta {
 class EtaFile {
  public:
   void clear() { etas_.clear(); }
-  [[nodiscard]] std::size_t size() const { return etas_.size(); }
 
   /// Append the eta that maps the column w, as ftran() left it, to e_pivot.
   /// Entries below drop_tol are discarded; a column that is already e_pivot

@@ -29,6 +29,27 @@ std::pair<double, std::size_t> backup(const FiniteMdp& mdp, double beta,
   return {best, best_a};
 }
 
+/// evaluate_policy without the input check, for policy_iteration, which
+/// checks its MDP once.
+std::vector<double> evaluate(const FiniteMdp& mdp, double beta,
+                             const std::vector<std::size_t>& policy) {
+  const std::size_t n = mdp.num_states();
+  STOSCHED_REQUIRE(policy.size() == n, "policy size must match state count");
+  // Solve (I - beta P) v = r.
+  std::vector<double> a(n * n, 0.0), b(n, 0.0);
+  for (std::size_t s = 0; s < n; ++s) {
+    const auto acts = mdp.actions(s);
+    STOSCHED_REQUIRE(policy[s] < acts.size(), "policy picks missing action");
+    const Action& act = acts[policy[s]];
+    a[s * n + s] = 1.0;
+    for (const auto& tr : act.transitions) a[s * n + tr.state] -= beta * tr.prob;
+    b[s] = act.reward;
+  }
+  const bool ok = solve_linear_system(a, b, n);
+  STOSCHED_ASSERT(ok, "policy evaluation system is singular");
+  return b;
+}
+
 }  // namespace
 
 bool solve_linear_system(std::vector<double>& a, std::vector<double>& b,
@@ -71,6 +92,7 @@ bool solve_linear_system(std::vector<double>& a, std::vector<double>& b,
 DiscountedSolution value_iteration(const FiniteMdp& mdp, double beta,
                                    double tol, std::size_t max_iter) {
   STOSCHED_REQUIRE(beta > 0.0 && beta < 1.0, "discount must lie in (0,1)");
+  mdp.validate();
   const std::size_t n = mdp.num_states();
   DiscountedSolution out;
   out.value.assign(n, 0.0);
@@ -99,32 +121,20 @@ DiscountedSolution value_iteration(const FiniteMdp& mdp, double beta,
 
 std::vector<double> evaluate_policy(const FiniteMdp& mdp, double beta,
                                     const std::vector<std::size_t>& policy) {
-  const std::size_t n = mdp.num_states();
-  STOSCHED_REQUIRE(policy.size() == n, "policy size must match state count");
-  // Solve (I - beta P) v = r.
-  std::vector<double> a(n * n, 0.0), b(n, 0.0);
-  for (std::size_t s = 0; s < n; ++s) {
-    const auto acts = mdp.actions(s);
-    STOSCHED_REQUIRE(policy[s] < acts.size(), "policy picks missing action");
-    const Action& act = acts[policy[s]];
-    a[s * n + s] = 1.0;
-    for (const auto& tr : act.transitions) a[s * n + tr.state] -= beta * tr.prob;
-    b[s] = act.reward;
-  }
-  const bool ok = solve_linear_system(a, b, n);
-  STOSCHED_ASSERT(ok, "policy evaluation system is singular");
-  return b;
+  mdp.validate();
+  return evaluate(mdp, beta, policy);
 }
 
 DiscountedSolution policy_iteration(const FiniteMdp& mdp, double beta,
                                     std::size_t max_iter) {
   STOSCHED_REQUIRE(beta > 0.0 && beta < 1.0, "discount must lie in (0,1)");
+  mdp.validate();
   const std::size_t n = mdp.num_states();
   DiscountedSolution out;
   out.policy.assign(n, 0);
   out.value.assign(n, 0.0);
   for (out.iterations = 0; out.iterations < max_iter; ++out.iterations) {
-    out.value = evaluate_policy(mdp, beta, out.policy);
+    out.value = evaluate(mdp, beta, out.policy);
     bool changed = false;
     for (std::size_t s = 0; s < n; ++s) {
       const auto [val, act] = backup(mdp, beta, out.value, s);
@@ -143,6 +153,7 @@ DiscountedSolution policy_iteration(const FiniteMdp& mdp, double beta,
 
 AverageSolution relative_value_iteration(const FiniteMdp& mdp, double tol,
                                          std::size_t max_iter) {
+  mdp.validate();
   const std::size_t n = mdp.num_states();
   AverageSolution out;
   out.bias.assign(n, 0.0);
@@ -190,6 +201,7 @@ double average_reward_of_policy(const FiniteMdp& mdp,
                                 const std::vector<std::size_t>& policy) {
   // Unichain evaluation equations: g + h(s) = r(s) + sum_j P(s,j) h(j),
   // with the normalization h(0) = 0. Unknowns: [g, h(1), ..., h(n-1)].
+  mdp.validate();
   const std::size_t n = mdp.num_states();
   STOSCHED_REQUIRE(policy.size() == n, "policy size must match state count");
   std::vector<double> a(n * n, 0.0), b(n, 0.0);
@@ -211,6 +223,7 @@ double average_reward_of_policy(const FiniteMdp& mdp,
 double average_reward_of_policy_iterative(
     const FiniteMdp& mdp, const std::vector<std::size_t>& policy, double tol,
     std::size_t max_iter) {
+  mdp.validate();
   const std::size_t n = mdp.num_states();
   STOSCHED_REQUIRE(policy.size() == n, "policy size must match state count");
   std::vector<double> h(n, 0.0), next(n, 0.0);

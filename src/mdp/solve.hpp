@@ -11,6 +11,9 @@
 //                         bias, used by the restless-bandit experiments that
 //                         follow Whittle's time-average formulation.
 // * evaluate_policy     — value of a fixed stationary policy (dense solve).
+//
+// Every solver below checks its MDP with FiniteMdp::validate() once, on
+// entry, and throws std::invalid_argument on a malformed one.
 #pragma once
 
 #include <vector>

@@ -15,6 +15,15 @@
 
 namespace stosched::queueing {
 
+namespace {
+
+/// Effective external arrival rate of a network class.
+double network_class_rate(const NetworkClass& c) {
+  return c.arrival ? c.arrival->rate() : c.arrival_rate;
+}
+
+}  // namespace
+
 void NetworkConfig::validate() const {
   STOSCHED_REQUIRE(!classes.empty(), "network needs at least one class");
   STOSCHED_REQUIRE(num_stations >= 1, "network needs at least one station");
@@ -49,10 +58,6 @@ void NetworkConfig::validate() const {
           "station priority must list every class at the station exactly "
           "once; an omitted class would never be served (silent starvation)");
   }
-}
-
-double network_class_rate(const NetworkClass& c) {
-  return c.arrival ? c.arrival->rate() : c.arrival_rate;
 }
 
 double network_class_service_mean(const NetworkClass& c) {

@@ -62,9 +62,6 @@ struct NetworkClass {
   static constexpr std::size_t kExit = SIZE_MAX;
 };
 
-/// Effective external arrival rate of a network class.
-double network_class_rate(const NetworkClass& c);
-
 /// Effective mean service time of a network class: `service->mean()` when a
 /// law is attached, `service_mean` otherwise.
 double network_class_service_mean(const NetworkClass& c);

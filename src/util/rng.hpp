@@ -14,14 +14,14 @@
 //      a stream-salt, giving 2^64 well-separated streams.
 //   3. *Speed*: xoshiro256++ is ~0.8 ns/draw and passes BigCrush.
 //
-// The class satisfies std::uniform_random_bit_generator, so it can also be
-// plugged into <random> machinery where determinism is not required.
+// The class is deliberately not a std::uniform_random_bit_generator (it has
+// no min()/max()): every draw goes through its own samplers, and the lint
+// forbids <random>.
 #pragma once
 
 #include <array>
 #include <cmath>
 #include <cstdint>
-#include <limits>
 
 namespace stosched {
 
@@ -60,11 +60,6 @@ class Rng {
     child.seed_material_ = sm;
     for (auto& w : child.state_) w = splitmix64(sm);
     return child;
-  }
-
-  static constexpr result_type min() noexcept { return 0; }
-  static constexpr result_type max() noexcept {
-    return std::numeric_limits<result_type>::max();
   }
 
   result_type operator()() noexcept {

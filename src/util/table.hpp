@@ -57,7 +57,6 @@ class Table {
     return verdicts_;
   }
 
-  [[nodiscard]] std::size_t rows() const noexcept { return rows_.size(); }
   [[nodiscard]] bool all_checks_passed() const noexcept { return all_pass_; }
 
  private:

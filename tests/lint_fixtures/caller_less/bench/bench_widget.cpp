@@ -7,7 +7,11 @@ struct Meta {
 };
 
 int main() {
+  namespace w = stosched::widget;
   const Meta meta;
-  const fixture::Widget w;
-  return fixture::used_by_bench(meta.spread) + w.scale(1.0) > 0.0 ? 0 : 1;
+  const w::Widget widget;
+  return w::used_by_bench(meta.spread) + widget.scale(1.0) + widget(1.0) +
+                     w::stale(1.0) > 0.0
+             ? 0
+             : 1;
 }

@@ -1,43 +1,54 @@
-// Fixture: caller-less (tools/ast_audit.py).
+// Fixture: tools/reach_audit.py, which compiles and links this toy tree.
 //
-// Public functions of a toy module. Each has the callers its name says; the
-// rule must flag `orphan` (only a test and its own body call it), the three
-// functions whose names only collide with other things (a local variable, a
-// data member, an override) and the two broken annotations, and stay quiet
-// for everything else.
+// Each function has the callers its name says. The audit must flag orphan
+// (only a test calls it), Widget::rescale (only a test calls it) and its
+// private helper Widget::half, which only rescale reaches, weights and
+// spread (only a local variable and a data member share their names), and
+// the annotations on missing_test, empty_reason and stale (bench/ calls
+// it). It must stay quiet for everything else.
 #pragma once
 
-namespace fixture {
+namespace stosched::widget {
 
-double orphan(double x);  // BAD: no production caller
+double orphan(double x);
 double used_by_bench(double x);
 double used_by_perfbench(double x);
 double used_by_example(double x);
 double used_in_src(double x);
-double weights(double x);  // BAD: widget.cpp only names a local variable
-double spread(double x);   // BAD: bench/ only reads a data member
+double weights(double x);
+double spread(double x);
 
 // caller-audit: test-only(Widget.OracleAgrees: reference for used_in_src)
 double oracle(double x);
 
 // caller-audit: test-only(Widget.NoSuchTest: names a test that is missing)
-double missing_test(double x);  // BAD: the named test does not exist
+double missing_test(double x);
 
 // caller-audit: test-only(Widget.OracleAgrees: )
-double empty_reason(double x);  // BAD: the annotation gives no reason
+double empty_reason(double x);
 
-struct Shape {
-  virtual ~Shape() = default;
-  virtual double area() const = 0;  // BAD: only an override names it
-};
+// caller-audit: test-only(Widget.OracleAgrees: a production caller exists)
+double stale(double x);
 
-struct Widget {
-  Widget();  // constructors, operators and overrides are not audited
+class Widget {
+ public:
   double operator()(double x) const;
-  double scale(double x) const;
+  double scale(double x) const { return x * unit(); }
+  double rescale(double x) const { return x * half(); }
 
  private:
-  double hidden() const;  // private members are not audited
+  double unit() const { return 1.0; }
+  double half() const { return 0.5; }
 };
 
-}  // namespace fixture
+/// Production instantiates Box<double>; only a test instantiates holds(),
+/// on Box<int>, so only a test binary defines it.
+template <class T>
+struct Box {
+  T value{};
+  T get() const { return value; }
+  // caller-audit: test-only(Widget.OracleAgrees: observes the stored value)
+  bool holds(T v) const { return value == v; }
+};
+
+}  // namespace stosched::widget

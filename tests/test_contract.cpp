@@ -62,11 +62,11 @@ TEST(ContractMacrosTest, FailingContractAborts) {
 // The pop-monotonicity and ring contracts must NOT fire on legitimate use:
 // run each contract-carrying structure through a representative workload in
 // whatever build configuration this test was compiled under. In armed
-// builds this exercises the ghost-state bookkeeping (including the clear()
-// reset); in Release it documents the workload stays valid.
+// builds this exercises the ghost-state bookkeeping; in Release it documents
+// the workload stays valid.
 TEST(ContractedStructuresTest, EventHeapLegitimateUseIsContractClean) {
-  EventQueue q;
   for (int round = 0; round < 3; ++round) {
+    EventQueue q;  // each replication builds its own future-event set
     for (int i = 0; i < 100; ++i) q.push(double((i * 37) % 50), 0, 0, 0);
     double last = -1.0;
     while (!q.empty()) {
@@ -74,7 +74,6 @@ TEST(ContractedStructuresTest, EventHeapLegitimateUseIsContractClean) {
       EXPECT_GE(e.time, last);
       last = e.time;
     }
-    q.clear();  // must reset the ghost last-pop key: round 2 re-pops time 0
   }
 }
 

@@ -46,25 +46,13 @@ TEST(EventQueue, PayloadsSurvive) {
   EXPECT_EQ(e.b, 99u);
 }
 
-TEST(EventQueue, ClearResets) {
-  EventQueue q;
-  q.push(1.0, 0);
-  q.clear();
-  EXPECT_TRUE(q.empty());
-  EXPECT_EQ(q.size(), 0u);
-}
-
-TEST(EventQueue, CapacityHintAndClearKeepCapacity) {
+TEST(EventQueue, CapacityHintPresizesTheHeap) {
   EventQueue q(256);
-  EXPECT_GE(q.capacity(), 256u);
-  for (int i = 0; i < 200; ++i) q.push(static_cast<double>(i), 0);
   const std::size_t cap = q.capacity();
-  q.clear();
-  // A cleared heap is reusable without reallocating: capacity survives and
-  // the tie-break sequence restarts.
+  EXPECT_GE(cap, 256u);
+  // Pushes within the hint do not reallocate.
+  for (int i = 0; i < 200; ++i) q.push(static_cast<double>(i), 0);
   EXPECT_EQ(q.capacity(), cap);
-  EXPECT_TRUE(q.empty());
-  q.push(3.0, 7);
   EXPECT_EQ(q.top().seq, 0u);
 }
 
@@ -124,9 +112,9 @@ TEST(EventQueue, InterleavedPushPop) {
 TEST(EventQueue, MatchesOrderedSetReference) {
   // Randomized differential test against a std::set ordered on (time, seq):
   // pops followed by a push (which fill the hole a pop leaves), pops with
-  // no push after them, pushes after a pop, clear() while a pop is
-  // pending, equal times, and size/empty/top in between. Times never go
-  // below the last popped one, as in a simulation.
+  // no push after them, pushes after a pop, equal times, and
+  // size/empty/top in between. Times never go below the last popped one,
+  // as in a simulation.
   using Key = std::tuple<double, std::uint64_t, std::uint32_t, std::uint32_t,
                          std::uint64_t>;
   auto key = [](const Event& e) {
@@ -166,16 +154,9 @@ TEST(EventQueue, MatchesOrderedSetReference) {
       } else if (u < 0.80) {
         if (ref.empty()) continue;
         ASSERT_EQ(key(q.top()), *ref.begin()) << "seed " << seed;
-      } else if (u < 0.995) {
+      } else {
         ASSERT_EQ(q.size(), ref.size()) << "seed " << seed;
         ASSERT_EQ(q.empty(), ref.empty()) << "seed " << seed;
-      } else {
-        if (!ref.empty()) pop();
-        q.clear();
-        ref.clear();
-        ref_seq = 0;
-        now = 0.0;
-        ASSERT_TRUE(q.empty());
       }
     }
     while (!ref.empty()) pop();
@@ -186,7 +167,7 @@ TEST(EventQueue, MatchesOrderedSetReference) {
 
 TEST(FifoArena, MatchesDequeReference) {
   // Randomized differential test against std::deque, covering wrap-around,
-  // growth mid-stream, push_front (the preemption path), and clear-reuse.
+  // growth mid-stream and push_front (the preemption path).
   FifoArena<int> arena;
   std::deque<int> ref;
   Rng rng(7);
@@ -201,15 +182,10 @@ TEST(FifoArena, MatchesDequeReference) {
       arena.push_front(next);
       ref.push_front(next);
       ++next;
-    } else if (u < 0.98) {
-      if (!ref.empty()) {
-        ASSERT_EQ(arena.front(), ref.front());
-        arena.pop_front();
-        ref.pop_front();
-      }
-    } else {
-      arena.clear();
-      ref.clear();
+    } else if (!ref.empty()) {
+      ASSERT_EQ(arena.front(), ref.front());
+      arena.pop_front();
+      ref.pop_front();
     }
     ASSERT_EQ(arena.size(), ref.size());
     ASSERT_EQ(arena.empty(), ref.empty());
@@ -219,16 +195,6 @@ TEST(FifoArena, MatchesDequeReference) {
     arena.pop_front();
     ref.pop_front();
   }
-}
-
-TEST(FifoArena, ReserveKeepsClearAllocationFree) {
-  FifoArena<double> arena(100);
-  const std::size_t cap = arena.capacity();
-  EXPECT_GE(cap, 100u);
-  for (int i = 0; i < 100; ++i) arena.push_back(1.0);
-  arena.clear();
-  EXPECT_EQ(arena.capacity(), cap);
-  EXPECT_TRUE(arena.empty());
 }
 
 TEST(FifoArena, GrowthUnwrapsRing) {

@@ -399,7 +399,7 @@ TEST(RevisedSimplex, WarmStartTakesFewerIterations) {
   Basis basis;
   const auto first = solve_revised(p, basis);
   ASSERT_TRUE(first.optimal());
-  ASSERT_FALSE(basis.empty());
+  ASSERT_FALSE(basis.status.empty());
 
   for (auto& c : p.constraints) c.rhs *= rng.uniform(1.0, 1.05);
   for (auto& c : p.costs) c *= rng.uniform(1.0, 1.02);

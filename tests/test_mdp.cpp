@@ -156,6 +156,26 @@ TEST(FiniteMdp, ValidateCatchesEmptyState) {
   EXPECT_THROW(m.validate(), std::invalid_argument);
 }
 
+TEST(FiniteMdp, EverySolverEntryValidatesItsInput) {
+  // A state with no action, and an action whose probabilities sum to 0.9:
+  // each public solver must reject both before it iterates.
+  FiniteMdp empty_state(2);
+  empty_state.add_action(0, {1.0, {{0, 1.0}}, 0});
+  FiniteMdp short_row(2);
+  short_row.add_action(0, {1.0, {{0, 0.5}, {1, 0.4}}, 0});
+  short_row.add_action(1, {0.0, {{1, 1.0}}, 0});
+  const std::vector<std::size_t> policy{0, 0};
+  for (const FiniteMdp* m : {&empty_state, &short_row}) {
+    EXPECT_THROW(value_iteration(*m, 0.9), std::invalid_argument);
+    EXPECT_THROW(policy_iteration(*m, 0.9), std::invalid_argument);
+    EXPECT_THROW(evaluate_policy(*m, 0.9, policy), std::invalid_argument);
+    EXPECT_THROW(relative_value_iteration(*m), std::invalid_argument);
+    EXPECT_THROW(average_reward_of_policy(*m, policy), std::invalid_argument);
+    EXPECT_THROW(average_reward_of_policy_iterative(*m, policy),
+                 std::invalid_argument);
+  }
+}
+
 TEST(ValueIteration, RejectsBadDiscount) {
   const auto m = two_state_toy();
   EXPECT_THROW(value_iteration(m, 1.0), std::invalid_argument);

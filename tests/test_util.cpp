@@ -292,8 +292,8 @@ TEST(Table, RendersAllRowsAndVerdicts) {
   EXPECT_NE(s.find("bb"), std::string::npos);
   EXPECT_NE(s.find("PASS"), std::string::npos);
   EXPECT_NE(s.find("a note"), std::string::npos);
+  EXPECT_NE(s.find("| 1 | 2  |\n| 3 | 4  |\n"), std::string::npos) << s;
   EXPECT_TRUE(t.all_checks_passed());
-  EXPECT_EQ(t.rows(), 2u);
 }
 
 TEST(Table, FailedVerdictFlips) {

@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """ast_audit.py -- semantic determinism/RNG audits for libstosched.
 
-Four rules that line-oriented regexes cannot express (they need function
-extents, parameter identity, use-site context or the whole tree), enforced
-as the tier-1 ctest `ast_audit`:
+Three rules that line-oriented regexes cannot express (they need function
+extents, parameter identity or use-site context), enforced as the tier-1
+ctest `ast_audit`. Whether a function has a production caller is a question
+for the linker, not for this file: see tools/reach_audit.py.
 
   rng-laundering
       A function that RECEIVES an `Rng&` parameter is a router, not a
@@ -44,33 +45,6 @@ as the tier-1 ctest `ast_audit`:
       top-level statements. See src/util/contract.hpp for the
       REQUIRE-vs-EXPECTS division of labor.
 
-  caller-less
-      Every function name declared in src/**/*.hpp (free functions and
-      public members; constructors, destructors, operators and overrides
-      skipped; an overload set is one name) needs a production caller: a
-      use of the name in src/, bench/, perfbench/ or examples/. Only these
-      forms are uses of `f`:
-        * a call `f(` or `f<...>(` that is not a declaration `T f(` (after
-          `return`, `throw`, `else`, `case`, ... it is still a call);
-        * a member call `.f(` or `->f(` -- a plain `.f` or `->f` reads a
-          data member;
-        * a qualified name `::f`;
-        * an address `&f` (a reference declarator `T& f` reads the same).
-      The declarations and definitions of every function named `f`,
-      overrides included, are its own: a use inside them is no caller, so an
-      override does not call its base. The rule keys on names, so it cannot
-      tell apart same-named members of different classes. A use in tests/
-      never counts. A function that only a test needs says which test and
-      why:
-
-          // caller-audit: test-only(Suite.Name: <why the test needs it>)
-
-      placed on or up to three lines above the declaration. The annotation
-      is itself a finding when Suite.Name matches no TEST/TEST_P/TEST_F in
-      tests/, when the reason is empty, when the function has a production
-      caller after all, or when no declaration follows it
-      (tests/lint_fixtures/caller_less/ is a toy tree that pins the cases).
-
 Backends:
   --backend textual   (default) stdlib-only tokenizer + brace matching;
                       runs everywhere, gates the build as a ctest.
@@ -78,9 +52,7 @@ Backends:
                       compile database (CMAKE_EXPORT_COMPILE_COMMANDS=ON)
                       for the two AST-shaped rules; entry-contract stays
                       textual even here because contracts are macros and
-                      the AST only sees their expansion, and so does
-                      caller-less, which reads bench/, perfbench/ and
-                      examples/ that the compile database may not cover.
+                      the AST only sees their expansion.
                       Used by the arch-and-ast CI job where clang-18 is
                       installed.
 """
@@ -88,7 +60,6 @@ Backends:
 from __future__ import annotations
 
 import argparse
-import collections
 import json
 import os
 import re
@@ -113,16 +84,6 @@ SINK_RE = re.compile(r"//\s*rng-audit:\s*sink\(\s*([^\s)][^\n]*)")
 SAMPLE_CALL_RE = re.compile(r"\bsample\s*\(\s*\Z")
 UNORDERED_DECL_RE = re.compile(r"\bstd\s*::\s*unordered_(?:map|set)\s*<")
 ORDERED_DECL_RE = re.compile(r"\bstd\s*::\s*(?:multi)?(?:map|set)\s*<")
-CALLER_DIRS = ("bench", "perfbench", "examples")
-# Words after which `f(` is a call, where any other word makes it a
-# declaration `T f(`.
-CALL_KEYWORDS = frozenset(("return", "co_return", "co_yield", "co_await",
-                           "throw", "else", "case", "do", "and", "or",
-                           "not"))
-CALLER_AUDIT_RE = re.compile(r"//\s*caller-audit:\s*test-only\(([^\n]*)")
-TEST_DECL_RE = re.compile(r"\bTEST(?:_P|_F)?\s*\(\s*(\w+)\s*,\s*(\w+)\s*\)")
-CLASS_HEAD_RE = re.compile(r"\s*(?:template\s*<[^{;]*>\s*)?(class|struct|union)"
-                           r"\b\s*(?:alignas\s*\([^)]*\)\s*)?(\w*)")
 
 
 class Violation:
@@ -448,317 +409,6 @@ def check_entry_contract(rel: str, stripped: str) -> list:
 
 
 # ---------------------------------------------------------------------------
-# textual backend: caller-less public functions
-# ---------------------------------------------------------------------------
-
-# One function declared or defined at namespace or class scope. `start`..
-# `end` spans the whole statement, through the closing brace of a body when
-# there is one: the name's own declaration and definition.
-FunctionDecl = collections.namedtuple("FunctionDecl",
-                                      "name pos start end public audited")
-
-
-def blank_preprocessor(text: str) -> str:
-    """Blank `#...` lines (and their `\\` continuations), keeping offsets."""
-    out = []
-    continued = False
-    for line in text.splitlines(keepends=True):
-        if continued or line.lstrip().startswith("#"):
-            continued = line.rstrip("\n").endswith("\\")
-            out.append(re.sub(r"[^\n]", " ", line))
-        else:
-            out.append(line)
-    return "".join(out)
-
-
-def parse_function_head(text: str, cls: str):
-    """(name, offset of name, audited) when `text` is the head of a function
-    declaration or definition, else None. Constructors, destructors,
-    operators, overrides, deleted functions and macros are functions the
-    caller-less rule does not audit."""
-    # An operator's symbol (`operator<`, `operator()`) is blanked, so its
-    # head reads as a function named `operator`.
-    text = re.sub(r"\boperator\s*(?:\(\s*\)|[^\w\s(]+)",
-                  lambda m: "operator" + " " * (len(m.group(0)) - 8), text)
-    i = 0
-    while True:  # leading template headers
-        m = re.compile(r"\s*template\s*<").match(text, i)
-        if not m:
-            break
-        i = match_angle(text, m.end() - 1)
-        if i < 0:
-            return None
-    if re.compile(r"\s*(?:using|typedef|static_assert)\b").match(text, i):
-        return None
-    depth = 0
-    open_idx = -1
-    for k in range(i, len(text)):
-        c = text[k]
-        if c == "<":
-            depth += 1
-        elif c == ">" and depth:
-            depth -= 1
-        elif depth == 0 and c in "={":
-            return None  # a variable and its initializer
-        elif depth == 0 and c == "(":
-            open_idx = k
-            break
-    head = re.search(r"(?:(\w+)\s*::\s*)?(~?)\s*(\w+)\s*\Z",
-                     text[i:open_idx]) if open_idx >= 0 else None
-    if not head:
-        return None
-    name = head.group(3)
-    close = match_paren(text, open_idx)
-    audited = not (
-        head.group(2) or name in (cls, head.group(1)) or name.isupper() or
-        not text[i:i + head.start()].strip() or
-        re.search(r"\boperator\b", text[i:open_idx]) or
-        name in ("alignas", "decltype", "sizeof", "noexcept") or
-        re.search(r"\boverride\b|=\s*delete\b",
-                  text[close + 1:] if close >= 0 else ""))
-    return name, i + head.start(3), audited
-
-
-def body_open(text: str, decl_close: int) -> int:
-    """Index of the `{` that opens the body of the function whose parameter
-    list closes at `decl_close`, skipping a constructor's member-initializer
-    list (a `{` glued to a member name is a brace-init, not the body)."""
-    i = decl_close + 1
-    init_list = False
-    while i < len(text):
-        c = text[i]
-        prev = prev_nonspace(text, i - 1)
-        if c == "(":
-            i = match_paren(text, i)
-        elif c == ":" and ":" not in (prev, text[i + 1:i + 2]):
-            init_list = True
-        elif c == "{":
-            if init_list and (prev.isalnum() or prev in "_>"):
-                i = match_brace(text, i)
-            else:
-                return i
-        elif c == ";":
-            return -1
-        if i < 0:
-            return -1
-        i += 1
-    return -1
-
-
-def function_decls(stripped: str) -> list:
-    """Every function declared or defined at namespace or class scope, with
-    whether it is public (namespace scope, or a public member of a public
-    class) and whether caller-less audits it. Function bodies and
-    initializers are opaque."""
-    text = blank_preprocessor(stripped)
-    out = []
-    # scope: [kind, class name, enclosing publicity, current access]
-    stack = [["namespace", "", True, True]]
-    stmt = 0
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c == "(":  # a parameter list: its braces open no scope
-            i = match_paren(text, i)
-            if i < 0:
-                break
-        if c not in ";{}":
-            i += 1
-            continue
-        scope = stack[-1]
-        prefix = text[stmt:i]
-        label = re.match(r"(?:\s*(public|private|protected)\s*:(?!:))+",
-                         prefix)
-        if label:
-            scope[3] = label.group(1) == "public"
-            stmt += label.end()
-            prefix = text[stmt:i]
-        public = scope[2] and scope[3]
-        if c == "}":
-            if len(stack) > 1:
-                stack.pop()
-            stmt = i + 1
-        elif c == ";":
-            head = parse_function_head(prefix, scope[1])
-            if head:
-                out.append(FunctionDecl(head[0], stmt + head[1], stmt, i,
-                                        public, head[2]))
-            stmt = i + 1
-        elif re.search(r"\bnamespace\b|^\s*extern\s*$", prefix):
-            stack.append(["namespace", "", public, True])
-            stmt = i + 1
-        elif re.search(r"\benum\b", prefix):
-            i = match_brace(text, i)
-            if i < 0:
-                break
-            stmt = i + 1
-        elif cls := CLASS_HEAD_RE.match(prefix):
-            stack.append(["class", cls.group(2), public,
-                          cls.group(1) != "class"])
-            stmt = i + 1
-        else:
-            head = parse_function_head(prefix, scope[1])
-            if head:
-                open_paren = text.index("(", stmt + head[1])
-                body = body_open(text, match_paren(text, open_paren))
-                close = match_brace(text, body) if body >= 0 else -1
-                if close < 0:
-                    break
-                out.append(FunctionDecl(head[0], stmt + head[1], stmt,
-                                        close, public, head[2]))
-                i = close
-                stmt = i + 1
-            else:  # brace initializer: the statement runs on to its `;`
-                i = match_brace(text, i)
-                if i < 0:
-                    break
-        i += 1
-    return out
-
-
-def cxx_sources(root: Path, sub: str) -> list:
-    """(rel, stripped text) of every C++ file under root/sub, lint fixtures
-    excluded."""
-    out = []
-    for p in sorted((root / sub).rglob("*")):
-        rel = p.relative_to(root)
-        if p.suffix in (".cpp", ".hpp", ".h") and \
-                "lint_fixtures" not in rel.parts:
-            out.append((rel.as_posix(), lint_stosched.strip_code(
-                p.read_text(encoding="utf-8"))))
-    return out
-
-
-def test_names(root: Path) -> set:
-    names = set()
-    for _, text in cxx_sources(root, "tests"):
-        for m in TEST_DECL_RE.finditer(text):
-            names.add(f"{m.group(1)}.{m.group(2)}")
-    return names
-
-
-def caller_annotations(raw: str) -> list:
-    """(line, test id, reason) of each `caller-audit: test-only(...)`."""
-    out = []
-    for line, text in enumerate(raw.splitlines(), start=1):
-        m = CALLER_AUDIT_RE.search(text)
-        if m:
-            test, _, reason = m.group(1).partition(":")
-            out.append((line, test.strip(), reason.strip().rstrip(")")))
-    return out
-
-
-def template_close(text: str, gt: int) -> bool:
-    """True when the `>` at `gt` closes template arguments (`vector<T> x`)
-    rather than comparing: its `<` follows a name within the statement."""
-    depth = 0
-    for k in range(gt, -1, -1):
-        c = text[k]
-        if c == ">":
-            depth += 1
-        elif c == "<":
-            depth -= 1
-            if depth == 0:
-                return bool(re.search(r"\w\s*\Z", text[:k]))
-        elif c in ";{}()=|":
-            return False
-    return False
-
-
-def uses(text: str, names) -> list:
-    """(name, offset) of each use of a name in `names`: a call `f(` or
-    `f<...>(` that is not a declaration `T f(`, a member call `.f(` or
-    `->f(`, a qualified name `::f`, or an address `&f` (textually also a
-    reference declarator `T& f`). A plain `.f` or `->f` reads a data member
-    and is no use."""
-    out = []
-    for m in re.finditer(r"\b[A-Za-z_]\w*", text):
-        name = m.group(0)
-        if name not in names:
-            continue
-        before = text[max(0, m.start() - 256):m.start()].rstrip()
-        after = m.end()
-        if text.startswith("<", next_nonspace(text, after)):
-            after = match_angle(text, next_nonspace(text, after))
-        call = after >= 0 and text.startswith("(", next_nonspace(text, after))
-        if before.endswith("::"):
-            used = True
-        elif before.endswith((".", "->")):
-            used = call
-        elif before.endswith("&") and not before.endswith("&&"):
-            used = True
-        elif not call:
-            used = False
-        elif before.endswith(">"):
-            used = not template_close(before, len(before) - 1)
-        else:
-            prev = re.search(r"\b(\w+)\Z", before)
-            used = not prev or prev.group(1) in CALL_KEYWORDS
-        if used:
-            out.append((name, m.start()))
-    return out
-
-
-def check_caller_less(root: Path) -> list:
-    """A public function declared in src/**/*.hpp must be used (see `uses`)
-    in bench/, perfbench/, examples/ or src/ outside the declarations and
-    definitions of functions of the same name, overrides included;
-    otherwise it carries a test-only annotation that names an existing test
-    and gives a reason."""
-    src = cxx_sources(root, "src")
-    sources = src + [f for sub in CALLER_DIRS for f in cxx_sources(root, sub)]
-    decls = {rel: function_decls(text) for rel, text in sources}
-    audited = {}  # name -> first public header declaration (rel, line)
-    for rel, text in src:
-        if rel.endswith(".hpp"):
-            for d in decls[rel]:
-                if d.public and d.audited:
-                    audited.setdefault(d.name, (rel, line_of(text, d.pos)))
-
-    called = set()
-    for rel, text in sources:
-        for name, pos in uses(text, audited.keys() - called):
-            if not any(d.name == name and d.start <= pos <= d.end
-                       for d in decls[rel]):
-                called.add(name)
-
-    out = []
-    tests = test_names(root)
-    annotated = set()  # a broken annotation is reported once, at itself
-    for rel, text in src:
-        if not rel.endswith(".hpp"):
-            continue
-        raw = (root / rel).read_text(encoding="utf-8")
-        lines = sorted((line_of(text, d.pos), d.name)
-                       for d in decls[rel] if d.public and d.audited)
-        for line, test, reason in caller_annotations(raw):
-            name = next((n for l, n in lines if line <= l <= line + 3), None)
-            problem = None
-            if name is None:
-                problem = "annotation is not attached to a public function " \
-                          "declared within three lines below it"
-            elif not re.fullmatch(r"\w+\.\w+", test) or test not in tests:
-                problem = f"annotation on '{name}' names no TEST/TEST_P/" \
-                          f"TEST_F '{test}' in tests/"
-            elif not reason:
-                problem = f"annotation on '{name}' gives no reason"
-            elif name in called:
-                problem = f"'{name}' has a production caller; drop its " \
-                          "test-only annotation"
-            if problem:
-                out.append(Violation("caller-less", rel, line, problem))
-            annotated.add(name)
-    for name, (rel, line) in sorted(audited.items()):
-        if name not in called and name not in annotated:
-            out.append(Violation(
-                "caller-less", rel, line,
-                f"public function '{name}' has no caller in src/, bench/, "
-                "perfbench/ or examples/: delete it, or annotate it "
-                "// caller-audit: test-only(Suite.Name: reason)"))
-    return out
-
-
-# ---------------------------------------------------------------------------
 # clang backend (CI): the two AST-shaped rules over a compile database
 # ---------------------------------------------------------------------------
 
@@ -959,7 +609,6 @@ def run_textual(root: Path, files: list) -> list:
         out.extend(check_unordered_iteration(rel, stripped))
         if in_entry_scope(rel):
             out.extend(check_entry_contract(rel, stripped))
-    out.extend(check_caller_less(root))
     return out
 
 
@@ -978,14 +627,12 @@ def main(argv=None) -> int:
     if args.backend == "clang":
         db = args.compile_db or root / "build" / "compile_commands.json"
         violations = run_clang_backend(root, db, files)
-        # entry-contract is macro-shaped and caller-less is whole-tree:
-        # both are always checked textually.
+        # entry-contract is macro-shaped: it is always checked textually.
         for rel in files:
             if in_entry_scope(rel):
                 raw = (root / rel).read_text(encoding="utf-8")
                 violations.extend(check_entry_contract(
                     rel, lint_stosched.strip_code(raw)))
-        violations.extend(check_caller_less(root))
     else:
         violations = run_textual(root, files)
 

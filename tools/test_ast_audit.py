@@ -6,18 +6,11 @@ Proof obligations:
     rng-laundering on both a direct draw and a `law.sample(rng)` hand-off;
   * the allowed Rng uses (bootstrap, .stream(i), whole-argument forwarding)
     and the `// rng-audit: sink(reason)` escape hatch do NOT fire;
-  * caller-less fires on a function with no caller, on one whose name only
-    collides with a local variable, a data member or an override, and on an
-    annotation that names a missing test or gives no reason; it stays quiet
-    for callers in bench/, perfbench/, examples/ or src/ and for a valid
-    annotation;
   * the real tree is clean.
 """
 
 from __future__ import annotations
 
-import shutil
-import tempfile
 import unittest
 from pathlib import Path
 
@@ -214,85 +207,6 @@ class EntryContractFires(unittest.TestCase):
         self.assertFalse(ast_audit.in_entry_scope("src/core/x.cpp"))
 
 
-class CallerLessFires(unittest.TestCase):
-    TREE = FIXTURES / "caller_less"
-
-    def findings(self, root=TREE) -> dict:
-        return {v.message.split("'")[1]: v.message
-                for v in ast_audit.check_caller_less(root)}
-
-    def test_fixture_fires_on_exactly_the_six_bad_functions(self):
-        self.assertEqual(sorted(self.findings()),
-                         ["area", "empty_reason", "missing_test", "orphan",
-                          "spread", "weights"])
-
-    def test_each_finding_says_what_is_wrong(self):
-        found = self.findings()
-        self.assertIn("has no caller", found["orphan"])
-        self.assertIn("Widget.NoSuchTest", found["missing_test"])
-        self.assertIn("no reason", found["empty_reason"])
-
-    def test_name_collisions_are_not_callers(self):
-        # A local `std::vector<double> weights(n, 0.0)`, a data member read
-        # `meta.spread` and an override definition `Square::area` share the
-        # names of public functions that nothing calls.
-        found = self.findings()
-        for name in ("weights", "spread", "area"):
-            self.assertIn("has no caller", found[name])
-
-    def test_callers_outside_tests_and_valid_annotation_are_quiet(self):
-        # Qualified calls (`fixture::used_by_bench(`), a member call
-        # (`w.scale(`) and a call after `return` are callers.
-        quiet = ("used_by_bench", "used_by_perfbench", "used_by_example",
-                 "used_in_src", "oracle", "scale")
-        self.assertFalse(set(quiet) & set(self.findings()))
-
-    def test_use_forms(self):
-        text = lint.strip_code("""
-            void g(Widget& w, Widget* p) {
-              f(1); h<int>(2); w.m(3); p->k(4); auto a = &q; n::s;
-              T d(5); std::vector<double> v(6); x = y > z(7);
-              double r = w.dm + p->dk;
-            }
-        """)
-        names = {"f", "h", "m", "k", "q", "s", "d", "v", "z", "dm", "dk"}
-        self.assertEqual(sorted(n for n, _ in ast_audit.uses(text, names)),
-                         ["f", "h", "k", "m", "q", "s", "z"])
-
-    def test_annotation_on_a_called_function_is_stale(self):
-        with tempfile.TemporaryDirectory() as tmp:
-            root = Path(tmp) / "tree"
-            shutil.copytree(self.TREE, root)
-            bench = root / "bench" / "bench_widget.cpp"
-            bench.write_text(bench.read_text(encoding="utf-8") +
-                             "double extra() { return fixture::oracle(1); }\n",
-                             encoding="utf-8")
-            self.assertIn("production caller", self.findings(root)["oracle"])
-
-    def test_declaration_scan_skips_what_is_not_audited(self):
-        text = """
-            namespace n {
-            template <class F> void each(F f, const Opts& o = {});
-            struct S {
-              S(int x) : x_{x}, y_(x) {}
-              ~S();
-              bool operator<(const S& o) const { return x_ < o.x_; }
-              double area() const override;
-              int get() const noexcept { return x_; }
-              int x_ = 0, y_ = 0;
-             private:
-              int secret() const;
-            };
-            }
-        """
-        decls = ast_audit.function_decls(lint.strip_code(text))
-        self.assertEqual([(d.name, d.public) for d in decls if d.audited],
-                         [("each", True), ("get", True), ("secret", False)])
-        # The unaudited heads are still found: they own their names.
-        self.assertEqual([d.name for d in decls if not d.audited],
-                         ["S", "S", "operator", "area"])
-
-
 class RealTreeIsClean(unittest.TestCase):
     def test_textual_backend_is_clean(self):
         violations = ast_audit.run_textual(
@@ -305,8 +219,7 @@ class RealTreeIsClean(unittest.TestCase):
 
     def test_fixture_per_rule_exists(self):
         for fixture in ("rng_laundering.cpp", "unordered_iteration.cpp",
-                        "contract_free_entry.cpp",
-                        "caller_less/src/widget/widget.hpp"):
+                        "contract_free_entry.cpp"):
             self.assertTrue((FIXTURES / fixture).is_file(),
                             f"missing fixture {fixture}")
 

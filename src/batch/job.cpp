@@ -1,32 +1,37 @@
 #include "batch/job.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <numeric>
 
 #include "util/check.hpp"
 
 namespace stosched::batch {
 
+namespace {
+
+/// Family tag for generated jobs, in the order random_batch draws them.
+enum class JobFamily {
+  kExponential,   ///< Exp(rate) with random rates
+  kErlang,        ///< IFR
+  kHyperExp,      ///< DFR
+  kTwoPoint,      ///< the counterexample family of [13]
+  kUniform,
+};
+constexpr std::uint64_t kFamilyCount = 5;
+
+}  // namespace
+
 // rng-audit: sink(instance generator: its sequential draw order IS the
 // reproducibility contract, pinned by the golden tests)
-Batch random_batch(std::size_t n, Rng& rng, const BatchGenOptions& opts) {
+Batch random_batch(std::size_t n, Rng& rng) {
   STOSCHED_REQUIRE(n > 0, "batch must contain at least one job");
   Batch jobs;
   jobs.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    const double mean = rng.uniform(opts.mean_lo, opts.mean_hi);
-    JobFamily fam = opts.family;
-    if (fam == JobFamily::kMixed) {
-      switch (rng.below(5)) {
-        case 0: fam = JobFamily::kExponential; break;
-        case 1: fam = JobFamily::kErlang; break;
-        case 2: fam = JobFamily::kHyperExp; break;
-        case 3: fam = JobFamily::kTwoPoint; break;
-        default: fam = JobFamily::kUniform; break;
-      }
-    }
+    const double mean = rng.uniform(0.5, 4.0);
     DistPtr d;
-    switch (fam) {
+    switch (static_cast<JobFamily>(rng.below(kFamilyCount))) {
       case JobFamily::kExponential:
         d = exponential_dist(1.0 / mean);
         break;
@@ -49,11 +54,8 @@ Batch random_batch(std::size_t n, Rng& rng, const BatchGenOptions& opts) {
       case JobFamily::kUniform:
         d = uniform_dist(0.2 * mean, 1.8 * mean);
         break;
-      case JobFamily::kMixed:
-        STOSCHED_ASSERT(false, "mixed family resolved above");
     }
-    const double w =
-        opts.unit_weights ? 1.0 : rng.uniform(opts.weight_lo, opts.weight_hi);
+    const double w = rng.uniform(0.5, 3.0);
     jobs.push_back(Job{w, std::move(d)});
   }
   return jobs;

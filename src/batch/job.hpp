@@ -1,8 +1,8 @@
 // job.hpp — stochastic jobs and batch instances (survey §1).
 //
 // A job carries a holding-cost weight and a processing-time law. Batches are
-// plain vectors; instance generators produce the workload families the
-// experiments sweep over (exponential, IFR, DFR, two-point, mixed).
+// plain vectors; the instance generator mixes the workload families the
+// experiments sweep over (exponential, IFR, DFR, two-point, uniform).
 #pragma once
 
 #include <cstddef>
@@ -26,28 +26,11 @@ using Batch = std::vector<Job>;
 /// priority.
 using Order = std::vector<std::size_t>;
 
-/// Family tag for generated instances.
-enum class JobFamily {
-  kExponential,   ///< Exp(rate) with random rates
-  kErlang,        ///< IFR
-  kHyperExp,      ///< DFR
-  kTwoPoint,      ///< the counterexample family of [13]
-  kUniform,
-  kMixed,         ///< a blend of the above
-};
-
-/// Options for the random-instance generator.
-struct BatchGenOptions {
-  JobFamily family = JobFamily::kMixed;
-  double mean_lo = 0.5;     ///< processing means drawn from [mean_lo, mean_hi]
-  double mean_hi = 4.0;
-  double weight_lo = 0.5;   ///< weights drawn from [weight_lo, weight_hi]
-  double weight_hi = 3.0;
-  bool unit_weights = false;
-};
-
-/// Generate a random batch of n jobs.
-Batch random_batch(std::size_t n, Rng& rng, const BatchGenOptions& opts = {});
+/// Generate a random batch of n jobs. Each job draws a processing mean from
+/// U(0.5, 4), a family uniformly among exponential, Erlang (IFR), two-phase
+/// hyperexponential (DFR), two-point (the counterexample family of [13]) and
+/// uniform, and a weight from U(0.5, 3).
+Batch random_batch(std::size_t n, Rng& rng);
 
 /// Identity / sorted orders.
 Order identity_order(std::size_t n);

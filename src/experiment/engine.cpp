@@ -26,7 +26,7 @@ namespace detail {
 
 bool metric_precise(const RunningStat& s, const EngineOptions& opt) {
   if (s.count() < 2) return false;
-  const double hw = s.ci_halfwidth(opt.alpha);
+  const double hw = s.ci_halfwidth();
   const double mean = std::abs(s.mean());
   const double target =
       mean >= opt.abs_floor ? opt.rel_precision * mean : opt.rel_precision;

@@ -27,7 +27,7 @@
 //     under CRN the shared half then runs once per replication, not once
 //     per arm. One task covers all K arms of a replication.
 //   * *Sequential stopping*: instead of guessing a replication count, run
-//     batches until every tracked metric's (1-alpha) CI half-width falls
+//     batches until every tracked metric's 95% CI half-width falls
 //     below `rel_precision * |mean|`, with a hard cap. The thread that
 //     completes a batch merges it and applies the stop test at its
 //     boundary, as a one-batch-at-a-time loop would, while the other
@@ -85,7 +85,6 @@ struct EngineOptions {
   std::size_t min_replications = 64;    ///< no stopping check before this
   std::size_t batch = 256;              ///< replications per stopping check
   double rel_precision = 0.0;  ///< target: halfwidth <= rel * |mean|; 0 = off
-  double alpha = 0.05;         ///< CI level for the stopping rule
   /// Metrics with |mean| < abs_floor are judged on absolute half-width
   /// (halfwidth <= rel_precision) instead — a relative target is
   /// meaningless at zero.
@@ -102,10 +101,9 @@ struct EngineResult {
   std::size_t replications = 0;
   bool converged = true;  ///< false only if the precision target was missed
 
-  [[nodiscard]] Estimate estimate(std::size_t metric = 0,
-                                  double alpha = 0.05) const {
+  [[nodiscard]] Estimate estimate(std::size_t metric = 0) const {
     STOSCHED_REQUIRE(metric < metrics.size(), "metric index out of range");
-    return make_estimate(metrics[metric], alpha);
+    return make_estimate(metrics[metric]);
   }
 };
 

@@ -14,6 +14,8 @@ namespace stosched::online {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+/// Geometric growth of the interval-indexed LP's time grid, τ_t = 2 τ_{t-1}.
+constexpr double kIntervalRatio = 2.0;
 
 /// Best-machine processing times q_j = min_i p_ij of the realized instance.
 std::vector<double> best_proc_times(const OnlineInstance& inst,
@@ -118,11 +120,9 @@ double interval_lp_bound(const OnlineInstance& inst, const Environment& env,
 
 lp::Problem interval_indexed_lp(const OnlineInstance& inst,
                                 const Environment& env,
-                                const OfflineBoundOptions& opt) {
+                                const OfflineBoundOptions& /*opt*/) {
   const std::size_t n = inst.size();
   const std::size_t m = env.machines();
-  STOSCHED_REQUIRE(opt.interval_ratio > 1.0,
-                   "LP interval ratio must exceed 1");
   const std::vector<double> q = best_proc_times(inst, env);
 
   // Geometric grid 0 = τ_0 < τ_1 < ... < τ_T covering every completion an
@@ -142,7 +142,7 @@ lp::Problem interval_indexed_lp(const OnlineInstance& inst,
                    "interval-indexed LP needs work or releases");
   if (!std::isfinite(smallest)) smallest = upper;
   std::vector<double> tau{0.0, smallest};
-  while (tau.back() < upper) tau.push_back(tau.back() * opt.interval_ratio);
+  while (tau.back() < upper) tau.push_back(tau.back() * kIntervalRatio);
   const std::size_t T = tau.size() - 1;  // intervals (τ_{t-1}, τ_t]
 
   // Variable layout: C_0..C_{n-1}, then x_{ijt} for every allowed triple

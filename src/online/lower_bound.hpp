@@ -40,7 +40,6 @@ namespace stosched::online {
 struct OfflineBoundOptions {
   bool use_lp = false;          ///< also solve the interval-indexed LP
   std::size_t lp_job_cap = 512; ///< skip the LP above this many jobs
-  double interval_ratio = 2.0;  ///< geometric growth of the LP time grid
   /// Engine for the LP solve. kRevised is the default production path;
   /// kDense remains selectable so tests can differential the two on the
   /// real bound (tests/test_online.cpp does).
@@ -67,6 +66,8 @@ OfflineBound offline_lower_bound(const OnlineInstance& inst,
 /// tests can generate real bound-shaped sparse instances without duplicating
 /// the construction. Requires a non-degenerate instance: at least one job
 /// with positive best-machine processing time or positive release date.
+/// No option changes the construction; `opt` is accepted so a caller can
+/// pass the bound's options whole.
 lp::Problem interval_indexed_lp(const OnlineInstance& inst,
                                 const Environment& env,
                                 const OfflineBoundOptions& opt = {});

@@ -42,6 +42,9 @@ struct PollingSim : Kernel {
     STOSCHED_REQUIRE(opt.switchover != nullptr, "switchover law required");
     STOSCHED_REQUIRE(opt.horizon > 0.0, "horizon must be > 0");
     STOSCHED_REQUIRE(opt.warmup >= 0.0, "warmup must be >= 0");
+    STOSCHED_REQUIRE(opt.discipline != PollingDiscipline::kLimited ||
+                         opt.limit >= 1,
+                     "k-limited polling needs limit >= 1");
     switch_flat = opt.switchover->flat();
     queue.resize(n);
     for (const auto& spec : classes)

@@ -33,7 +33,7 @@ enum class PollingDiscipline {
 
 struct PollingOptions {
   PollingDiscipline discipline = PollingDiscipline::kExhaustive;
-  std::size_t limit = 1;        ///< for kLimited
+  std::size_t limit = 1;        ///< for kLimited; must be >= 1
   DistPtr switchover;           ///< setup time law (required)
   double horizon = 2e5;
   double warmup = 2e4;

@@ -53,15 +53,14 @@ void RestlessProject::validate() const {
 
 // rng-audit: sink(instance generator: its sequential draw order IS the
 // reproducibility contract, pinned by the golden tests)
-RestlessProject random_restless_project(std::size_t states, Rng& rng,
-                                        double reward_scale) {
+RestlessProject random_restless_project(std::size_t states, Rng& rng) {
   STOSCHED_REQUIRE(states >= 1, "project needs at least one state");
   RestlessProject p;
   p.reward_passive.resize(states);
   p.reward_active.resize(states);
   for (std::size_t s = 0; s < states; ++s) {
-    p.reward_passive[s] = reward_scale * rng.uniform(0.0, 0.3);
-    p.reward_active[s] = reward_scale * rng.uniform(0.0, 1.0);
+    p.reward_passive[s] = rng.uniform(0.0, 0.3);
+    p.reward_active[s] = rng.uniform(0.0, 1.0);
   }
   p.trans_passive = random_stochastic(states, rng);
   p.trans_active = random_stochastic(states, rng);

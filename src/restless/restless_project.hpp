@@ -27,10 +27,9 @@ struct RestlessProject {
   void validate() const;
 };
 
-/// Random dense project with rewards in the given ranges; active rewards are
-/// drawn above passive ones on average so activity matters.
-RestlessProject random_restless_project(std::size_t states, Rng& rng,
-                                        double reward_scale = 1.0);
+/// Random dense project: passive rewards from U(0, 0.3) and active ones from
+/// U(0, 1), so activity matters on average.
+RestlessProject random_restless_project(std::size_t states, Rng& rng);
 
 /// The restless instance: N projects, exactly m activated per epoch.
 struct RestlessInstance {

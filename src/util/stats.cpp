@@ -34,9 +34,9 @@ double RunningStat::sem() const noexcept {
   return n_ > 0 ? stddev() / std::sqrt(static_cast<double>(n_)) : 0.0;
 }
 
-double RunningStat::ci_halfwidth(double alpha) const {
+double RunningStat::ci_halfwidth() const {
   if (n_ < 2) return 0.0;
-  return student_t_quantile(alpha, n_ - 1) * sem();
+  return student_t_quantile(0.05, n_ - 1) * sem();  // two-sided 95%
 }
 
 void TimeAverage::reset(double t) noexcept {
@@ -79,10 +79,10 @@ double student_t_quantile(double alpha_two_sided, std::size_t dof) {
   return t;
 }
 
-Estimate make_estimate(const RunningStat& s, double alpha) {
+Estimate make_estimate(const RunningStat& s) {
   Estimate e;
   e.value = s.mean();
-  e.half_width = s.ci_halfwidth(alpha);
+  e.half_width = s.ci_halfwidth();
   e.replications = s.count();
   return e;
 }

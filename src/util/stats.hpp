@@ -39,8 +39,8 @@ class RunningStat {
   [[nodiscard]] double min() const noexcept { return min_; }
   [[nodiscard]] double max() const noexcept { return max_; }
 
-  /// Half-width of the (1-alpha) normal-approximation confidence interval.
-  [[nodiscard]] double ci_halfwidth(double alpha = 0.05) const;
+  /// Half-width of the 95% Student-t confidence interval for the mean.
+  [[nodiscard]] double ci_halfwidth() const;
 
  private:
   std::size_t n_ = 0;
@@ -101,7 +101,7 @@ struct Estimate {
   }
 };
 
-/// Build an Estimate from a RunningStat (95% CI by default).
-Estimate make_estimate(const RunningStat& s, double alpha = 0.05);
+/// Build an Estimate (mean and 95% CI) from a RunningStat.
+Estimate make_estimate(const RunningStat& s);
 
 }  // namespace stosched

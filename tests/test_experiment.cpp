@@ -120,7 +120,7 @@ TEST(Engine, SequentialStoppingHitsRequestedPrecision) {
   opt.max_replications = 1 << 20;
   const auto res = run(opt, 1, exp_body);
   ASSERT_TRUE(res.converged);
-  const double hw = res.metrics[0].ci_halfwidth(opt.alpha);
+  const double hw = res.metrics[0].ci_halfwidth();
   EXPECT_LE(hw, opt.rel_precision * std::abs(res.metrics[0].mean()));
   // An exponential CV of 1 needs roughly (1.96/0.02)^2 ~ 9600 replications;
   // the stopping rule should land in that ballpark, not at the cap.
@@ -359,7 +359,7 @@ TEST(Engine, PairedSequentialStoppingConverges) {
   const auto res = compare_queue_policies(s, {fcfs_arm(), cmu_arm(s)}, opt,
                                           Pairing::kCommonRandomNumbers);
   ASSERT_TRUE(res.converged);
-  const double hw = res.diff[0][0].ci_halfwidth(opt.alpha);
+  const double hw = res.diff[0][0].ci_halfwidth();
   EXPECT_LE(hw, opt.rel_precision * std::abs(res.diff[0][0].mean()) + 1e-12);
 }
 
@@ -1015,7 +1015,7 @@ TEST(Engine, BurstyScenarioSequentialStoppingConverges) {
   opt.tracked = {0};
   const auto res = run_policy(s, fcfs_arm(), opt);
   ASSERT_TRUE(res.converged);
-  const double hw = res.metrics[0].ci_halfwidth(opt.alpha);
+  const double hw = res.metrics[0].ci_halfwidth();
   EXPECT_LE(hw, opt.rel_precision * std::abs(res.metrics[0].mean()) + 1e-12);
 }
 

@@ -428,6 +428,19 @@ TEST(Polling, RequiresSwitchoverLaw) {
   EXPECT_THROW(simulate_polling(classes, opt, rng), std::invalid_argument);
 }
 
+TEST(Polling, LimitedRequiresPositiveLimit) {
+  // A zero limit would switch forever and never serve a job.
+  std::vector<ClassSpec> classes{{0.3, exponential_dist(1.0), 1.0},
+                                 {0.3, exponential_dist(1.0), 1.0}};
+  PollingOptions opt;
+  opt.discipline = PollingDiscipline::kLimited;
+  opt.limit = 0;
+  opt.switchover = deterministic_dist(0.1);
+  opt.horizon = 1e4;
+  Rng rng(13);
+  EXPECT_THROW(simulate_polling(classes, opt, rng), std::invalid_argument);
+}
+
 // ---------------------------------------------------------------------------
 // Fluid model.
 // ---------------------------------------------------------------------------

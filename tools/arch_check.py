@@ -20,15 +20,14 @@ when manifest and reality disagree in either direction:
   arch-include-cycle     a cycle in the file-level include graph (headers
                          including each other compile under #pragma once
                          but make the DAG a lie)
-  arch-transitive        a module transitively reaching one the declared
-                         DAG's closure does not allow (implied by edge
-                         exactness; kept as a distinct belt-and-braces
-                         check over the full transitive graph)
   arch-dot-stale         docs/arch.dot no longer matches the graph
                          (regenerate with --write-dot)
 
 Umbrella headers (declared in the manifest) are exempt from edge
 extraction: src/core/stosched.hpp exists to include everything.
+
+Edge exactness also bounds reachability: when every real edge is declared,
+the real graph's transitive closure lies inside the declared graph's.
 
 Modes:
   arch_check.py [--root DIR]              run the graph checks + dot freshness
@@ -119,29 +118,6 @@ def module_edges(graph: dict, umbrella: set) -> dict:
                 continue
             edges.setdefault(mod, {}).setdefault(dep, []).append(rel)
     return edges
-
-
-def transitive_closure(edges: dict) -> dict:
-    """{node: set of transitively reachable nodes} for a {node: iterable}."""
-    closure = {}
-
-    def reach(node, stack):
-        if node in closure:
-            return closure[node]
-        if node in stack:  # cycle: handled by the cycle check, not here
-            return set()
-        stack.add(node)
-        out = set()
-        for dep in edges.get(node, ()):
-            out.add(dep)
-            out |= reach(dep, stack)
-        stack.discard(node)
-        closure[node] = out
-        return out
-
-    for node in list(edges):
-        reach(node, set())
-    return closure
 
 
 def find_file_cycle(graph: dict) -> list | None:
@@ -240,17 +216,6 @@ def check_graph(root: Path, manifest: dict, dot_path: Path | None) -> list:
         violations.append(Violation(
             "arch-include-cycle", f"src/{cycle[0]}",
             "include cycle: " + " -> ".join(cycle)))
-
-    declared_closure = transitive_closure(declared)
-    real_closure = transitive_closure(
-        {m: set(deps) for m, deps in real.items()})
-    for mod in sorted(real_closure):
-        extra = real_closure[mod] - declared_closure.get(mod, set())
-        for dep in sorted(extra):
-            violations.append(Violation(
-                "arch-transitive", f"src/{mod}",
-                f"{mod} transitively reaches {dep}, outside the declared "
-                "DAG's closure"))
 
     if dot_path is not None:
         want = render_dot(manifest, real)

@@ -3,8 +3,10 @@
 
 Three rules that line-oriented regexes cannot express (they need function
 extents, parameter identity or use-site context), enforced as the tier-1
-ctest `ast_audit`. Whether a function has a production caller is a question
-for the linker, not for this file: see tools/reach_audit.py.
+ctest `ast_audit`. One stdlib-only tokenizer with brace matching checks all
+three; it needs no compiler, so it runs wherever the suite does. Whether a
+function has a production caller is a question for the linker, not for
+this file: see tools/reach_audit.py.
 
   rng-laundering
       A function that RECEIVES an `Rng&` parameter is a router, not a
@@ -44,32 +46,18 @@ for the linker, not for this file: see tools/reach_audit.py.
       contract or a validate()/validate_*() call within the first eight
       top-level statements. See src/util/contract.hpp for the
       REQUIRE-vs-EXPECTS division of labor.
-
-Backends:
-  --backend textual   (default) stdlib-only tokenizer + brace matching;
-                      runs everywhere, gates the build as a ctest.
-  --backend clang     drives `clang++ -Xclang -ast-dump=json` over a CMake
-                      compile database (CMAKE_EXPORT_COMPILE_COMMANDS=ON)
-                      for the two AST-shaped rules; entry-contract stays
-                      textual even here because contracts are macros and
-                      the AST only sees their expansion.
-                      Used by the arch-and-ast CI job where clang-18 is
-                      installed.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
-import shutil
-import subprocess
 import sys
 from pathlib import Path
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-import lint_stosched  # noqa: E402  (shared strip_code / brace matching)
+from lint_stosched import line_of, strip_code  # noqa: E402
 
 RNG_SCOPE_EXCLUDE = ("util", "dist")  # the sampling layer IS the draw site
 ENTRY_SCOPE = ("queueing", "batch", "online")
@@ -95,10 +83,6 @@ class Violation:
 
     def __str__(self) -> str:
         return f"{self.path}:{self.line}: [{self.rule}] {self.message}"
-
-
-def line_of(text: str, pos: int) -> int:
-    return text.count("\n", 0, pos) + 1
 
 
 def match_angle(text: str, start: int) -> int:
@@ -152,7 +136,7 @@ def next_nonspace(text: str, i: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# textual backend: function extraction
+# function extraction
 # ---------------------------------------------------------------------------
 
 def rng_param_functions(stripped: str):
@@ -298,7 +282,7 @@ def check_rng_laundering(rel: str, raw: str, stripped: str) -> list:
 
 
 # ---------------------------------------------------------------------------
-# textual backend: unordered iteration / pointer-keyed containers
+# unordered iteration / pointer-keyed containers
 # ---------------------------------------------------------------------------
 
 def check_unordered_iteration(rel: str, stripped: str) -> list:
@@ -353,7 +337,7 @@ def check_unordered_iteration(rel: str, stripped: str) -> list:
 
 
 # ---------------------------------------------------------------------------
-# textual backend: entry contracts
+# entry contracts
 # ---------------------------------------------------------------------------
 
 def entry_opening(stripped: str, body_open: int) -> str:
@@ -409,176 +393,6 @@ def check_entry_contract(rel: str, stripped: str) -> list:
 
 
 # ---------------------------------------------------------------------------
-# clang backend (CI): the two AST-shaped rules over a compile database
-# ---------------------------------------------------------------------------
-
-def find_clang():
-    for c in ("clang++-18", "clang++", "clang-18", "clang"):
-        path = shutil.which(c)
-        if path:
-            return path
-    return None
-
-
-def ast_nodes(node, parents):
-    """Depth-first (node, parents) walk of a clang JSON AST."""
-    yield node, parents
-    for child in node.get("inner", ()) or ():
-        if isinstance(child, dict):
-            yield from ast_nodes(child, parents + [node])
-
-
-def clang_ast(clang: str, entry: dict) -> dict:
-    """Run one compile-db entry through -ast-dump=json."""
-    args = [clang, "-x", "c++", "-fsyntax-only", "-Xclang",
-            "-ast-dump=json"]
-    it = iter(entry["command"].split() if "command" in entry
-              else entry["arguments"])
-    next(it, None)  # original compiler
-    for tok in it:
-        if tok.startswith(("-I", "-D", "-std=", "-isystem")):
-            args.append(tok)
-    args.append(entry["file"])
-    proc = subprocess.run(args, capture_output=True, text=True,
-                          cwd=entry.get("directory", "."))
-    if proc.returncode != 0:
-        raise RuntimeError(proc.stderr.strip().splitlines()[-1]
-                           if proc.stderr.strip() else "clang failed")
-    return json.loads(proc.stdout)
-
-
-def is_rng_ref_type(qual: str) -> bool:
-    return bool(re.search(r"\bRng\s*&$", qual or ""))
-
-
-def callee_name(call: dict) -> str:
-    """Name of the function a CallExpr / CXXMemberCallExpr calls, or ''."""
-    node = next((c for c in call.get("inner", ()) if isinstance(c, dict)), {})
-    while node.get("kind") in ("ImplicitCastExpr", "ParenExpr"):
-        node = next((c for c in node.get("inner", ())
-                     if isinstance(c, dict)), {})
-    if node.get("kind") == "MemberExpr":
-        return node.get("name", "")
-    if node.get("kind") == "DeclRefExpr":
-        return (node.get("referencedDecl") or {}).get("name", "")
-    return ""
-
-
-def clang_check_tu(tree: dict, rel: str, raw: str) -> list:
-    """rng-laundering + unordered-iteration on one TU's JSON AST."""
-    out = []
-    sinks = sink_lines(raw)
-
-    # Collect Rng& parameters of function definitions in this file.
-    rng_params = {}  # decl id -> (name, fn line)
-    for node, parents in ast_nodes(tree, []):
-        if node.get("kind") != "ParmVarDecl":
-            continue
-        qual = (node.get("type") or {}).get("qualType", "")
-        if not is_rng_ref_type(qual) or not node.get("name"):
-            continue
-        fn = next((p for p in reversed(parents)
-                   if p.get("kind") in ("FunctionDecl", "CXXMethodDecl",
-                                        "CXXConstructorDecl",
-                                        "LambdaExpr")), None)
-        if fn is None or not any(c.get("kind") == "CompoundStmt"
-                                 for c in fn.get("inner", ())
-                                 if isinstance(c, dict)):
-            continue  # declaration only
-        line = ((fn.get("loc") or {}).get("line")
-                or (node.get("loc") or {}).get("line") or 0)
-        rng_params[node["id"]] = (node["name"], line)
-
-    for node, parents in ast_nodes(tree, []):
-        kind = node.get("kind")
-        if kind == "DeclRefExpr":
-            ref = (node.get("referencedDecl") or {}).get("id")
-            if ref not in rng_params:
-                continue
-            name, fn_line = rng_params[ref]
-            if any(s in sinks for s in range(fn_line - 3, fn_line + 1)):
-                continue
-            line = ((node.get("loc") or {}).get("line") or fn_line)
-            # Nearest structural ancestor, skipping implicit casts/parens.
-            chain = [p for p in reversed(parents)
-                     if p.get("kind") not in ("ImplicitCastExpr",
-                                              "ParenExpr")]
-            parent = chain[0] if chain else {}
-            pk = parent.get("kind", "")
-            if pk == "MemberExpr":
-                member = parent.get("name", "?")
-                if member != "stream":
-                    out.append(Violation(
-                        "rng-laundering", rel, line,
-                        f"'{name}' draws directly via .{member}() "
-                        "(clang backend)"))
-            elif pk == "CXXOperatorCallExpr":
-                # p(): allowed only when the result constructs an Rng.
-                gp = chain[1] if len(chain) > 1 else {}
-                ctor_type = ((gp.get("type") or {}).get("qualType", ""))
-                if not (gp.get("kind") == "CXXConstructExpr"
-                        and re.search(r"\bRng\b", ctor_type)):
-                    out.append(Violation(
-                        "rng-laundering", rel, line,
-                        f"raw '{name}()' outside an Rng bootstrap "
-                        "(clang backend)"))
-            elif pk in ("CallExpr", "CXXMemberCallExpr") and \
-                    callee_name(parent) == "sample":
-                out.append(Violation(
-                    "rng-laundering", rel, line,
-                    f"'{name}' handed to sample() (clang backend)"))
-            elif pk in ("CallExpr", "CXXConstructExpr",
-                        "CXXMemberCallExpr"):
-                pass  # whole-argument forwarding
-            elif pk in ("VarDecl", "BinaryOperator", "InitListExpr"):
-                out.append(Violation(
-                    "rng-laundering", rel, line,
-                    f"'{name}' aliased or stored (clang backend)"))
-        elif kind == "CXXForRangeStmt":
-            for child, _ in ast_nodes(node, []):
-                qual = (child.get("type") or {}).get("qualType", "")
-                if "unordered_map" in qual or "unordered_set" in qual:
-                    line = ((node.get("range") or {}).get("begin") or
-                            {}).get("line") or 0
-                    out.append(Violation(
-                        "unordered-iteration", rel, line,
-                        "range-for over an unordered container "
-                        "(clang backend)"))
-                    break
-        elif kind in ("VarDecl", "FieldDecl"):
-            qual = (node.get("type") or {}).get("qualType", "")
-            if re.search(r"\bstd::(?:multi)?(?:map|set)<[^,<]*\*", qual):
-                line = ((node.get("loc") or {}).get("line") or 0)
-                out.append(Violation(
-                    "unordered-iteration", rel, line,
-                    "pointer-keyed ordered container (clang backend)"))
-    return out
-
-
-def run_clang_backend(root: Path, db_path: Path, files: list) -> list:
-    clang = find_clang()
-    if clang is None:
-        print("ast_audit --backend clang: no clang++ on PATH",
-              file=sys.stderr)
-        sys.exit(3)
-    with open(db_path, encoding="utf-8") as f:
-        db = {str(Path(e["file"]).resolve()): e for e in json.load(f)}
-    out = []
-    for rel in files:
-        if not rel.endswith(".cpp"):
-            continue
-        entry = db.get(str((root / rel).resolve()))
-        if entry is None:
-            continue
-        raw = (root / rel).read_text(encoding="utf-8")
-        try:
-            out.extend(clang_check_tu(clang_ast(clang, entry), rel, raw))
-        except Exception as e:  # noqa: BLE001 -- report, don't crash CI
-            out.append(Violation("ast-backend-error", rel, 0, str(e)))
-    return out
-
-
-# ---------------------------------------------------------------------------
 # driver
 # ---------------------------------------------------------------------------
 
@@ -599,11 +413,11 @@ def in_entry_scope(rel: str) -> bool:
     return len(parts) > 2 and parts[1] in ENTRY_SCOPE
 
 
-def run_textual(root: Path, files: list) -> list:
+def run_rules(root: Path, files: list) -> list:
     out = []
     for rel in files:
         raw = (root / rel).read_text(encoding="utf-8")
-        stripped = lint_stosched.strip_code(raw)
+        stripped = strip_code(raw)
         if in_rng_scope(rel):
             out.extend(check_rng_laundering(rel, raw, stripped))
         out.extend(check_unordered_iteration(rel, stripped))
@@ -616,25 +430,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--root", type=Path,
                         default=Path(__file__).resolve().parent.parent)
-    parser.add_argument("--backend", choices=("textual", "clang"),
-                        default="textual")
-    parser.add_argument("--compile-db", type=Path, default=None,
-                        help="compile_commands.json for --backend clang")
     args = parser.parse_args(argv)
     root = args.root.resolve()
-    files = source_files(root)
-
-    if args.backend == "clang":
-        db = args.compile_db or root / "build" / "compile_commands.json"
-        violations = run_clang_backend(root, db, files)
-        # entry-contract is macro-shaped: it is always checked textually.
-        for rel in files:
-            if in_entry_scope(rel):
-                raw = (root / rel).read_text(encoding="utf-8")
-                violations.extend(check_entry_contract(
-                    rel, lint_stosched.strip_code(raw)))
-    else:
-        violations = run_textual(root, files)
+    violations = run_rules(root, source_files(root))
 
     for v in violations:
         print(v)

@@ -25,9 +25,6 @@ Enforces the invariants the codebase relies on but no compiler checks:
                         loop are the multipliers on every experiment, so
                         they read no clock at all. Per-layer costs and spans
                         come from perfbench's layer passes.
-  cmake-coverage        Every src/**/*.cpp is listed in the CMake library
-                        sources and every tests/test_*.cpp in STOSCHED_TESTS
-                        — an unlisted translation unit silently never builds.
   metrics-registry      No bespoke std::atomic telemetry in src/ outside
                         src/obs/ and src/util/: counters and histograms flow
                         through the obs registry so bench_common::finish can
@@ -306,31 +303,6 @@ def rule_hot_loop_clock(root):
     return out
 
 
-def rule_cmake_coverage(root):
-    """Every source file is wired into the build."""
-    cmake = root / "CMakeLists.txt"
-    if not cmake.is_file():
-        return [Violation("CMakeLists.txt", 1, "cmake-coverage",
-                          "CMakeLists.txt missing")]
-    cmtext = read(cmake)
-    out = []
-    for path in cxx_files(root, "src", suffixes=(".cpp",)):
-        if rel(root, path) not in cmtext:
-            out.append(Violation(
-                rel(root, path), 1, "cmake-coverage",
-                "source file not listed in the CMake library sources — it "
-                "silently never builds"))
-    tests = root / "tests"
-    if tests.is_dir():
-        for path in sorted(tests.glob("test_*.cpp")):
-            if path.stem not in cmtext:
-                out.append(Violation(
-                    rel(root, path), 1, "cmake-coverage",
-                    "test file not listed in STOSCHED_TESTS — it silently "
-                    "never builds or runs"))
-    return out
-
-
 METRICS_REGISTRY_PATTERNS = [
     (re.compile(r"#\s*include\s*<atomic>"), "includes <atomic>"),
     (re.compile(r"\bstd\s*::\s*atomic\b"), "declares a std::atomic"),
@@ -421,7 +393,6 @@ RULES = {
     "bench-finish": rule_bench_finish,
     "float-accumulator": rule_float_accumulator,
     "hot-loop-clock": rule_hot_loop_clock,
-    "cmake-coverage": rule_cmake_coverage,
     "metrics-registry": rule_metrics_registry,
     "scenario-reader": rule_scenario_reader,
 }

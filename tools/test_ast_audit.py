@@ -89,29 +89,6 @@ class RngLaunderingFires(unittest.TestCase):
         """
         self.assertEqual(len(run_rng(dirty)), 1)
 
-    def test_clang_backend_flags_sample_hand_off(self):
-        """`law.sample(rng)` on a hand-built -ast-dump=json tree: the clang
-        backend must flag it and still accept plain forwarding."""
-        rng = {"kind": "DeclRefExpr", "referencedDecl": {"id": "p1"},
-               "loc": {"line": 3}}
-        law = {"kind": "DeclRefExpr", "referencedDecl": {"id": "p0"}}
-
-        def call(callee):
-            member = {"kind": "MemberExpr", "name": callee, "inner": [law]}
-            return {"kind": "CXXMemberCallExpr", "inner": [member, rng]}
-
-        def tu(body):
-            fn = {"kind": "FunctionDecl", "loc": {"line": 1}, "inner": [
-                {"kind": "ParmVarDecl", "id": "p1", "name": "rng",
-                 "type": {"qualType": "stosched::Rng &"}},
-                {"kind": "CompoundStmt", "inner": [body]}]}
-            return {"kind": "TranslationUnitDecl", "inner": [fn]}
-
-        flagged = ast_audit.clang_check_tu(tu(call("sample")), "f.cpp", "")
-        self.assertEqual([v.rule for v in flagged], ["rng-laundering"])
-        self.assertEqual(
-            ast_audit.clang_check_tu(tu(call("simulate")), "f.cpp", ""), [])
-
     def test_sampling_layer_is_out_of_scope(self):
         self.assertFalse(ast_audit.in_rng_scope("src/util/rng.hpp"))
         self.assertFalse(ast_audit.in_rng_scope("src/dist/distribution.cpp"))
@@ -208,8 +185,8 @@ class EntryContractFires(unittest.TestCase):
 
 
 class RealTreeIsClean(unittest.TestCase):
-    def test_textual_backend_is_clean(self):
-        violations = ast_audit.run_textual(
+    def test_tree_is_clean(self):
+        violations = ast_audit.run_rules(
             REPO_ROOT, ast_audit.source_files(REPO_ROOT))
         self.assertEqual(
             [str(v) for v in violations], [],

@@ -37,11 +37,6 @@ class Skeleton:
         (self.root / "src" / "util").mkdir(parents=True)
         (self.root / "bench").mkdir()
         (self.root / "tests").mkdir()
-        (self.root / "CMakeLists.txt").write_text(
-            "add_library(stosched STATIC\n  src/core/listed.cpp\n)\n",
-            encoding="utf-8")
-        (self.root / "src" / "core" / "listed.cpp").write_text(
-            "int listed() { return 0; }\n", encoding="utf-8")
         (self.root / "src" / "core" / "stosched.hpp").write_text(
             '#pragma once\n#include "util/ok.hpp"\n', encoding="utf-8")
         (self.root / "src" / "util" / "ok.hpp").write_text(
@@ -146,20 +141,6 @@ class RuleFiresOnFixture(unittest.TestCase):
         self.skel.add("hot_loop_clock.cpp", "bench/bench_timed.cpp")
         self.assertEqual(self.run_rule("hot-loop-clock"), [],
                          "clock reads outside the hot paths are fine")
-
-    def test_cmake_coverage_fires(self):
-        self.skel.add("unlisted_source.cpp", "src/core/unlisted_source.cpp")
-        (self.skel.root / "tests" / "test_unlisted.cpp").write_text(
-            "int main() {}\n", encoding="utf-8")
-        found = self.run_rule("cmake-coverage")
-        paths = " ".join(v.path for v in found)
-        self.assertEqual(len(found), 2)
-        self.assertIn("unlisted_source.cpp", paths)
-        self.assertIn("test_unlisted.cpp", paths)
-
-    def test_cmake_coverage_accepts_listed(self):
-        self.assertEqual(self.run_rule("cmake-coverage"), [],
-                         "the listed skeleton source is covered")
 
     def test_metrics_registry_fires(self):
         self.skel.add("atomic_telemetry.cpp", "src/des/atomic_telemetry.cpp")
@@ -278,7 +259,6 @@ class RealTreeIsClean(unittest.TestCase):
             "bench-finish": "bench_bad_exit.cpp",
             "float-accumulator": "float_accumulator.cpp",
             "hot-loop-clock": "hot_loop_clock.cpp",
-            "cmake-coverage": "unlisted_source.cpp",
             "metrics-registry": "atomic_telemetry.cpp",
             "scenario-reader": "scenario_reader.cpp",
         }

@@ -1,6 +1,7 @@
 #include "lp/revised_simplex.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 
@@ -12,6 +13,18 @@ namespace stosched::lp {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// A slope parked in Engine::price() to be repriced holds kParkedTag | the
+/// index of the next parked column (the column count ends the list). The
+/// tag makes it a signalling NaN, which no arithmetic yields (a computed
+/// NaN is quiet), so a parked slope never equals a priced one. None
+/// outlives price().
+constexpr std::uint64_t kParkedTag = 0x7ff4'0000'0000'0000ULL;
+constexpr std::uint64_t kParkedNext = 0xffff'ffffULL;
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
 
 /// The working set of one solve. Computational form:
 ///
@@ -29,12 +42,11 @@ struct Engine {
   std::size_t total = 0;  ///< n + m columns
   double dir = 1.0;       ///< +1 minimize, -1 maximize
   SparseColumns cols;     ///< all columns, slacks included
-  /// The same matrix by rows: the Problem's own constraints, read in place
-  /// for pricing (the Problem outlives the solve).
+  /// The same matrix by rows, with the rhs b: the Problem's own
+  /// constraints, read in place (the Problem outlives the solve).
   const std::vector<Constraint>* rows = nullptr;
   std::vector<double> lower, upper;
   std::vector<double> chat;  ///< internal min costs (slacks 0)
-  std::vector<double> b;
 
   // Basis state.
   std::vector<VarStatus> status;     ///< per column
@@ -44,11 +56,18 @@ struct Engine {
   std::size_t pivots_since_refactor = 0;
   static constexpr std::size_t kRefactorInterval = 64;
 
-  // Scratch.
-  IndexedVector w;             ///< FTRAN of the entering column (m)
-  std::vector<double> y;       ///< BTRAN duals of the current phase cost (m)
-  std::vector<double> z;       ///< Aᵀy per column, slacks included (total)
+  // Basic feasibility, kept across pivots: only the rows a pivot moves are
+  // reclassified.
   std::vector<std::int8_t> d;  ///< -1 below lower / +1 above upper / 0 ok
+  std::size_t infeasible = 0;  ///< rows with d != 0; phase 1 while > 0
+
+  // Pricing, kept across iterations (see price()).
+  IndexedVector w;                ///< FTRAN of the entering column (m)
+  std::vector<double> y;          ///< BTRAN duals of the current phase cost
+  std::vector<double> priced_y;   ///< the duals `slope` was priced at (m)
+  std::vector<double> slope;      ///< pricing slope per column (total)
+  bool priced = false;            ///< slope holds every column's slope
+  bool priced_phase1 = false;     ///< ... for this phase's cost
 
   // Ghost state for the phase-2 monotonicity contract.
   STOSCHED_CONTRACT_STATE(double ghost_obj = 0.0; bool ghost_phase2 = false;)
@@ -58,6 +77,7 @@ struct Engine {
     m = p.constraints.size();
     total = n + m;
     STOSCHED_REQUIRE(n > 0, "LP needs at least one variable");
+    STOSCHED_REQUIRE(total < kParkedNext, "LP has too many columns");
     p.require_finite();
     rows = &p.constraints;
     dir = p.objective == Problem::Objective::kMinimize ? 1.0 : -1.0;
@@ -66,11 +86,10 @@ struct Engine {
     upper.assign(total, kInf);
     chat.assign(total, 0.0);
     for (std::size_t j = 0; j < n; ++j) chat[j] = dir * p.costs[j];
-    b.resize(m);
 
     // CSC assembly, two passes over the sparse rows; slack column n+i is
     // the single entry (i, 1). Duplicate row indices stay as separate
-    // entries — every consumer (scatter, row-wise pricing) adds them up.
+    // entries — every consumer (scatter, column dot) adds them up.
     std::vector<std::size_t> count(total, 0);
     for (std::size_t i = 0; i < m; ++i) {
       const Constraint& row = p.constraints[i];
@@ -98,7 +117,6 @@ struct Engine {
       cols.row[at] = static_cast<std::uint32_t>(i);
       cols.value[at] = 1.0;
 
-      b[i] = row.rhs;
       switch (row.sense) {
         case Sense::kLe:
           break;  // s ∈ [0, ∞)
@@ -113,7 +131,8 @@ struct Engine {
     }
     w = IndexedVector(m);
     y.assign(m, 0.0);
-    z.assign(total, 0.0);
+    priced_y.assign(m, 0.0);
+    slope.assign(total, 0.0);
     d.assign(m, 0);
   }
 
@@ -130,22 +149,116 @@ struct Engine {
     file.ftran(v);
   }
 
-  /// z = Aᵀy for every column: the structural part row by row over the
-  /// nonzero duals, slack n+i is y[i]. Walking the rows in ascending order
-  /// adds column j's products in the order its CSC entries list them (a
-  /// row's duplicates in the row's own order), and a skipped row would add
-  /// only ±0 to a sum that starts at +0, so z[j] is bit-for-bit column j's
-  /// dot with y.
-  void compute_z() {
-    std::fill(z.begin(), z.begin() + static_cast<std::ptrdiff_t>(n), 0.0);
-    for (std::size_t i = 0; i < m; ++i) {
-      const double yi = y[i];
-      if (yi == 0.0) continue;
-      const Constraint& row = (*rows)[i];
-      for (std::size_t k = 0; k < row.idx.size(); ++k)
-        z[row.idx[k]] += yi * row.val[k];
+  /// a_jᵀy, summed over column j's CSC entries from +0 in their order:
+  /// ascending rows, a row's duplicates in the row's own order.
+  double column_dot(std::size_t j) const {
+    double sum = 0.0;
+    for (std::size_t k = cols.start[j]; k < cols.start[j + 1]; ++k)
+      sum += y[cols.row[k]] * cols.value[k];
+    return sum;
+  }
+
+  /// The pricing slope of column j from scratch: σ_j·(g_j − a_jᵀy), the
+  /// phase objective's rate of change as j moves off its bound (σ = +1 from
+  /// lower, −1 from upper; g = ĉ in phase 2, 0 in phase 1, whose cost lives
+  /// on the basics only). A column that cannot enter (basic, or fixed like
+  /// a kEq slack) gets +0, which never prices as improving.
+  double fresh_slope(std::size_t j, bool phase1) const {
+    if (status[j] == VarStatus::kBasic || lower[j] == upper[j]) return 0.0;
+    const double zhat = (phase1 ? 0.0 : chat[j]) - column_dot(j);
+    const double sigma = status[j] == VarStatus::kAtLower ? 1.0 : -1.0;
+    return sigma * zhat;
+  }
+
+  /// Bring `slope` up to date with the duals in `y`.
+  ///
+  /// A slope depends on y only through a_jᵀy, a sum over the rows of
+  /// column j. So when no dual in those rows changed bit-wise since the
+  /// column was last priced, and neither its status nor the phase did, the
+  /// kept slope is already the fresh one, bit for bit. Each iteration
+  /// therefore compares y with `priced_y` row by row and reprices only the
+  /// columns of changed rows: the structurals the Problem's row lists and
+  /// the row's slack. Most duals keep their bits from one pivot to the
+  /// next, so this is a small share of the columns. The pivot reprices the
+  /// columns whose status it changes (end of run()'s loop), since rounding
+  /// may leave every dual in their rows as it was. Every column is
+  /// repriced on the first iteration, after a basis reload
+  /// (set_slack_basis) and when the phase flips, which changes g for every
+  /// column at once.
+  ///
+  /// The column dot gives the bits of a row-wise Aᵀy over the rows with
+  /// y_i ≠ 0 (the pivot-path goldens were pinned on that): a walk over
+  /// those rows in ascending order adds column j's products in its CSC
+  /// order, and the rows it skips add ±0 products to a sum that starts at
+  /// +0, which leaves every sum as it was. (A slack's dot, +0 + y_i·1,
+  /// differs from y_i only for y_i = −0, and g − (±0) is +0 either way.)
+  void price(bool phase1) {
+    if (!priced || phase1 != priced_phase1) {
+      for (std::size_t j = 0; j < total; ++j) slope[j] = fresh_slope(j, phase1);
+      priced_y = y;
+      priced = true;
+      priced_phase1 = phase1;
+      return;
     }
-    std::copy(y.begin(), y.end(), z.begin() + static_cast<std::ptrdiff_t>(n));
+    // A column may lie in several changed rows but is repriced once: the
+    // first of its rows parks it on a list threaded through the parked
+    // slopes themselves (no mark array), and the walk below reprices each
+    // parked column.
+    std::size_t head = total;
+    for (std::size_t i = 0; i < m; ++i) {
+      if (same_bits(y[i], priced_y[i])) continue;
+      priced_y[i] = y[i];
+      for (const std::size_t j : (*rows)[i].idx) {
+        const std::uint64_t bits = std::bit_cast<std::uint64_t>(slope[j]);
+        const bool parked = (bits & ~kParkedNext) == kParkedTag;
+        slope[j] = std::bit_cast<double>(parked ? bits : kParkedTag | head);
+        head = parked ? head : j;
+      }
+      slope[n + i] = fresh_slope(n + i, phase1);
+    }
+    while (head != total) {
+      const std::size_t j = head;
+      head = std::bit_cast<std::uint64_t>(slope[j]) & kParkedNext;
+      slope[j] = fresh_slope(j, phase1);
+    }
+  }
+
+  /// Ghost check: every kept slope is its from-scratch value, bit for bit.
+  /// O(nnz) per call, so it only ever runs with contracts armed.
+  bool slopes_fresh(bool phase1) const {
+    for (std::size_t j = 0; j < total; ++j)
+      if (!same_bits(slope[j], fresh_slope(j, phase1))) return false;
+    return true;
+  }
+
+  /// The entering column, or `total` when none improves. Dantzig: the most
+  /// negative slope below −kPivot, the smallest index among equal minima.
+  /// Bland: the first slope below −kPivot. Non-candidates hold +0 (see
+  /// fresh_slope), so both scans read `slope` alone. Dantzig's minimum runs
+  /// over independent lanes, which breaks the serial dependence on one
+  /// running minimum; `v < lane ? v : lane` skips NaN as the serial scan
+  /// did, and a second pass finds the first index holding the minimum.
+  std::size_t choose_entering(bool bland) const {
+    if (bland) {
+      for (std::size_t j = 0; j < total; ++j)
+        if (slope[j] < -tol::kPivot) return j;
+      return total;
+    }
+    constexpr std::size_t kLanes = 8;
+    double lane[kLanes];
+    std::fill(lane, lane + kLanes, -tol::kPivot);
+    std::size_t j = 0;
+    for (; j + kLanes <= total; j += kLanes)
+      for (std::size_t l = 0; l < kLanes; ++l)
+        lane[l] = slope[j + l] < lane[l] ? slope[j + l] : lane[l];
+    for (; j < total; ++j) lane[0] = slope[j] < lane[0] ? slope[j] : lane[0];
+    double best = lane[0];
+    for (std::size_t l = 1; l < kLanes; ++l)
+      best = lane[l] < best ? lane[l] : best;
+    if (!(best < -tol::kPivot)) return total;
+    j = 0;
+    while (slope[j] != best) ++j;
+    return j;
   }
 
   /// Value a nonbasic variable rests at (always one of its finite bounds).
@@ -166,6 +279,7 @@ struct Engine {
     }
     file.clear();
     pivots_since_refactor = 0;
+    priced = false;
   }
 
   /// A warm basis is usable when its statuses are consistent with this
@@ -252,15 +366,46 @@ struct Engine {
     return true;
   }
 
-  /// Recompute the basic values from scratch: x_B = B⁻¹(b − N·x_N).
+  /// Recompute the basic values from scratch, x_B = B⁻¹(b − N·x_N), and
+  /// classify every row.
   void compute_xb() {
-    xb = b;
+    xb.resize(m);
+    for (std::size_t i = 0; i < m; ++i) xb[i] = (*rows)[i].rhs;
     for (std::size_t j = 0; j < total; ++j) {
       if (status[j] == VarStatus::kBasic) continue;
       const double v = nonbasic_value(j);
       if (v != 0.0) add_column(j, -v, xb);
     }
     file.ftran(xb);
+    std::fill(d.begin(), d.end(), std::int8_t{0});
+    infeasible = 0;
+    for (std::size_t r = 0; r < m; ++r) classify(r);
+  }
+
+  /// Basic row r against its variable's bounds: -1 below, +1 above, 0
+  /// within kFeas.
+  std::int8_t violation(std::size_t r) const {
+    const std::uint32_t bv = basic[r];
+    if (xb[r] < lower[bv] - tol::kFeas) return -1;
+    if (xb[r] > upper[bv] + tol::kFeas) return 1;
+    return 0;
+  }
+
+  /// Reclassify row r, keeping the infeasible-row count.
+  void classify(std::size_t r) {
+    const std::int8_t v = violation(r);
+    infeasible = infeasible - (d[r] != 0) + (v != 0);
+    d[r] = v;
+  }
+
+  /// Ghost check: the kept classification is a full one.
+  bool classification_fresh() const {
+    std::size_t count = 0;
+    for (std::size_t r = 0; r < m; ++r) {
+      if (d[r] != violation(r)) return false;
+      count += d[r] != 0;
+    }
+    return count == infeasible;
   }
 
   /// Internal (minimization-form) objective of the current iterate.
@@ -273,9 +418,10 @@ struct Engine {
     return obj;
   }
 
-  /// The iterate loop. Each pass classifies basic feasibility and runs one
-  /// composite phase-1 step (minimize total bound violation) or one phase-2
-  /// step — so a warm start that lands feasible skips phase 1 entirely.
+  /// The iterate loop. Each pass runs one composite phase-1 step (minimize
+  /// total bound violation) while any basic violates a bound, else one
+  /// phase-2 step — so a warm start that lands feasible skips phase 1
+  /// entirely.
   Solution run(std::size_t max_iter) {
     Solution sol;
     compute_xb();
@@ -294,19 +440,9 @@ struct Engine {
         compute_xb();
       }
 
-      // Classify the basics; phase 1 while any violates a bound.
-      bool phase1 = false;
-      for (std::size_t r = 0; r < m; ++r) {
-        const std::uint32_t bv = basic[r];
-        d[r] = 0;
-        if (xb[r] < lower[bv] - tol::kFeas) {
-          d[r] = -1;
-          phase1 = true;
-        } else if (xb[r] > upper[bv] + tol::kFeas) {
-          d[r] = 1;
-          phase1 = true;
-        }
-      }
+      STOSCHED_INVARIANT(classification_fresh(),
+                         "kept basic classification is stale");
+      const bool phase1 = infeasible > 0;
 
       // Phase-2 objective never worsens between feasible iterates (each
       // step moves along a direction whose internal-objective slope is
@@ -324,38 +460,16 @@ struct Engine {
       });
 
       // Duals of the phase cost: y = B⁻ᵀ g_B, where g is the composite
-      // phase-1 cost (±1 on infeasible basics) or ĉ.
+      // phase-1 cost (±1 on infeasible basics) or ĉ. Then pricing: Dantzig
+      // over the kept slopes (Bland once a degenerate streak suggests
+      // cycling); improving means slope < −kPivot.
       for (std::size_t r = 0; r < m; ++r)
         y[r] = phase1 ? static_cast<double>(d[r]) : chat[basic[r]];
       file.btran(y);
-      compute_z();
-
-      // Pricing: Dantzig over all nonbasic columns (Bland once a degenerate
-      // streak suggests cycling). slope = σ_j·ẑ_j is the objective's rate of
-      // change when j moves off its bound (σ = +1 from lower, −1 from
-      // upper); improving means slope < −kPivot. Fixed columns (kEq slacks)
-      // never enter.
-      std::size_t enter = total;
-      double esign = 1.0;
-      double best = -tol::kPivot;
-      for (std::size_t j = 0; j < total; ++j) {
-        if (status[j] == VarStatus::kBasic) continue;
-        if (lower[j] == upper[j]) continue;
-        const double zhat = (phase1 ? 0.0 : chat[j]) - z[j];
-        const double sigma = status[j] == VarStatus::kAtLower ? 1.0 : -1.0;
-        const double slope = sigma * zhat;
-        if (bland) {
-          if (slope < -tol::kPivot) {
-            enter = j;
-            esign = sigma;
-            break;
-          }
-        } else if (slope < best) {
-          best = slope;
-          enter = j;
-          esign = sigma;
-        }
-      }
+      price(phase1);
+      STOSCHED_INVARIANT(slopes_fresh(phase1),
+                         "kept pricing slope differs from its fresh value");
+      const std::size_t enter = choose_entering(bland);
       if (enter == total) {
         // No improving column: phase-1 optimum with residual violation
         // means the LP is infeasible; otherwise we are optimal and `y`
@@ -372,6 +486,7 @@ struct Engine {
       // opposite bound (a bound flip, no pivot). Rows outside w's pattern
       // hold +0 and never block, so only the pattern is scanned.
       ftran_column(enter, w);
+      const double esign = status[enter] == VarStatus::kAtLower ? 1.0 : -1.0;
 
       double alpha = upper[enter] - lower[enter];  // flip step, often ∞
       std::size_t leave = m;                       // m = bound flip
@@ -444,27 +559,30 @@ struct Engine {
         status[enter] = status[enter] == VarStatus::kAtLower
                             ? VarStatus::kAtUpper
                             : VarStatus::kAtLower;
-        continue;
+      } else {
+        const std::uint32_t out = basic[leave];
+        const double in_value =
+            (esign > 0.0 ? lower[enter] : upper[enter]) + esign * alpha;
+        status[out] =
+            leave_at_upper ? VarStatus::kAtUpper : VarStatus::kAtLower;
+        status[enter] = VarStatus::kBasic;
+        basic[leave] = static_cast<std::uint32_t>(enter);
+        xb[leave] = in_value;
+        file.append(w, static_cast<std::uint32_t>(leave), tol::kEtaDrop);
+        ++pivots_since_refactor;
+        STOSCHED_INVARIANT(basis_consistent(),
+                           "basis column count != row count after pivot");
+        slope[out] = fresh_slope(out, phase1);
       }
-
-      const std::uint32_t out = basic[leave];
-      const double in_value = (esign > 0.0 ? lower[enter] : upper[enter]) +
-                              esign * alpha;
-      status[out] =
-          leave_at_upper ? VarStatus::kAtUpper : VarStatus::kAtLower;
-      status[enter] = VarStatus::kBasic;
-      basic[leave] = static_cast<std::uint32_t>(enter);
-      xb[leave] = in_value;
-      file.append(w, static_cast<std::uint32_t>(leave), tol::kEtaDrop);
-      ++pivots_since_refactor;
-      STOSCHED_INVARIANT(basis_consistent(),
-                         "basis column count != row count after pivot");
+      // The step moved only the basics in w's pattern, which holds the
+      // leaving row; the entering column changed status either way.
+      for (const std::uint32_t r : w.pattern()) classify(r);
+      slope[enter] = fresh_slope(enter, phase1);
     }
   }
 
-  /// Fill the caller-facing Solution from an optimal iterate. `y` and `z`
-  /// must hold the phase-2 duals (B⁻ᵀĉ_B) and Aᵀy, which run() guarantees
-  /// at kOptimal exit.
+  /// Fill the caller-facing Solution from an optimal iterate. `y` must hold
+  /// the phase-2 duals (B⁻ᵀĉ_B), which run() guarantees at kOptimal exit.
   void extract(const Problem& p, Solution& sol) const {
     sol.x.assign(n, 0.0);
     for (std::size_t j = 0; j < n; ++j)
@@ -480,7 +598,7 @@ struct Engine {
     sol.reduced_costs.assign(n, 0.0);
     for (std::size_t j = 0; j < n; ++j) {
       if (status[j] == VarStatus::kBasic) continue;  // 0, as dense reports
-      sol.reduced_costs[j] = dir * (chat[j] - z[j]);
+      sol.reduced_costs[j] = dir * (chat[j] - column_dot(j));
     }
   }
 

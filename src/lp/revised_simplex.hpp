@@ -5,9 +5,10 @@
 // pivot, the revised method keeps only the basis inverse — as an eta file
 // (lp/sparse.hpp) — and touches the constraint matrix only where it is
 // nonzero:
-//   * pricing: one BTRAN (y = B⁻ᵀ·cost_B), then Aᵀy row-wise over the rows
-//     with a nonzero dual, read straight from the Problem's sparse rows;
-//     this costs the nonzeros of those rows instead of O(m·n);
+//   * pricing: one BTRAN (y = B⁻ᵀ·cost_B), then each column's pricing slope
+//     is kept across iterations and recomputed (a CSC column dot) only
+//     where a dual in one of its rows changed, which costs a small share
+//     of the nonzeros instead of O(m·n);
 //   * ratio test / update: one pattern-tracked FTRAN of the entering column
 //     (CSC), a ratio test and basic-value update over its nonzero rows, and
 //     one new eta.

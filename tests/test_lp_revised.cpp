@@ -4,11 +4,14 @@
 // verdicts, duplicate column indices within a row), rejection of non-finite
 // input, warm-start behavior (rhs/cost-perturbed resolves reuse the previous
 // basis and take strictly fewer iterations than a cold solve), and a bitwise
-// golden pin of F11's interval LP.
+// golden pin of F11's interval LP, and a hash of every output bit along
+// the pivot paths of F11 interval LPs solved three ways.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <numeric>
 #include <stdexcept>
@@ -505,6 +508,102 @@ TEST(RevisedSimplex, IntervalLpF11Golden) {
     Rng drift = root.stream(4);
     for (auto& c : p.constraints) c.rhs *= drift.uniform(0.97, 1.06);
     expect_pin(solve_revised(p, basis), golden[r][1], r, "warm");
+  }
+}
+
+/// FNV-1a over 64-bit words: a digest of values that must hold bit for bit.
+struct BitHash {
+  std::uint64_t h = 14695981039346656037ULL;
+  void add(std::uint64_t word) {
+    for (int b = 0; b < 64; b += 8) {
+      h ^= (word >> b) & 0xffU;
+      h *= 1099511628211ULL;
+    }
+  }
+  void add(double v) { add(std::bit_cast<std::uint64_t>(v)); }
+  void add(const std::vector<double>& v) {
+    add(static_cast<std::uint64_t>(v.size()));
+    for (const double x : v) add(x);
+  }
+};
+
+/// Everything a solve reports and the basis it leaves behind.
+void hash_solve(BitHash& hash, const Solution& sol, const Basis& basis) {
+  hash.add(static_cast<std::uint64_t>(sol.iterations));
+  hash.add(static_cast<std::uint64_t>(sol.status));
+  hash.add(sol.objective);
+  hash.add(sol.x);
+  hash.add(sol.duals);
+  hash.add(sol.reduced_costs);
+  for (const VarStatus st : basis.status)
+    hash.add(static_cast<std::uint64_t>(st));
+  for (const std::uint32_t bv : basis.basic) hash.add(std::uint64_t{bv});
+}
+
+TEST(RevisedSimplex, PivotPathGolden) {
+  // F11 interval LPs from the online-bernoulli cell (horizon 48, LP
+  // engaged), three seeds × three instances, each solved three ways:
+  //   cold      from the slack basis: a long phase 1, then phase 2;
+  //   warm      from the cold optimum after the rhs and costs drift, so the
+  //             basis is reloaded and refactorized first;
+  //   negated   the costs negated, from the cold optimum: the start is
+  //             feasible, so every pivot is phase 2 (it ends unbounded,
+  //             hundreds of pivots in).
+  // Each hash digests the iteration count, the status, the bits of the
+  // objective, x, the duals and the reduced costs, and the final basis, so
+  // it pins the whole pivot path. A change to the pricing arithmetic must
+  // leave every one of them alone.
+  struct Pin {
+    std::uint64_t seed;
+    std::uint64_t cold, warm, negated;
+  };
+  const Pin golden[] = {
+      {111, 0xf1405e5567dc614bULL, 0x6c3bba8e4e262186ULL,
+       0x4839648aa3a05659ULL},
+      {7, 0xaca3da50cb42137bULL, 0x2737274522619febULL,
+       0x0bc4249b19de7a63ULL},
+      {5, 0xee3166060649e83bULL, 0x5f2345bf2c5b423fULL,
+       0xdde2dbe36a26bfcaULL},
+  };
+
+  experiment::OnlineScenario s =
+      experiment::online_scenario("online-bernoulli");
+  s.horizon = 48.0;
+  s.bound.use_lp = true;
+  for (const Pin& pin : golden) {
+    BitHash cold, warm, negated;
+    const Rng master(pin.seed);
+    for (std::size_t r = 0; r < 3; ++r) {
+      const Rng root = master.stream(r);
+      Rng arrival_rng = root.stream(0);
+      Rng type_rng = root.stream(1);
+      Rng size_rng = root.stream(2);
+      Rng sample_rng = root.stream(3);
+      const online::OnlineInstance inst = online::generate_online_instance(
+          *s.arrival, s.types, s.horizon, arrival_rng, type_rng, size_rng,
+          sample_rng);
+      const Problem p = online::interval_indexed_lp(inst, s.env, s.bound);
+
+      Basis optimum;
+      const Solution first = solve_revised(p, optimum);
+      ASSERT_TRUE(first.optimal()) << "seed " << pin.seed << " instance " << r;
+      hash_solve(cold, first, optimum);
+
+      Problem drifted = p;
+      Rng drift = root.stream(4);
+      for (auto& c : drifted.constraints) c.rhs *= drift.uniform(0.97, 1.06);
+      for (auto& c : drifted.costs) c *= drift.uniform(0.98, 1.03);
+      Basis basis = optimum;
+      hash_solve(warm, solve_revised(drifted, basis), basis);
+
+      Problem flipped = p;
+      for (auto& c : flipped.costs) c = -c;
+      basis = optimum;
+      hash_solve(negated, solve_revised(flipped, basis), basis);
+    }
+    EXPECT_EQ(cold.h, pin.cold) << "cold, seed " << pin.seed;
+    EXPECT_EQ(warm.h, pin.warm) << "warm, seed " << pin.seed;
+    EXPECT_EQ(negated.h, pin.negated) << "negated, seed " << pin.seed;
   }
 }
 

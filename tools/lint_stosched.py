@@ -218,7 +218,7 @@ def rule_umbrella_header(root):
         if key in reached:
             continue
         reached.add(key)
-        code = strip_code(read(hdr))
+        # includes are parsed from the raw text: they sit outside comments
         for m in re.finditer(r'#\s*include\s*"([^"]+)"', read(hdr)):
             # includes resolve against the src/ include dir or the including
             # file's own directory
@@ -226,7 +226,6 @@ def rule_umbrella_header(root):
                 if cand.is_file():
                     frontier.append(cand)
                     break
-        del code  # includes parsed from raw text: they sit outside comments
     out = []
     for path in cxx_files(root, "src", suffixes=(".hpp",)):
         if path.resolve() not in reached:

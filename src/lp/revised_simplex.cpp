@@ -26,15 +26,24 @@ bool same_bits(double a, double b) {
   return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
 
+/// The sign a column is held to: structurals and kLe slacks x ≥ 0, kGe
+/// slacks x ≤ 0, kEq slacks both (x = 0). 0 is every finite bound, so a
+/// nonbasic variable always rests at 0.
+enum Sign : std::uint8_t {
+  kNonneg = 1,
+  kNonpos = 2,
+  kFixed = kNonneg | kNonpos,
+};
+
 /// The working set of one solve. Computational form:
 ///
-///     minimize  ĉ·x̃   s.t.   [A | I] x̃ = b,   l ≤ x̃ ≤ u
+///     minimize  ĉ·x̃   s.t.   [A | I] x̃ = b,   x̃ signed as `sign` says
 ///
 /// over the structural variables followed by one slack per row. Row sense
-/// lives entirely in the slack bounds — kLe: s ∈ [0,∞), kGe: s ∈ (-∞,0],
-/// kEq: s ∈ [0,0] — so every slack column is +e_i, the all-slack basis is
-/// the identity (empty eta file), and no artificial columns ever exist.
-/// Maximization flips the cost sign (ĉ = dir·c with dir = ±1).
+/// lives entirely in the slack's sign — kLe: s ≥ 0, kGe: s ≤ 0, kEq: s = 0
+/// — so every slack column is +e_i, the all-slack basis is the identity
+/// (empty eta file), and no artificial columns ever exist. Maximization
+/// flips the cost sign (ĉ = dir·c with dir = ±1).
 struct Engine {
   // Problem data.
   std::size_t n = 0;      ///< structural variables
@@ -45,7 +54,7 @@ struct Engine {
   /// The same matrix by rows, with the rhs b: the Problem's own
   /// constraints, read in place (the Problem outlives the solve).
   const std::vector<Constraint>* rows = nullptr;
-  std::vector<double> lower, upper;
+  std::vector<std::uint8_t> sign;  ///< Sign per column
   std::vector<double> chat;  ///< internal min costs (slacks 0)
 
   // Basis state.
@@ -58,7 +67,7 @@ struct Engine {
 
   // Basic feasibility, kept across pivots: only the rows a pivot moves are
   // reclassified.
-  std::vector<std::int8_t> d;  ///< -1 below lower / +1 above upper / 0 ok
+  std::vector<std::int8_t> d;  ///< -1 below 0 / +1 above 0 / 0 ok
   std::size_t infeasible = 0;  ///< rows with d != 0; phase 1 while > 0
 
   // Pricing, kept across iterations (see price()).
@@ -78,12 +87,11 @@ struct Engine {
     total = n + m;
     STOSCHED_REQUIRE(n > 0, "LP needs at least one variable");
     STOSCHED_REQUIRE(total < kParkedNext, "LP has too many columns");
-    p.require_finite();
+    p.validate();
     rows = &p.constraints;
     dir = p.objective == Problem::Objective::kMinimize ? 1.0 : -1.0;
 
-    lower.assign(total, 0.0);
-    upper.assign(total, kInf);
+    sign.assign(total, kNonneg);
     chat.assign(total, 0.0);
     for (std::size_t j = 0; j < n; ++j) chat[j] = dir * p.costs[j];
 
@@ -92,11 +100,7 @@ struct Engine {
     // entries — every consumer (scatter, column dot) adds them up.
     std::vector<std::size_t> count(total, 0);
     for (std::size_t i = 0; i < m; ++i) {
-      const Constraint& row = p.constraints[i];
-      for (const std::size_t j : row.idx) {
-        STOSCHED_REQUIRE(j < n, "constraint column index out of range");
-        ++count[j];
-      }
+      for (const std::size_t j : p.constraints[i].idx) ++count[j];
       ++count[n + i];
     }
     cols.rows = m;
@@ -116,18 +120,8 @@ struct Engine {
       const std::size_t at = fill[n + i]++;
       cols.row[at] = static_cast<std::uint32_t>(i);
       cols.value[at] = 1.0;
-
-      switch (row.sense) {
-        case Sense::kLe:
-          break;  // s ∈ [0, ∞)
-        case Sense::kGe:
-          lower[n + i] = -kInf;
-          upper[n + i] = 0.0;
-          break;
-        case Sense::kEq:
-          upper[n + i] = 0.0;  // fixed at zero
-          break;
-      }
+      if (row.sense == Sense::kGe) sign[n + i] = kNonpos;
+      if (row.sense == Sense::kEq) sign[n + i] = kFixed;
     }
     w = IndexedVector(m);
     y.assign(m, 0.0);
@@ -159,12 +153,12 @@ struct Engine {
   }
 
   /// The pricing slope of column j from scratch: σ_j·(g_j − a_jᵀy), the
-  /// phase objective's rate of change as j moves off its bound (σ = +1 from
-  /// lower, −1 from upper; g = ĉ in phase 2, 0 in phase 1, whose cost lives
-  /// on the basics only). A column that cannot enter (basic, or fixed like
-  /// a kEq slack) gets +0, which never prices as improving.
+  /// phase objective's rate of change as j moves off 0 (σ = +1 upward from
+  /// kAtLower, −1 downward from kAtUpper; g = ĉ in phase 2, 0 in phase 1,
+  /// whose cost lives on the basics only). A column that cannot enter
+  /// (basic, or a kEq slack) gets +0, which never prices as improving.
   double fresh_slope(std::size_t j, bool phase1) const {
-    if (status[j] == VarStatus::kBasic || lower[j] == upper[j]) return 0.0;
+    if (status[j] == VarStatus::kBasic || sign[j] == kFixed) return 0.0;
     const double zhat = (phase1 ? 0.0 : chat[j]) - column_dot(j);
     const double sigma = status[j] == VarStatus::kAtLower ? 1.0 : -1.0;
     return sigma * zhat;
@@ -261,17 +255,10 @@ struct Engine {
     return j;
   }
 
-  /// Value a nonbasic variable rests at (always one of its finite bounds).
-  double nonbasic_value(std::size_t j) const {
-    return status[j] == VarStatus::kAtLower ? lower[j] : upper[j];
-  }
-
-  /// Every variable nonbasic at its finite-lower (or, for kGe slacks, its
-  /// finite-upper) bound; all slacks basic; empty eta file (B = I).
+  /// Every structural nonbasic at its lower bound 0 (kAtLower); all
+  /// slacks basic; empty eta file (B = I).
   void set_slack_basis() {
     status.assign(total, VarStatus::kAtLower);
-    for (std::size_t j = 0; j < total; ++j)
-      if (lower[j] == -kInf) status[j] = VarStatus::kAtUpper;
     basic.resize(m);
     for (std::size_t i = 0; i < m; ++i) {
       basic[i] = static_cast<std::uint32_t>(n + i);
@@ -283,13 +270,14 @@ struct Engine {
   }
 
   /// A warm basis is usable when its statuses are consistent with this
-  /// problem's bounds and its basic set has full rank (checked by
+  /// problem's signs (kAtLower needs x ≥ 0, kAtUpper x ≤ 0, so a kEq slack
+  /// takes either) and its basic set has full rank (checked by
   /// refactorize()). Shape compatibility was already checked by the caller.
   bool load_basis(const Basis& warm) {
     for (std::size_t j = 0; j < total; ++j) {
-      if (warm.status[j] == VarStatus::kAtLower && lower[j] == -kInf)
+      if (warm.status[j] == VarStatus::kAtLower && !(sign[j] & kNonneg))
         return false;
-      if (warm.status[j] == VarStatus::kAtUpper && upper[j] == kInf)
+      if (warm.status[j] == VarStatus::kAtUpper && !(sign[j] & kNonpos))
         return false;
     }
     status = warm.status;
@@ -366,28 +354,23 @@ struct Engine {
     return true;
   }
 
-  /// Recompute the basic values from scratch, x_B = B⁻¹(b − N·x_N), and
-  /// classify every row.
+  /// Recompute the basic values from scratch, x_B = B⁻¹b (every nonbasic
+  /// rests at 0), and classify every row.
   void compute_xb() {
     xb.resize(m);
     for (std::size_t i = 0; i < m; ++i) xb[i] = (*rows)[i].rhs;
-    for (std::size_t j = 0; j < total; ++j) {
-      if (status[j] == VarStatus::kBasic) continue;
-      const double v = nonbasic_value(j);
-      if (v != 0.0) add_column(j, -v, xb);
-    }
     file.ftran(xb);
     std::fill(d.begin(), d.end(), std::int8_t{0});
     infeasible = 0;
     for (std::size_t r = 0; r < m; ++r) classify(r);
   }
 
-  /// Basic row r against its variable's bounds: -1 below, +1 above, 0
-  /// within kFeas.
+  /// Basic row r against its variable's sign: -1 below 0 where x ≥ 0, +1
+  /// above 0 where x ≤ 0, 0 within kFeas.
   std::int8_t violation(std::size_t r) const {
-    const std::uint32_t bv = basic[r];
-    if (xb[r] < lower[bv] - tol::kFeas) return -1;
-    if (xb[r] > upper[bv] + tol::kFeas) return 1;
+    const std::uint8_t s = sign[basic[r]];
+    if ((s & kNonneg) && xb[r] < -tol::kFeas) return -1;
+    if ((s & kNonpos) && xb[r] > tol::kFeas) return 1;
     return 0;
   }
 
@@ -411,15 +394,12 @@ struct Engine {
   /// Internal (minimization-form) objective of the current iterate.
   double internal_objective() const {
     double obj = 0.0;
-    for (std::size_t j = 0; j < total; ++j)
-      if (status[j] != VarStatus::kBasic && chat[j] != 0.0)
-        obj += chat[j] * nonbasic_value(j);
     for (std::size_t r = 0; r < m; ++r) obj += chat[basic[r]] * xb[r];
     return obj;
   }
 
   /// The iterate loop. Each pass runs one composite phase-1 step (minimize
-  /// total bound violation) while any basic violates a bound, else one
+  /// total sign violation) while any basic violates its sign, else one
   /// phase-2 step — so a warm start that lands feasible skips phase 1
   /// entirely.
   Solution run(std::size_t max_iter) {
@@ -479,43 +459,32 @@ struct Engine {
         return sol;
       }
 
-      // FTRAN the entering column, then the bounded-variable ratio test:
-      // basics block where they reach a bound (infeasible basics at the
-      // bound they violate — the first breakpoint of the piecewise-linear
-      // phase-1 objective); the entering variable itself blocks at its
-      // opposite bound (a bound flip, no pivot). Rows outside w's pattern
-      // hold +0 and never block, so only the pattern is scanned.
+      // FTRAN the entering column, then the ratio test: a feasible basic
+      // blocks where it reaches 0, unless its sign lets it pass (an x ≤ 0
+      // basic falling, an x ≥ 0 basic rising); an infeasible basic blocks
+      // where it gets back to 0 (the first breakpoint of the
+      // piecewise-linear phase-1 objective).
+      // The entering variable has no finite bound on the side it moves to,
+      // so only a basic can block. Rows outside w's pattern hold +0 and
+      // never block, so only the pattern is scanned.
       ftran_column(enter, w);
       const double esign = status[enter] == VarStatus::kAtLower ? 1.0 : -1.0;
 
-      double alpha = upper[enter] - lower[enter];  // flip step, often ∞
-      std::size_t leave = m;                       // m = bound flip
+      double alpha = kInf;
+      std::size_t leave = m;  // m = no row blocks
       bool leave_at_upper = false;
       for (const std::uint32_t r : w.pattern()) {
         const double delta = esign * w[r];  // −d(x_B[r])/d(step)
         if (delta < tol::kPivot && delta > -tol::kPivot) continue;
         const std::uint32_t bv = basic[r];
-        double a;
-        bool at_upper;
-        if (d[r] == 0) {
-          if (delta > 0.0) {
-            if (lower[bv] == -kInf) continue;
-            a = (xb[r] - lower[bv]) / delta;
-            at_upper = false;
-          } else {
-            if (upper[bv] == kInf) continue;
-            a = (xb[r] - upper[bv]) / delta;
-            at_upper = true;
-          }
-        } else if (d[r] < 0) {
-          if (delta > 0.0) continue;  // moves further below, not blocking
-          a = (xb[r] - lower[bv]) / delta;
-          at_upper = false;
-        } else {
-          if (delta < 0.0) continue;
-          a = (xb[r] - upper[bv]) / delta;
-          at_upper = true;
-        }
+        const bool falls = delta > 0.0;
+        if (d[r] == 0 ? !(sign[bv] & (falls ? kNonneg : kNonpos))
+                      : falls == (d[r] < 0))
+          continue;  // never reaches 0, or moves further from it
+        // It leaves labelled with the bound it reaches: the one it moves
+        // toward when feasible, the one it violates when not.
+        const bool at_upper = d[r] == 0 ? !falls : d[r] > 0;
+        double a = xb[r] / delta;
         if (a < 0.0) a = 0.0;  // tolerance-negative step: degenerate
         if (a < alpha - tol::kRatioTie ||
             (a < alpha + tol::kRatioTie && leave < m && bv < basic[leave])) {
@@ -525,7 +494,7 @@ struct Engine {
         }
       }
 
-      if (alpha == kInf) {
+      if (leave == m) {
         if (!phase1) {
           sol.status = Solution::Status::kUnbounded;
           return sol;
@@ -554,28 +523,20 @@ struct Engine {
         for (const std::uint32_t r : w.pattern())
           xb[r] -= esign * alpha * w[r];
 
-      if (leave == m) {
-        // Bound flip: the entering variable traversed to its other bound.
-        status[enter] = status[enter] == VarStatus::kAtLower
-                            ? VarStatus::kAtUpper
-                            : VarStatus::kAtLower;
-      } else {
-        const std::uint32_t out = basic[leave];
-        const double in_value =
-            (esign > 0.0 ? lower[enter] : upper[enter]) + esign * alpha;
-        status[out] =
-            leave_at_upper ? VarStatus::kAtUpper : VarStatus::kAtLower;
-        status[enter] = VarStatus::kBasic;
-        basic[leave] = static_cast<std::uint32_t>(enter);
-        xb[leave] = in_value;
-        file.append(w, static_cast<std::uint32_t>(leave), tol::kEtaDrop);
-        ++pivots_since_refactor;
-        STOSCHED_INVARIANT(basis_consistent(),
-                           "basis column count != row count after pivot");
-        slope[out] = fresh_slope(out, phase1);
-      }
+      // The entering variable moved off 0 by esign·alpha; the +0 start
+      // turns a −0 step into +0.
+      const std::uint32_t out = basic[leave];
+      status[out] = leave_at_upper ? VarStatus::kAtUpper : VarStatus::kAtLower;
+      status[enter] = VarStatus::kBasic;
+      basic[leave] = static_cast<std::uint32_t>(enter);
+      xb[leave] = 0.0 + esign * alpha;
+      file.append(w, static_cast<std::uint32_t>(leave), tol::kEtaDrop);
+      ++pivots_since_refactor;
+      STOSCHED_INVARIANT(basis_consistent(),
+                         "basis column count != row count after pivot");
+      slope[out] = fresh_slope(out, phase1);
       // The step moved only the basics in w's pattern, which holds the
-      // leaving row; the entering column changed status either way.
+      // leaving row, and the two columns that swapped changed status.
       for (const std::uint32_t r : w.pattern()) classify(r);
       slope[enter] = fresh_slope(enter, phase1);
     }
@@ -584,9 +545,7 @@ struct Engine {
   /// Fill the caller-facing Solution from an optimal iterate. `y` must hold
   /// the phase-2 duals (B⁻ᵀĉ_B), which run() guarantees at kOptimal exit.
   void extract(const Problem& p, Solution& sol) const {
-    sol.x.assign(n, 0.0);
-    for (std::size_t j = 0; j < n; ++j)
-      if (status[j] != VarStatus::kBasic) sol.x[j] = nonbasic_value(j);
+    sol.x.assign(n, 0.0);  // nonbasics rest at 0
     for (std::size_t r = 0; r < m; ++r)
       if (basic[r] < n) sol.x[basic[r]] = xb[r];
     sol.objective = 0.0;

@@ -12,16 +12,18 @@
 //   * ratio test / update: one pattern-tracked FTRAN of the entering column
 //     (CSC), a ratio test and basic-value update over its nonzero rows, and
 //     one new eta.
-// Both engines reject a non-finite cost, coefficient or rhs up front
-// (Problem::require_finite).
-// Bounded variables are native: every variable carries [lower, upper], so
-// kGe/kEq rows need slack bounds ((-∞,0] / [0,0]) instead of artificial
-// columns, and phase 1 minimizes the total bound violation of the basic
-// variables directly (a composite phase 1 — the cost vector is ±1 on
-// infeasible basics). That choice is what makes warm starts cheap: a basis
-// from a neighbouring solve (same shape, perturbed rhs/costs — the CRN
-// sweep pattern in online/lower_bound.cpp) is usually a handful of phase-1
-// pivots from feasible, instead of a full artificial-variable restart.
+// Both engines reject a non-finite cost, coefficient or rhs, and a row
+// whose idx and val differ in length or name a missing variable, up front
+// (Problem::validate).
+// Row sense lives in the sign of the row's slack: kLe s ≥ 0, kGe s ≤ 0,
+// kEq s = 0. Every slack column is then +e_i, the all-slack basis is the
+// identity, no artificial columns exist, and the only finite bound of any
+// variable is 0, where every nonbasic rests. Phase 1 is composite: it
+// minimizes the total sign violation of the basic variables directly (the
+// cost vector is ±1 on infeasible basics). That is what makes warm starts
+// cheap: a basis from a neighbouring solve (same shape, perturbed
+// rhs/costs) is usually a handful of phase-1 pivots from feasible, instead
+// of a full artificial-variable restart.
 //
 // Pricing is Dantzig with a Bland fallback after a degenerate streak, the
 // same anti-cycling policy (and the same tolerances, lp/tolerances.hpp) as

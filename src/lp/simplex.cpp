@@ -147,10 +147,15 @@ Problem& Problem::subject_to_sparse(std::vector<std::size_t> idx,
   return *this;
 }
 
-void Problem::require_finite() const {
+void Problem::validate() const {
   for (const double c : costs)
     STOSCHED_REQUIRE(std::isfinite(c), "LP cost is not finite");
   for (const Constraint& row : constraints) {
+    STOSCHED_REQUIRE(row.idx.size() == row.val.size(),
+                     "LP constraint: index/value length mismatch");
+    for (const std::size_t j : row.idx)
+      STOSCHED_REQUIRE(j < costs.size(),
+                       "LP constraint: column index out of range");
     STOSCHED_REQUIRE(std::isfinite(row.rhs), "LP rhs is not finite");
     for (const double a : row.val)
       STOSCHED_REQUIRE(std::isfinite(a), "LP coefficient is not finite");
@@ -175,7 +180,7 @@ Solution solve(const Problem& p, std::size_t max_iterations) {
   const std::size_t n = p.costs.size();
   const std::size_t m = p.constraints.size();
   STOSCHED_REQUIRE(n > 0, "LP needs at least one variable");
-  p.require_finite();
+  p.validate();
 
   // Maximization sign: internally we always maximize sign * c.
   const double sign =
@@ -208,11 +213,8 @@ Solution solve(const Problem& p, std::size_t max_iterations) {
   std::size_t next_slack = n, next_art = n + n_slack;
   for (std::size_t i = 0; i < m; ++i) {
     const Constraint& row = p.constraints[i];
-    for (std::size_t k = 0; k < row.idx.size(); ++k) {
-      STOSCHED_REQUIRE(row.idx[k] < n,
-                       "constraint column index out of range");
+    for (std::size_t k = 0; k < row.idx.size(); ++k)
       t.at(i, row.idx[k]) += row_scale[i] * row.val[k];
-    }
     t.rhs(i) = row_scale[i] * row.rhs;
     if (sense[i] != Sense::kEq) {
       slack_col[i] = next_slack++;

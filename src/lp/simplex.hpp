@@ -66,9 +66,10 @@ struct Problem {
                              std::vector<double> val, Sense sense, double rhs);
 
   /// Throws std::invalid_argument unless every cost, coefficient and rhs is
-  /// finite. The fields are public, so both engines check once per solve
-  /// rather than trusting the builders.
-  void require_finite() const;
+  /// finite and every row's idx and val have one length and name only
+  /// existing variables. The fields are public, so both engines check once
+  /// per solve rather than trusting the builders.
+  void validate() const;
 };
 
 /// Outcome of a solve.

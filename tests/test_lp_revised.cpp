@@ -2,9 +2,10 @@
 // differential suite against the dense tableau (objective agreement within
 // 1e-6, dual/reduced-cost consistency, identical infeasible/unbounded
 // verdicts, duplicate column indices within a row), rejection of non-finite
-// input, warm-start behavior (rhs/cost-perturbed resolves reuse the previous
-// basis and take strictly fewer iterations than a cold solve), and a bitwise
-// golden pin of F11's interval LP, and a hash of every output bit along
+// or malformed input, warm-start behavior (rhs/cost-perturbed resolves reuse
+// the previous basis and take strictly fewer iterations than a cold solve; a
+// basis that contradicts the row senses falls back to the cold solve bit for
+// bit), and a bitwise golden pin of F11's interval LP, and a hash of every output bit along
 // the pivot paths of F11 interval LPs solved three ways.
 #include <gtest/gtest.h>
 
@@ -326,9 +327,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RevisedDuplicateIndices,
                          ::testing::Range(0, 10));
 
 TEST(RevisedSimplex, NonFiniteInputThrowsInBothEngines) {
-  // The fields are public, so a NaN or an infinity can reach a solve
-  // without passing a builder. Without a check a NaN rhs makes every bound
-  // test false and the solve can report kOptimal with a NaN objective.
+  // The fields are public, so a NaN, an infinity or a malformed row can
+  // reach a solve without passing a builder. Without a check a NaN rhs
+  // makes every bound test false and the solve can report kOptimal with a
+  // NaN objective.
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
   const auto base = [] {
@@ -346,6 +348,12 @@ TEST(RevisedSimplex, NonFiniteInputThrowsInBothEngines) {
   bad.back().second.constraints[0].val[0] = -inf;
   bad.emplace_back("NaN rhs", base());
   bad.back().second.constraints[0].rhs = nan;
+  // A row whose lists disagree in length, or that names a column the
+  // Problem lacks, would make either engine read past its end.
+  bad.emplace_back("short val", base());
+  bad.back().second.constraints[1].val.pop_back();
+  bad.emplace_back("index out of range", base());
+  bad.back().second.constraints[1].idx[1] = 2;
   for (const auto& [what, p] : bad)
     for (const Solver solver : {Solver::kDense, Solver::kRevised})
       EXPECT_THROW(solve(p, solver), std::invalid_argument)
@@ -430,6 +438,54 @@ TEST(RevisedSimplex, WarmStartShapeMismatchFallsBackToCold) {
   ASSERT_TRUE(warm.optimal());
   EXPECT_NEAR(warm.objective, cold.objective, 1e-9);
   EXPECT_EQ(stale.vars, big.costs.size());  // rewritten to the new shape
+}
+
+TEST(RevisedSimplex, WarmStatusAgainstRowSenseFallsBackToCold) {
+  // Nonbasic structurals and kLe slacks rest at their lower bound 0, a kGe
+  // slack at its upper bound 0, and a kEq slack at 0 under either label. A
+  // warm basis that says otherwise is rejected, and the solve must then be
+  // the cold solve bit for bit; a kEq slack may carry either label.
+  auto p = Problem::maximize({1.0, 2.0, 1.0, 0.5});
+  p.subject_to({1.0, 1.0, 1.0, 1.0}, Sense::kLe, 10.0)
+      .subject_to({1.0, -1.0, 0.0, 0.0}, Sense::kGe, 2.0)
+      .subject_to({0.0, 0.0, 1.0, 1.0}, Sense::kEq, 3.0);
+  // Optimum x = (4.5, 2.5, 3, 0): x3 and all three slacks are nonbasic.
+  constexpr std::size_t kX3 = 3, kLeSlack = 4, kGeSlack = 5, kEqSlack = 6;
+  Basis cold_basis;
+  const Solution cold = solve_revised(p, cold_basis);
+  ASSERT_TRUE(cold.optimal());
+  ASSERT_GT(cold.iterations, 0u);
+  ASSERT_EQ(cold_basis.status[kX3], VarStatus::kAtLower);
+  ASSERT_EQ(cold_basis.status[kLeSlack], VarStatus::kAtLower);
+  ASSERT_EQ(cold_basis.status[kGeSlack], VarStatus::kAtUpper);
+  ASSERT_NE(cold_basis.status[kEqSlack], VarStatus::kBasic);
+
+  const std::pair<std::size_t, VarStatus> contradictions[] = {
+      {kX3, VarStatus::kAtUpper},
+      {kLeSlack, VarStatus::kAtUpper},
+      {kGeSlack, VarStatus::kAtLower}};
+  for (const auto& [column, label] : contradictions) {
+    Basis warm = cold_basis;
+    warm.status[column] = label;
+    const Solution sol = solve_revised(p, warm);
+    EXPECT_EQ(sol.status, cold.status) << "column " << column;
+    EXPECT_EQ(sol.iterations, cold.iterations) << "column " << column;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(sol.objective),
+              std::bit_cast<std::uint64_t>(cold.objective))
+        << "column " << column;
+    EXPECT_EQ(warm.status, cold_basis.status) << "column " << column;
+    EXPECT_EQ(warm.basic, cold_basis.basic) << "column " << column;
+  }
+
+  for (const VarStatus label : {VarStatus::kAtLower, VarStatus::kAtUpper}) {
+    Basis warm = cold_basis;
+    warm.status[kEqSlack] = label;
+    const Solution sol = solve_revised(p, warm);
+    ASSERT_TRUE(sol.optimal());
+    EXPECT_EQ(sol.iterations, 0u);  // accepted: already optimal
+    EXPECT_NEAR(sol.objective, cold.objective, 1e-12);
+    EXPECT_EQ(warm.status[kEqSlack], label);
+  }
 }
 
 TEST(RevisedSimplex, CountsProcessLpEffort) {
